@@ -5,13 +5,6 @@ streams), with invertible linearization orders and a self-contained
 container format.
 """
 
-from .bench import (
-    BenchRow,
-    DEFAULT_SEED,
-    emit_report,
-    generate_corpus,
-    run_bench,
-)
 from .container import (
     CompressedArtifact,
     ImagePayload,
@@ -42,30 +35,20 @@ from .image import (
 )
 from .repair import (
     NONTERMINAL_BASE,
-    TOMBSTONE,
     CompressorConfig,
     Grammar,
-    PairRecord,
-    PairTable,
     Rule,
-    SequenceArray,
-    build_sequence_array,
     compress,
-    count_pairs,
     expand,
-    is_terminal,
-    replace_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
     "CompressedArtifact",
     "CompressorConfig",
     "CorruptBmpError",
     "CorruptContainerError",
-    "DEFAULT_SEED",
     "Grammar",
     "ImagePayload",
     "InvalidDimensionsError",
@@ -75,31 +58,20 @@ __all__ = [
     "MalformedGrammarError",
     "NONTERMINAL_BASE",
     "NotABmpError",
-    "PairRecord",
-    "PairTable",
     "PixelBuffer",
     "RawPayload",
     "RoundTripMismatchError",
     "RpimError",
     "Rule",
-    "SequenceArray",
-    "TOMBSTONE",
     "UnrecognizedContainerError",
     "UnsupportedBmpError",
-    "build_sequence_array",
     "compress",
-    "count_pairs",
     "decode_bmp",
     "delinearize",
     "deserialize",
-    "emit_report",
     "encode_bmp",
     "expand",
-    "generate_corpus",
-    "is_terminal",
     "linearize",
-    "replace_step",
-    "run_bench",
     "serialize",
     "__version__",
 ]

@@ -9,7 +9,7 @@ name and moved into place with os.replace, so concurrent processes never
 load a half-written library.
 
 When no compiler is found or the build fails, load() returns None and
-warns once per process; compress(engine="auto") then runs the
+warns once per process; compress then runs reference_compress, the
 pure-Python engine, which emits the same grammars.
 """
 

@@ -165,9 +165,8 @@ def _bench_image(name: str, file_size: int, buf: PixelBuffer,
     wall = time.perf_counter() - start
 
     back = deserialize(blob)
-    symbols = expand(back.grammar, back.sequence)
-    rebuilt = delinearize(bytes(symbols), mode, buf.width, buf.height,
-                          buf.channels)
+    rebuilt = delinearize(expand(back.grammar, back.sequence), mode,
+                          buf.width, buf.height, buf.channels)
     if rebuilt.samples != buf.samples:
         raise RoundTripMismatchError(
             f"{name} [{mode.label}]: decompressed pixels differ from input")
@@ -183,7 +182,7 @@ def _bench_raw(name: str, data: bytes, config: CompressorConfig) -> BenchRow:
     wall = time.perf_counter() - start
 
     back = deserialize(blob)
-    if bytes(expand(back.grammar, back.sequence)) != data:
+    if expand(back.grammar, back.sequence) != data:
         raise RoundTripMismatchError(
             f"{name} [raw]: decompressed bytes differ from input")
     return BenchRow(name, "opaque-stream", "n/a", len(data), len(blob),

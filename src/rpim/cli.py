@@ -108,12 +108,12 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     artifact = deserialize(args.input.read_bytes())
-    symbols = expand(artifact.grammar, artifact.sequence)
+    data = expand(artifact.grammar, artifact.sequence)
     payload = artifact.payload
     if isinstance(payload, RawPayload):
-        out = bytes(symbols)
+        out = data
     else:
-        buf = delinearize(bytes(symbols), payload.mode, payload.width,
+        buf = delinearize(data, payload.mode, payload.width,
                           payload.height, payload.channels)
         out = encode_bmp(buf)
     args.output.write_bytes(out)

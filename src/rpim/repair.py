@@ -19,7 +19,7 @@ of the current maximum.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -37,10 +37,6 @@ _CODE_MASK = _SYMBOL_SPACE - 1
 
 # thread-insertion sentinel: append at the record's tail
 _TAIL = -2
-
-
-def is_terminal(symbol: int) -> bool:
-    return 0 <= symbol < NONTERMINAL_BASE
 
 
 class Rule(NamedTuple):
@@ -65,12 +61,9 @@ class Grammar:
     def __getitem__(self, ordinal: int) -> Rule:
         return self.rules[ordinal]
 
-    def fresh_symbol(self) -> int:
-        return NONTERMINAL_BASE + len(self.rules)
-
     def add(self, left: int, right: int) -> int:
         """Append a rule for (left, right) and return its nonterminal."""
-        symbol = self.fresh_symbol()
+        symbol = NONTERMINAL_BASE + len(self.rules)
         if symbol >= _SYMBOL_SPACE:
             raise OverflowError("rule ordinals exhausted the 32-bit symbol space")
         self.rules.append(Rule(left, right))
@@ -133,46 +126,6 @@ class PairRecord:
                 f"thread={self.thread_head}..{self.thread_tail})")
 
 
-class _RecordsView(Mapping):
-    """Read-only (left, right) -> PairRecord view over the packed table."""
-
-    __slots__ = ("_records",)
-
-    def __init__(self, records: dict[int, PairRecord]) -> None:
-        self._records = records
-
-    def __getitem__(self, pair: tuple[int, int]) -> PairRecord:
-        record = self._records.get((pair[0] << 32) | pair[1])
-        if record is None:
-            raise KeyError(pair)
-        return record
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((code >> 32, code & _CODE_MASK) for code in self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class _SeenOnceView(Set):
-    """Read-only set of pairs currently counted exactly once."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self, seen: dict[int, int]) -> None:
-        self._seen = seen
-
-    def __contains__(self, pair: object) -> bool:
-        left, right = pair  # type: ignore[misc]
-        return ((left << 32) | right) in self._seen
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((code >> 32, code & _CODE_MASK) for code in self._seen)
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 class SequenceArray:
     """Working sequence under replacement.
 
@@ -211,8 +164,11 @@ class SequenceArray:
 
 
 class PairTable:
-    """Pair statistics: full records for counts >= 2, seen-once flags, and
+    """Pair statistics: full records for counts >= 2, seen-once slots, and
     a count-indexed bucket queue for max extraction.
+
+    records and seen_once are keyed by the pair code (left << 32) | right;
+    seen_once maps a pair counted exactly once to its occurrence's slot.
 
     Bucket entries are (code, stamp) pairs in min-heaps, so equal-count
     ties resolve to the lexicographically smallest pair.  Entries go stale
@@ -220,22 +176,20 @@ class PairTable:
     matches the record and lazily re-files entries whose count moved.
     """
 
-    __slots__ = ("_records", "_seen_once", "_buckets", "_pending",
-                 "_stamp", "_max_count", "records", "seen_once")
+    __slots__ = ("records", "seen_once", "_buckets", "_pending", "_stamp",
+                 "_max_count")
 
     def __init__(self) -> None:
-        self._records: dict[int, PairRecord] = {}
-        self._seen_once: dict[int, int] = {}
+        self.records: dict[int, PairRecord] = {}
+        self.seen_once: dict[int, int] = {}
         self._buckets: dict[int, list[tuple[int, int]]] = {}
         self._pending: set[int] = set()
         self._stamp = 0
         self._max_count = 0
-        self.records: Mapping = _RecordsView(self._records)
-        self.seen_once: Set = _SeenOnceView(self._seen_once)
 
     def _flush_pending(self) -> None:
         # file a fresh bucket entry for every record whose count grew
-        records = self._records
+        records = self.records
         buckets = self._buckets
         for code in self._pending:
             record = records.get(code)
@@ -252,7 +206,7 @@ class PairTable:
     def _extract_max(self, min_frequency: int) -> PairRecord | None:
         """Pop and return the most frequent record, or None below threshold."""
         buckets = self._buckets
-        records = self._records
+        records = self.records
         while self._max_count >= min_frequency:
             heap = buckets.get(self._max_count)
             if not heap:
@@ -285,11 +239,11 @@ class PairTable:
         prev_occ = array.prev_occurrence
         next_occ = array.next_occurrence
         array.threaded[slot] = 1
-        record = self._records.get(code)
+        record = self.records.get(code)
         if record is None:
-            first = self._seen_once.pop(code, -1)
+            first = self.seen_once.pop(code, -1)
             if first < 0:
-                self._seen_once[code] = slot
+                self.seen_once[code] = slot
                 prev_occ[slot] = -1
                 next_occ[slot] = -1
                 return
@@ -298,7 +252,7 @@ class PairTable:
             next_occ[lo] = hi
             prev_occ[hi] = lo
             next_occ[hi] = -1
-            self._records[code] = PairRecord(left, right, 2, lo, hi)
+            self.records[code] = PairRecord(left, right, 2, lo, hi)
             self._pending.add(code)
             return
         record.count += 1
@@ -330,10 +284,10 @@ class PairTable:
         prev_occ = array.prev_occurrence
         next_occ = array.next_occurrence
         array.threaded[slot] = 0
-        record = self._records.get(code)
+        record = self.records.get(code)
         if record is None:
-            dropped = self._seen_once.pop(code)
-            assert dropped == slot, "seen-once slot out of sync"
+            if self.seen_once.pop(code) != slot:
+                raise AssertionError("seen-once slot out of sync")
             return -1
         p = prev_occ[slot]
         n = next_occ[slot]
@@ -350,8 +304,8 @@ class PairTable:
         record.count -= 1
         if record.count == 1:
             # demote: the surviving occurrence is tracked as seen-once
-            del self._records[code]
-            self._seen_once[code] = record.thread_head
+            del self.records[code]
+            self.seen_once[code] = record.thread_head
             self._pending.discard(code)
         return p
 
@@ -413,8 +367,8 @@ def build_sequence_array(seq) -> tuple[SequenceArray, PairTable]:
     group_counts = (ends - starts).tolist()
     group_codes = sorted_codes[starts].tolist()
 
-    records = table._records
-    seen_once = table._seen_once
+    records = table.records
+    seen_once = table.seen_once
     for code, cnt, head, tail in zip(group_codes, group_counts, heads, tails):
         if cnt == 1:
             seen_once[code] = head
@@ -464,22 +418,13 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
     replacement creates are counted exactly once: inner left/right contexts
     of a chain cancel, and the run of fresh nonterminals a chain leaves
     behind gets its self-pair credits by position parity.
-
-    The credit/uncredit bookkeeping is PairTable._credit/_uncredit inlined
-    by hand: this loop dominates compression time and the call overhead is
-    measurable.  Hot credits are always tail appends, so the splice
-    branches of _credit do not appear here.
     """
     record = table._extract_max(min_frequency)
     if record is None:
         return False
     left_sym = record.left
     right_sym = record.right
-    rules = grammar.rules
-    fresh = NONTERMINAL_BASE + len(rules)
-    if fresh >= _SYMBOL_SPACE:
-        raise OverflowError("rule ordinals exhausted the 32-bit symbol space")
-    rules.append(Rule(left_sym, right_sym))
+    fresh = grammar.add(left_sym, right_sym)
     self_pair = left_sym == right_sym
 
     syms = array.symbols
@@ -488,13 +433,6 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
     live_prev = array.live_prev
     live_next = array.live_next
     threaded = array.threaded
-    records = table._records
-    records_get = records.get
-    seen_once = table._seen_once
-    seen_pop = seen_once.pop
-    pending_add = table._pending.add
-    pending_discard = table._pending.discard
-    fresh_base = fresh << 32
     removed = 0
 
     slot = record.thread_head
@@ -508,30 +446,7 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
         p = live_prev[i]
         if p >= 0 and threaded[p]:
             # the (left-context, left_sym) occurrence dies with this slot
-            code = (syms[p] << 32) | left_sym
-            threaded[p] = 0
-            rec = records_get(code)
-            if rec is None:
-                if seen_pop(code) != p:
-                    raise AssertionError("seen-once slot out of sync")
-            else:
-                pp = prev_occ[p]
-                nn = next_occ[p]
-                if pp < 0:
-                    rec.thread_head = nn
-                else:
-                    next_occ[pp] = nn
-                if nn < 0:
-                    rec.thread_tail = pp
-                else:
-                    prev_occ[nn] = pp
-                prev_occ[p] = -1
-                next_occ[p] = -1
-                rec.count -= 1
-                if rec.count == 1:
-                    del records[code]
-                    seen_once[code] = rec.thread_head
-                    pending_discard(code)
+            table._uncredit(array, syms[p], left_sym, p)
 
         link = 0
         while True:
@@ -540,30 +455,7 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
             anchor = -1
             if threaded[j]:
                 # the (right_sym, right-context) occurrence dies with j
-                code = (right_sym << 32) | syms[q]
-                threaded[j] = 0
-                rec = records_get(code)
-                if rec is None:
-                    if seen_pop(code) != j:
-                        raise AssertionError("seen-once slot out of sync")
-                else:
-                    anchor = prev_occ[j]
-                    nn = next_occ[j]
-                    if anchor < 0:
-                        rec.thread_head = nn
-                    else:
-                        next_occ[anchor] = nn
-                    if nn < 0:
-                        rec.thread_tail = anchor
-                    else:
-                        prev_occ[nn] = anchor
-                    prev_occ[j] = -1
-                    next_occ[j] = -1
-                    rec.count -= 1
-                    if rec.count == 1:
-                        del records[code]
-                        seen_once[code] = rec.thread_head
-                        pending_discard(code)
+                anchor = table._uncredit(array, right_sym, syms[q], j)
             syms[i] = fresh
             syms[j] = TOMBSTONE
             live_next[i] = q
@@ -580,30 +472,7 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
                 link += 1
                 if link & 1:
                     # self-pair credit for the fresh-symbol run, at slot i
-                    code = fresh_base | fresh
-                    threaded[i] = 1
-                    rec = records_get(code)
-                    if rec is None:
-                        first = seen_pop(code, -1)
-                        if first < 0:
-                            seen_once[code] = i
-                            prev_occ[i] = -1
-                            next_occ[i] = -1
-                        else:
-                            prev_occ[first] = -1
-                            next_occ[first] = i
-                            prev_occ[i] = first
-                            next_occ[i] = -1
-                            records[code] = PairRecord(fresh, fresh, 2, first, i)
-                            pending_add(code)
-                    else:
-                        rec.count += 1
-                        tail = rec.thread_tail
-                        next_occ[tail] = i
-                        prev_occ[i] = tail
-                        next_occ[i] = -1
-                        rec.thread_tail = i
-                        pending_add(code)
+                    table._credit(array, fresh, fresh, i)
                 i = q
                 continue
 
@@ -612,58 +481,9 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
                 if y == right_sym and not self_pair:
                     # the removal eroded the head of a right_sym run
                     _repair_run_head(array, table, right_sym, q, anchor)
-                # credit (fresh, y) at i
-                code = fresh_base | y
-                threaded[i] = 1
-                rec = records_get(code)
-                if rec is None:
-                    first = seen_pop(code, -1)
-                    if first < 0:
-                        seen_once[code] = i
-                        prev_occ[i] = -1
-                        next_occ[i] = -1
-                    else:
-                        prev_occ[first] = -1
-                        next_occ[first] = i
-                        prev_occ[i] = first
-                        next_occ[i] = -1
-                        records[code] = PairRecord(fresh, y, 2, first, i)
-                        pending_add(code)
-                else:
-                    rec.count += 1
-                    tail = rec.thread_tail
-                    next_occ[tail] = i
-                    prev_occ[i] = tail
-                    next_occ[i] = -1
-                    rec.thread_tail = i
-                    pending_add(code)
+                table._credit(array, fresh, y, i)
             if p >= 0:
-                # credit (left-context, fresh) at p
-                x = syms[p]
-                code = (x << 32) | fresh
-                threaded[p] = 1
-                rec = records_get(code)
-                if rec is None:
-                    first = seen_pop(code, -1)
-                    if first < 0:
-                        seen_once[code] = p
-                        prev_occ[p] = -1
-                        next_occ[p] = -1
-                    else:
-                        prev_occ[first] = -1
-                        next_occ[first] = p
-                        prev_occ[p] = first
-                        next_occ[p] = -1
-                        records[code] = PairRecord(x, fresh, 2, first, p)
-                        pending_add(code)
-                else:
-                    rec.count += 1
-                    tail = rec.thread_tail
-                    next_occ[tail] = p
-                    prev_occ[p] = tail
-                    next_occ[p] = -1
-                    rec.thread_tail = p
-                    pending_add(code)
+                table._credit(array, syms[p], fresh, p)
             break
 
         slot = upcoming
@@ -673,19 +493,15 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
     return True
 
 
-def compress(seq, config: CompressorConfig | None = None,
-             engine: str = "auto") -> tuple[Grammar, list[int]]:
+def compress(seq, config: CompressorConfig | None = None
+             ) -> tuple[Grammar, list[int]]:
     """Compress a terminal sequence; returns (grammar, final sequence).
 
-    engine selects the implementation, and all of them produce identical
-    output:
-
-    * "python" runs the incremental pair table above;
-    * "c" runs the compiled twin in _kernel.c, built with the system C
-      compiler on first use, and raises RuntimeError when it cannot be
-      built;
-    * "auto" (the default) runs "c" when it builds or loads, otherwise
-      "python", warning once per process about the fallback.
+    seq is bytes or a sequence of integers in 0-255; anything else raises
+    ValueError.  The work runs in the C engine (_kernel.c), built with the
+    system C compiler on first use.  When it cannot be built or loaded,
+    reference_compress runs instead, with one warning per process; both
+    produce identical output.
     """
     if config is None:
         config = CompressorConfig()
@@ -696,17 +512,26 @@ def compress(seq, config: CompressorConfig | None = None,
         if symbols.size and (int(symbols.min()) < 0
                              or int(symbols.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
-    if engine == "auto":
-        engine = "c" if _kernel.available() else "python"
-    if engine == "c":
-        rule_left, rule_right, final = _kernel.compress_array(
-            symbols, config.min_frequency, config.max_rules)
-        grammar = Grammar([Rule(left, right) for left, right
-                           in zip(rule_left.tolist(), rule_right.tolist())])
-        return grammar, final.tolist()
-    if engine != "python":
-        raise ValueError(f"unknown engine {engine!r}")
-    array, table = build_sequence_array(symbols)
+    if not _kernel.available():
+        return reference_compress(symbols, config)
+    rule_left, rule_right, final = _kernel.compress_array(
+        symbols, config.min_frequency, config.max_rules)
+    grammar = Grammar([Rule(left, right) for left, right
+                       in zip(rule_left.tolist(), rule_right.tolist())])
+    return grammar, final.tolist()
+
+
+def reference_compress(seq, config: CompressorConfig | None = None
+                       ) -> tuple[Grammar, list[int]]:
+    """The pure-Python engine: build_sequence_array, then replace_step until
+    no pair reaches min_frequency or max_rules rules exist.
+
+    It is the oracle the C engine is tested against and compress's
+    fallback.  seq must hold terminal symbols; compress checks that.
+    """
+    if config is None:
+        config = CompressorConfig()
+    array, table = build_sequence_array(seq)
     grammar = Grammar()
     max_rules = config.max_rules
     while max_rules is None or len(grammar.rules) < max_rules:
@@ -715,8 +540,8 @@ def compress(seq, config: CompressorConfig | None = None,
     return grammar, array.working_sequence()
 
 
-def expand(grammar: Grammar, seq: Sequence[int]) -> list[int]:
-    """Substitute every nonterminal down to terminals.
+def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
+    """Substitute every nonterminal down to terminals; returns the bytes.
 
     Only rules reachable from seq are materialized, so memory stays
     proportional to the output even when the grammar carries unused rules.
@@ -764,4 +589,4 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> list[int]:
             out.append(sym)
         else:
             out += texts[sym - NONTERMINAL_BASE]
-    return list(out)
+    return bytes(out)

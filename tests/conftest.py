@@ -63,10 +63,21 @@ def run_pair_counts(seq):
     return counts
 
 
+def pair_code(left, right):
+    """The key PairTable files (left, right) under."""
+    return (left << 32) | right
+
+
+def code_pair(code):
+    """The (left, right) pair a PairTable key stands for."""
+    return (code >> 32, code & 0xFFFFFFFF)
+
+
 def table_counts(table):
     """Pair counts claimed by a PairTable, seen-once pairs included."""
-    got = {pair: rec.count for pair, rec in table.records.items()}
-    for pair in table.seen_once:
+    got = {code_pair(code): rec.count for code, rec in table.records.items()}
+    for code in table.seen_once:
+        pair = code_pair(code)
         assert pair not in got, f"records/seen_once overlap at {pair}"
         got[pair] = 1
     return got
@@ -74,7 +85,8 @@ def table_counts(table):
 
 def check_threads(array, table):
     """Walk every occurrence thread and verify each link and flag."""
-    for pair, rec in table.records.items():
+    for code, rec in table.records.items():
+        pair = code_pair(code)
         slot = rec.thread_head
         seen = 0
         prev = -1
@@ -131,7 +143,7 @@ class CorpusRun:
 
 
 @pytest.fixture(scope="session")
-def warm_jit():
+def warm_engine():
     """Build or load the C engine before anything is timed.
 
     The first compress call compiles _kernel.c (or loads the cached
@@ -149,7 +161,7 @@ def corpus_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def corpus_runs(corpus_dir, warm_jit):
+def corpus_runs(corpus_dir, warm_engine):
     """Compress every corpus image in every mode, once per session.
 
     Wall time wraps compression and serialization only, mirroring the

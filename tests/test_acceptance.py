@@ -50,7 +50,7 @@ def _ratios(corpus_runs, mode=LinearizationMode.ZIGZAG):
     return {run.name: run.ratio for run in corpus_runs if run.mode == mode}
 
 
-def test_lossless_round_trip_within_budget(corpus_runs, warm_jit):
+def test_lossless_round_trip_within_budget(corpus_runs, warm_engine):
     """1000 fixed-seed random strings plus the corpus, all modes, < 60 s."""
     rng = random.Random(0x5EED)
     elapsed = sum(run.wall_time for run in corpus_runs)
@@ -196,7 +196,7 @@ def test_bmp_codec_identities():
             "1x1 white == 58 bytes)")
 
 
-def test_three_megabyte_solid_under_ten_seconds(warm_jit):
+def test_three_megabyte_solid_under_ten_seconds(warm_engine):
     """Guards against accidentally quadratic replacement."""
     buf = PixelBuffer(1024, 1024, 3, bytes([40, 90, 200]) * (1024 * 1024))
     blob = encode_bmp(buf)

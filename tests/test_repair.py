@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +27,16 @@ from rpim.repair import (
     compress,
     count_pairs,
     expand,
-    is_terminal,
+    reference_compress,
     replace_step,
 )
 
-from conftest import full_state_check, greedy_pair_counts, run_pair_counts
+from conftest import (
+    full_state_check,
+    greedy_pair_counts,
+    pair_code,
+    run_pair_counts,
+)
 
 
 class TestCountPairs:
@@ -49,11 +60,11 @@ class TestCountPairs:
 class TestBuildSequenceArray:
     def test_alternating_threads(self):
         array, table = build_sequence_array([7, 8, 7, 8])
-        rec = table.records[(7, 8)]
+        rec = table.records[pair_code(7, 8)]
         assert rec.count == 2
         assert rec.thread_head == 0
         assert array.next_occurrence[0] == 2
-        assert (8, 7) in table.seen_once
+        assert pair_code(8, 7) in table.seen_once
 
     def test_empty(self):
         array, table = build_sequence_array([])
@@ -63,8 +74,8 @@ class TestBuildSequenceArray:
 
     def test_run_of_three_is_seen_once(self):
         array, table = build_sequence_array([1, 1, 1])
-        assert (1, 1) in table.seen_once
-        assert (1, 1) not in table.records
+        assert pair_code(1, 1) in table.seen_once
+        assert pair_code(1, 1) not in table.records
 
 
 class TestReplaceStep:
@@ -145,10 +156,6 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress([-1, 2])
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            compress(b"abab", engine="turbo")
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CompressorConfig(min_frequency=1)
@@ -158,14 +165,15 @@ class TestCompress:
 
 class TestExpand:
     def test_identity_on_terminals(self):
-        assert expand(Grammar(), [4, 9]) == [4, 9]
+        assert expand(Grammar(), [4, 9]) == bytes([4, 9])
 
     def test_single_rule(self):
-        assert expand(Grammar([Rule(97, 98)]), [256, 256]) == [97, 98, 97, 98]
+        assert expand(Grammar([Rule(97, 98)]), [256, 256]) == \
+            bytes([97, 98, 97, 98])
 
     def test_two_levels(self):
         grammar = Grammar([Rule(97, 98), Rule(256, 256)])
-        assert expand(grammar, [257]) == [97, 98, 97, 98]
+        assert expand(grammar, [257]) == bytes([97, 98, 97, 98])
 
     def test_undefined_symbol_rejected(self):
         with pytest.raises(MalformedGrammarError):
@@ -179,12 +187,6 @@ class TestExpand:
     def test_self_reference_rejected(self):
         with pytest.raises(MalformedGrammarError):
             expand(Grammar([Rule(256, 0)]), [256])
-
-
-def test_is_terminal_boundary():
-    assert is_terminal(0)
-    assert is_terminal(255)
-    assert not is_terminal(NONTERMINAL_BASE)
 
 
 byte_strings = st.binary(max_size=4096)
@@ -230,7 +232,7 @@ def test_table_state_sound_through_all_steps(seq):
         assert counts[chosen] == top
         assert chosen == min(p for p, c in counts.items() if c == top)
         full_state_check(array, table, f"after step {len(grammar.rules)}")
-    assert expand(grammar, array.working_sequence()) == seq
+    assert expand(grammar, array.working_sequence()) == bytes(seq)
 
 
 @given(byte_strings)
@@ -253,8 +255,8 @@ needs_c_engine = pytest.mark.skipif(not _kernel.available(),
 def test_engines_agree(seq, min_frequency, max_rules):
     config = CompressorConfig(min_frequency=min_frequency,
                               max_rules=max_rules)
-    py_grammar, py_final = compress(seq, config, engine="python")
-    c_grammar, c_final = compress(seq, config, engine="c")
+    py_grammar, py_final = reference_compress(seq, config)
+    c_grammar, c_final = compress(seq, config)
     assert py_grammar.rules == c_grammar.rules
     assert py_final == c_final
 
@@ -274,8 +276,8 @@ def test_engines_agree_on_runs():
         seq = seq[:n]
         config = CompressorConfig(min_frequency=rng.choice([2, 2, 3]),
                                   max_rules=rng.choice([None, None, 1, 7]))
-        py_grammar, py_final = compress(seq, config, engine="python")
-        c_grammar, c_final = compress(seq, config, engine="c")
+        py_grammar, py_final = reference_compress(seq, config)
+        c_grammar, c_final = compress(seq, config)
         assert py_grammar.rules == c_grammar.rules, (case, config)
         assert py_final == c_final, (case, config)
 
@@ -293,8 +295,27 @@ def test_auto_falls_back_without_compiler(monkeypatch, tmp_path):
         warnings.simplefilter("always")
         outputs = [compress(data) for _ in range(3)]
         with pytest.raises(RuntimeError):
-            compress(data, engine="c")
+            _kernel.compress_array(np.frombuffer(data, np.uint8), 2, None)
     assert [w.category for w in caught] == [RuntimeWarning]
-    expected = compress(data, engine="python")
+    expected = reference_compress(data)
     assert all(out == expected for out in outputs)
     assert not list(cache.rglob("*.so*")), "failed build left a file behind"
+
+
+def test_uncredit_desync_raises_under_optimize():
+    """A seen-once slot out of sync must raise even where python -O strips
+    assert statements."""
+    script = textwrap.dedent("""
+        from rpim.repair import build_sequence_array
+        array, table = build_sequence_array([1, 2, 3])
+        try:
+            # (1, 2) is seen once at slot 0, not at slot 1
+            table._uncredit(array, 1, 2, 1)
+        except AssertionError:
+            print("raised")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(_kernel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"
