@@ -19,6 +19,7 @@ from .errors import (
     InvalidGeometryError,
     MalformedGrammarError,
     NotABmpError,
+    OutputTooLargeError,
     RoundTripMismatchError,
     RpimError,
     UnrecognizedContainerError,
@@ -58,6 +59,7 @@ __all__ = [
     "MalformedGrammarError",
     "NONTERMINAL_BASE",
     "NotABmpError",
+    "OutputTooLargeError",
     "PixelBuffer",
     "RawPayload",
     "RoundTripMismatchError",

@@ -8,11 +8,14 @@ unsupported input data, 3 filesystem error.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from pathlib import Path
 
 from .bench import corpus_seed, emit_report, generate_corpus, run_bench
 from .container import (
+    MAX_OUTPUT,
     CompressedArtifact,
     ImagePayload,
     RawPayload,
@@ -65,6 +68,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompress", help="restore a compressed container")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
+    p.add_argument("--max-output", type=int, default=MAX_OUTPUT,
+                   metavar="BYTES",
+                   help="refuse containers that expand to more than BYTES "
+                        f"(default: {MAX_OUTPUT}, 1 GiB)")
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("inspect", help="print container metadata")
@@ -99,7 +106,7 @@ def _cmd_compress(args) -> int:
         stream = linearize(buf, mode)
     grammar, seq = compress(stream, config)
     blob = serialize(CompressedArtifact(payload, grammar, seq))
-    args.output.write_bytes(blob)
+    _write_atomic(args.output, blob)
     ratio = len(blob) / len(data) if data else float("inf")
     print(f"in={len(data)} out={len(blob)} ratio={ratio:.4f} "
           f"rules={len(grammar.rules)}", file=sys.stderr)
@@ -107,7 +114,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    artifact = deserialize(args.input.read_bytes())
+    artifact = deserialize(args.input.read_bytes(), args.max_output)
     data = expand(artifact.grammar, artifact.sequence)
     payload = artifact.payload
     if isinstance(payload, RawPayload):
@@ -116,12 +123,27 @@ def _cmd_decompress(args) -> int:
         buf = delinearize(data, payload.mode, payload.width,
                           payload.height, payload.channels)
         out = encode_bmp(buf)
-    args.output.write_bytes(out)
+    _write_atomic(args.output, out)
     return EXIT_OK
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path so that path holds either what it held before or
+    all of data: write a temporary file beside it, then rename it over."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_inspect(args) -> int:
-    artifact = deserialize(args.input.read_bytes())
+    # inspect expands nothing, so no output limit applies
+    artifact = deserialize(args.input.read_bytes(), max_output=math.inf)
     rules = len(artifact.grammar.rules)
     seq = len(artifact.sequence)
     expanded = artifact.expanded_length

@@ -38,6 +38,10 @@ class CorruptContainerError(RpimError):
     """Recognized container whose body is truncated or inconsistent."""
 
 
+class OutputTooLargeError(CorruptContainerError):
+    """A container that declares more expanded bytes than the caller allows."""
+
+
 class MalformedGrammarError(RpimError):
     """Grammar violates structural rules: dangling or non-topological refs."""
 

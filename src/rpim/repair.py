@@ -19,6 +19,7 @@ of the current maximum.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -60,6 +61,17 @@ class Grammar:
 
     def __getitem__(self, ordinal: int) -> Rule:
         return self.rules[ordinal]
+
+    @classmethod
+    def from_arrays(cls, left: np.ndarray, right: np.ndarray) -> Grammar:
+        """The grammar whose rule k is (left[k], right[k])."""
+        return cls(list(map(Rule, left.tolist(), right.tolist())))
+
+    def to_array(self) -> np.ndarray:
+        """The rules as an int64 array of shape (len(self), 2)."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.rules),
+                           np.int64, 2 * len(self.rules))
+        return flat.reshape(-1, 2)
 
     def add(self, left: int, right: int) -> int:
         """Append a rule for (left, right) and return its nonterminal."""
@@ -516,9 +528,7 @@ def compress(seq, config: CompressorConfig | None = None
         return reference_compress(symbols, config)
     rule_left, rule_right, final = _kernel.compress_array(
         symbols, config.min_frequency, config.max_rules)
-    grammar = Grammar([Rule(left, right) for left, right
-                       in zip(rule_left.tolist(), rule_right.tolist())])
-    return grammar, final.tolist()
+    return Grammar.from_arrays(rule_left, rule_right), final.tolist()
 
 
 def reference_compress(seq, config: CompressorConfig | None = None
@@ -546,47 +556,35 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     Only rules reachable from seq are materialized, so memory stays
     proportional to the output even when the grammar carries unused rules.
     """
+    pairs = grammar.to_array()
+    bounds = NONTERMINAL_BASE + np.arange(len(pairs))
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= bounds[:, None])).any(axis=1))
+    if bad.size:
+        ordinal = int(bad[0])
+        raise MalformedGrammarError(
+            f"rule {ordinal} references symbol outside [0, {bounds[ordinal]})")
+    symbols = np.asarray(seq, dtype=np.int64)
+    undefined = np.flatnonzero((symbols < 0)
+                               | (symbols >= NONTERMINAL_BASE + len(pairs)))
+    if undefined.size:
+        raise MalformedGrammarError(
+            f"sequence symbol {symbols[undefined[0]]} is undefined")
+
+    # a rule references only earlier rules, so one backward pass marks
+    # everything reachable from seq; live and table are indexed by symbol
     rules = grammar.rules
-    for ordinal, rule in enumerate(rules):
-        bound = NONTERMINAL_BASE + ordinal
-        if not (0 <= rule.left < bound and 0 <= rule.right < bound):
-            raise MalformedGrammarError(
-                f"rule {ordinal} references symbol outside [0, {bound})")
-    limit = NONTERMINAL_BASE + len(rules)
-
-    reachable = bytearray(len(rules))
-    stack = []
-    for sym in seq:
-        if not 0 <= sym < limit:
-            raise MalformedGrammarError(f"sequence symbol {sym} is undefined")
-        if sym >= NONTERMINAL_BASE:
-            stack.append(sym - NONTERMINAL_BASE)
-    while stack:
-        ordinal = stack.pop()
-        if reachable[ordinal]:
-            continue
-        reachable[ordinal] = 1
-        rule = rules[ordinal]
-        if rule.left >= NONTERMINAL_BASE:
-            stack.append(rule.left - NONTERMINAL_BASE)
-        if rule.right >= NONTERMINAL_BASE:
-            stack.append(rule.right - NONTERMINAL_BASE)
-
-    texts: list[bytes | None] = [None] * len(rules)
-    for ordinal in range(len(rules)):
-        if not reachable[ordinal]:
-            continue
-        left, right = rules[ordinal]
-        left_text = (bytes((left,)) if left < NONTERMINAL_BASE
-                     else texts[left - NONTERMINAL_BASE])
-        right_text = (bytes((right,)) if right < NONTERMINAL_BASE
-                      else texts[right - NONTERMINAL_BASE])
-        texts[ordinal] = left_text + right_text
-
-    out = bytearray()
-    for sym in seq:
-        if sym < NONTERMINAL_BASE:
-            out.append(sym)
-        else:
-            out += texts[sym - NONTERMINAL_BASE]
-    return bytes(out)
+    live = np.zeros(NONTERMINAL_BASE + len(rules), dtype=bool)
+    live[symbols] = True
+    live = live.tolist()
+    for symbol in range(len(live) - 1, NONTERMINAL_BASE - 1, -1):
+        if live[symbol]:
+            left, right = rules[symbol - NONTERMINAL_BASE]
+            live[left] = live[right] = True
+    table: list[bytes | None] = [bytes((t,)) for t in range(NONTERMINAL_BASE)]
+    table += [None] * len(rules)
+    for symbol, (left, right) in enumerate(rules, NONTERMINAL_BASE):
+        if live[symbol]:
+            table[symbol] = table[left] + table[right]
+    gather = np.empty(len(table), dtype=object)
+    gather[:] = table
+    return b"".join(gather[symbols].tolist())

@@ -22,9 +22,21 @@ from dataclasses import dataclass
 import pytest
 
 from rpim.bench import DEFAULT_SEED, generate_corpus
-from rpim.container import CompressedArtifact, ImagePayload, serialize
+from rpim.container import (
+    CompressedArtifact,
+    ImagePayload,
+    RawPayload,
+    serialize,
+)
 from rpim.image import LinearizationMode, decode_bmp, linearize
-from rpim.repair import compress
+from rpim.repair import Grammar, Rule, compress
+
+# rule k + 1 doubles rule k, so rule 39 stands for 2**40 bytes
+DOUBLING_CHAIN = Grammar([Rule(97, 97)]
+                         + [Rule(256 + k, 256 + k) for k in range(39)])
+# a decompression bomb: 174 bytes declaring 2**40 raw bytes; it is well
+# formed, so only an output limit rejects it
+BOMB = serialize(CompressedArtifact(RawPayload(1 << 40), DOUBLING_CHAIN, [295]))
 
 
 def greedy_pair_counts(seq):

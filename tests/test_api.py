@@ -25,8 +25,8 @@ PUBLIC = {
     # errors
     "RpimError", "CorruptBmpError", "CorruptContainerError",
     "InvalidDimensionsError", "InvalidGeometryError", "MalformedGrammarError",
-    "NotABmpError", "RoundTripMismatchError", "UnrecognizedContainerError",
-    "UnsupportedBmpError",
+    "NotABmpError", "OutputTooLargeError", "RoundTripMismatchError",
+    "UnrecognizedContainerError", "UnsupportedBmpError",
     "__version__",
 }
 

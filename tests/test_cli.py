@@ -7,8 +7,11 @@ import re
 
 import pytest
 
+from rpim import cli
 from rpim.cli import main
 from rpim.image import PixelBuffer, decode_bmp, encode_bmp
+
+from conftest import BOMB
 
 
 @pytest.fixture()
@@ -97,6 +100,61 @@ class TestDecompress:
         assert main(["decompress", str(packed), str(tmp_path / "out")]) == 2
 
 
+    def test_corrupt_container_leaves_output_alone(self, tmp_path):
+        bad = tmp_path / "bad.rpim"
+        bad.write_bytes(b"RPIM\x01\x00garbage")
+        absent = tmp_path / "absent.bin"
+        assert main(["decompress", str(bad), str(absent)]) == 2
+        existing = tmp_path / "existing.bin"
+        existing.write_bytes(b"keep me")
+        assert main(["decompress", str(bad), str(existing)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["bad.rpim", "existing.bin"]
+        assert existing.read_bytes() == b"keep me"
+
+    def test_decompression_bomb_exits_2(self, tmp_path):
+        bomb = tmp_path / "bomb.rpim"
+        bomb.write_bytes(BOMB)
+        out = tmp_path / "out"
+        assert main(["decompress", str(bomb), str(out)]) == 2
+        assert not out.exists()
+
+    def test_max_output_limit(self, tmp_path):
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(b"0123456789" * 10)
+        packed = tmp_path / "data.rpim"
+        out = tmp_path / "out.bin"
+        assert main(["compress", str(blob), str(packed), "--raw"]) == 0
+        assert main(["decompress", str(packed), str(out),
+                     "--max-output", "99"]) == 2
+        assert not out.exists()
+        assert main(["decompress", str(packed), str(out),
+                     "--max-output", "100"]) == 0
+        assert out.read_bytes() == blob.read_bytes()
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch,
+                                                  command):
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(b"abcabcabc" * 9)
+        packed = tmp_path / "data.rpim"
+        assert main(["compress", str(blob), str(packed), "--raw"]) == 0
+        source = blob if command == "compress" else packed
+        out = tmp_path / "out"
+        out.write_bytes(b"previous")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        args = [command, str(source), str(out)] + \
+            (["--raw"] if command == "compress" else [])
+        assert main(args) == 3
+        assert out.read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["data.bin", "data.rpim", "out"]
+
+
 class TestInspect:
     def test_empty_raw_exact_line(self, tmp_path, capsys):
         blob = tmp_path / "empty.bin"
@@ -121,6 +179,15 @@ class TestInspect:
 
     def test_non_container(self, small_bmp):
         assert main(["inspect", str(small_bmp)]) == 2
+
+    def test_no_output_limit(self, tmp_path, capsys):
+        # inspect expands nothing, so a well-formed 2**40-byte container
+        # is reported, not refused
+        bomb = tmp_path / "big.rpim"
+        bomb.write_bytes(BOMB)
+        assert main(["inspect", str(bomb)]) == 0
+        assert capsys.readouterr().out.strip() == \
+            f"kind=raw rules=40 seq=1 expanded={1 << 40}"
 
 
 class TestBench:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from rpim.repair import (
 )
 
 from conftest import (
+    DOUBLING_CHAIN,
     full_state_check,
     greedy_pair_counts,
     pair_code,
@@ -187,6 +189,19 @@ class TestExpand:
     def test_self_reference_rejected(self):
         with pytest.raises(MalformedGrammarError):
             expand(Grammar([Rule(256, 0)]), [256])
+
+    def test_negative_symbols_rejected(self):
+        with pytest.raises(MalformedGrammarError):
+            expand(Grammar(), [-1])
+        with pytest.raises(MalformedGrammarError):
+            expand(Grammar([Rule(97, -1)]), [97])
+
+    def test_unreachable_rules_not_materialized(self):
+        # expand may build only the rules seq reaches
+        start = time.perf_counter()
+        assert expand(DOUBLING_CHAIN, [97]) == b"a"
+        assert expand(DOUBLING_CHAIN, [257, 98]) == b"aaaab"
+        assert time.perf_counter() - start < 1.0
 
 
 byte_strings = st.binary(max_size=4096)
