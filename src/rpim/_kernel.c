@@ -18,10 +18,18 @@
  * the same way, so extraction picks the exact pair the bucket queue
  * would.
  *
+ * Memory: the per-slot arrays (symbols, occurrence links, live links)
+ * are 32-bit, 17 bytes per input symbol with the threaded flags plus the
+ * caller's 4-byte output array.  The record store and the hash table
+ * start small and double with the number of distinct pairs, so a
+ * low-entropy input pays for the few pairs it has, not for its length;
+ * released records are chained through their own head field for reuse.
+ *
  * Every capacity is checked before it is written: a violated bound
  * returns RPIM_EBOUND and a failed allocation RPIM_ENOMEM, with all
- * memory released.  Inputs are limited to 2^32 - 1 symbols, so rule
- * ordinals stay below 2^31 and a packed pair code never reaches the
+ * memory released.  Inputs are limited to 2^31 - 1 symbols, so slot
+ * indices and symbols fit int32 with -1 free to mean "absent", rule
+ * ordinals stay below 2^30, and a packed pair code never reaches the
  * empty-slot key.
  */
 
@@ -35,6 +43,9 @@ enum { RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2 };
 #define TOMBSTONE (-1)
 #define EMPTY UINT64_MAX /* free hash slot */
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
+#define MIN_RECORDS 256  /* initial record store */
+#define MIN_TABLE_BITS 9 /* initial hash table: 2^9 slots */
+#define MIN_PENDING 256  /* initial pending list */
 
 #define CHECK(expr)                 \
     do {                            \
@@ -43,18 +54,20 @@ enum { RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2 };
             return err_;            \
     } while (0)
 
-typedef struct { uint64_t key; int64_t val; } Slot;
-typedef struct { int64_t count, head, tail, stamp; } Record;
+typedef struct { uint64_t key; int32_t val; } Slot;
+/* pending: the code is queued for the next flush.  A released record
+   keeps its place on the free chain in head. */
+typedef struct { int64_t stamp; int32_t count, head, tail, pending; } Record;
 typedef struct { int64_t count; uint64_t code; int64_t stamp; } Entry;
 
 typedef struct {
-    int64_t *sym, *prev_occ, *next_occ, *live_prev, *live_next;
+    int32_t *sym, *prev_occ, *next_occ, *live_prev, *live_next;
     uint8_t *threaded;
-    Record *rec;          /* pair records, rec_cap of them */
-    int64_t *free_list;   /* released record indices */
-    int64_t rec_cap, nrec, nfree;
+    Record *rec;          /* pair records: nrec used, at most rec_limit */
+    int64_t rec_cap, rec_limit, nrec;
+    int32_t free_head;    /* last released record, -1 if none */
     Slot *table;          /* pair code -> record index */
-    uint64_t mask;
+    uint64_t mask, nkeys;
     int shift;
     uint64_t *pend;       /* codes whose count grew since the last flush */
     int64_t npend, pend_cap;
@@ -90,9 +103,9 @@ static void *reserve(void *buf, int64_t *cap, int64_t need, size_t size)
     return grown;
 }
 
-static inline uint64_t pair_code(int64_t left, int64_t right)
+static inline uint64_t pair_code(int32_t left, int32_t right)
 {
-    return ((uint64_t)left << 32) | (uint64_t)right;
+    return ((uint64_t)(uint32_t)left << 32) | (uint32_t)right;
 }
 
 static inline uint64_t home(const State *s, uint64_t code)
@@ -101,7 +114,7 @@ static inline uint64_t home(const State *s, uint64_t code)
     return (code * 0x9E3779B97F4A7C15ull) >> s->shift;
 }
 
-static int64_t ht_get(const State *s, uint64_t code)
+static int32_t ht_get(const State *s, uint64_t code)
 {
     for (uint64_t i = home(s, code);; i = (i + 1) & s->mask) {
         if (s->table[i].key == code)
@@ -111,14 +124,48 @@ static int64_t ht_get(const State *s, uint64_t code)
     }
 }
 
-/* The key is absent and the table is never more than half full. */
-static void ht_put(State *s, uint64_t code, int64_t val)
+/* The key is absent and the table has a free slot. */
+static void ht_put(State *s, uint64_t code, int32_t val)
 {
     uint64_t i = home(s, code);
     while (s->table[i].key != EMPTY)
         i = (i + 1) & s->mask;
     s->table[i].key = code;
     s->table[i].val = val;
+    s->nkeys++;
+}
+
+/* Allocate an empty table of 2^bits slots. */
+static int ht_init(State *s, int bits)
+{
+    s->table = alloc((int64_t)1 << bits, sizeof *s->table);
+    if (s->table == NULL)
+        return RPIM_ENOMEM;
+    memset(s->table, 0xFF, ((size_t)1 << bits) * sizeof *s->table);
+    s->mask = ((uint64_t)1 << bits) - 1;
+    s->shift = 64 - bits;
+    return RPIM_OK;
+}
+
+/* Make room for one more key, doubling the table and re-inserting every
+   key when it would pass half load. */
+static int ht_reserve(State *s)
+{
+    uint64_t size = s->mask + 1;
+    if (2 * (s->nkeys + 1) <= size)
+        return RPIM_OK;
+    Slot *old = s->table;
+    int err = ht_init(s, 64 - s->shift + 1);
+    if (err != RPIM_OK) {
+        s->table = old;
+        return err;
+    }
+    s->nkeys = 0;
+    for (uint64_t i = 0; i < size; i++)
+        if (old[i].key != EMPTY)
+            ht_put(s, old[i].key, old[i].val);
+    free(old);
+    return RPIM_OK;
 }
 
 /* Backward-shift compaction keeps probe chains intact without
@@ -138,15 +185,33 @@ static void ht_del(State *s, uint64_t code)
         }
     }
     s->table[i].key = EMPTY;
+    s->nkeys--;
 }
 
-static int release_record(State *s, uint64_t code, int64_t idx)
+/* Index for a new record: the last released one, else the next unused
+   one, doubling the store as needed up to its limit. */
+static int take_record(State *s, int32_t *idx)
+{
+    if (s->free_head >= 0) {
+        *idx = s->free_head;
+        s->free_head = s->rec[*idx].head;
+        return RPIM_OK;
+    }
+    if (s->nrec >= s->rec_limit)
+        return RPIM_EBOUND;
+    Record *rec = reserve(s->rec, &s->rec_cap, s->nrec + 1, sizeof *rec);
+    if (rec == NULL)
+        return RPIM_ENOMEM;
+    s->rec = rec;
+    *idx = (int32_t)s->nrec++;
+    return RPIM_OK;
+}
+
+static void release_record(State *s, uint64_t code, int32_t idx)
 {
     ht_del(s, code);
-    if (s->nfree >= s->rec_cap)
-        return RPIM_EBOUND;
-    s->free_list[s->nfree++] = idx;
-    return RPIM_OK;
+    s->rec[idx].head = s->free_head;
+    s->free_head = idx;
 }
 
 /* max-heap on (count, -code) */
@@ -196,42 +261,42 @@ static void heap_pop(State *s)
 }
 
 /* File a fresh heap entry for the record's current count. */
-static int refile(State *s, int64_t idx, uint64_t code)
+static int refile(State *s, int32_t idx, uint64_t code)
 {
     s->rec[idx].stamp = ++s->stamp;
     return heap_push(s, s->rec[idx].count, code, s->stamp);
 }
 
-static int push_pending(State *s, uint64_t code)
+/* Queue the record's code for the next flush, once per flush. */
+static int push_pending(State *s, int32_t idx, uint64_t code)
 {
+    if (s->rec[idx].pending)
+        return RPIM_OK;
     uint64_t *pend = reserve(s->pend, &s->pend_cap, s->npend + 1,
                              sizeof *pend);
     if (pend == NULL)
         return RPIM_ENOMEM;
     s->pend = pend;
     s->pend[s->npend++] = code;
+    s->rec[idx].pending = 1;
     return RPIM_OK;
 }
 
 /* Register a counted occurrence of (left, right) at slot.  after places
    it in the thread: TAIL appends, -1 prepends, otherwise the slot is
    spliced in behind that thread slot. */
-static int credit(State *s, int64_t left, int64_t right, int64_t slot,
-                  int64_t after)
+static int credit(State *s, int32_t left, int32_t right, int32_t slot,
+                  int32_t after)
 {
     uint64_t code = pair_code(left, right);
-    int64_t *prev = s->prev_occ, *next = s->next_occ;
+    int32_t *prev = s->prev_occ, *next = s->next_occ;
     s->threaded[slot] = 1;
-    int64_t idx = ht_get(s, code);
+    int32_t idx = ht_get(s, code);
     if (idx < 0) {
         /* first occurrence: a count-1 record tracks just its slot */
-        if (s->nfree > 0)
-            idx = s->free_list[--s->nfree];
-        else if (s->nrec < s->rec_cap)
-            idx = s->nrec++;
-        else
-            return RPIM_EBOUND;
-        s->rec[idx] = (Record){1, slot, slot, -1};
+        CHECK(ht_reserve(s));
+        CHECK(take_record(s, &idx));
+        s->rec[idx] = (Record){-1, 1, slot, slot, 0};
         prev[slot] = -1;
         next[slot] = -1;
         ht_put(s, code, idx);
@@ -239,8 +304,8 @@ static int credit(State *s, int64_t left, int64_t right, int64_t slot,
     }
     Record *r = &s->rec[idx];
     if (r->count == 1) {
-        int64_t lo = r->head < slot ? r->head : slot;
-        int64_t hi = r->head < slot ? slot : r->head;
+        int32_t lo = r->head < slot ? r->head : slot;
+        int32_t hi = r->head < slot ? slot : r->head;
         prev[lo] = -1;
         next[lo] = hi;
         prev[hi] = lo;
@@ -248,11 +313,11 @@ static int credit(State *s, int64_t left, int64_t right, int64_t slot,
         r->count = 2;
         r->head = lo;
         r->tail = hi;
-        return push_pending(s, code);
+        return push_pending(s, idx, code);
     }
     r->count++;
-    int64_t a = after == TAIL ? r->tail : after;
-    int64_t follower;
+    int32_t a = after == TAIL ? r->tail : after;
+    int32_t follower;
     if (a < 0) {
         follower = r->head;
         r->head = slot;
@@ -267,29 +332,30 @@ static int credit(State *s, int64_t left, int64_t right, int64_t slot,
         r->tail = slot;
     else
         prev[follower] = slot;
-    return push_pending(s, code);
+    return push_pending(s, idx, code);
 }
 
 /* Drop the counted occurrence of (left, right) at slot.  *anchor gets
    the slot's thread predecessor (-1 if it was the head), which run-head
    repair uses as its splice-back point. */
-static int uncredit(State *s, int64_t left, int64_t right, int64_t slot,
-                    int64_t *anchor)
+static int uncredit(State *s, int32_t left, int32_t right, int32_t slot,
+                    int32_t *anchor)
 {
     uint64_t code = pair_code(left, right);
-    int64_t *prev = s->prev_occ, *next = s->next_occ;
+    int32_t *prev = s->prev_occ, *next = s->next_occ;
     s->threaded[slot] = 0;
     *anchor = -1;
-    int64_t idx = ht_get(s, code);
+    int32_t idx = ht_get(s, code);
     if (idx < 0)
         return RPIM_EBOUND; /* the table lost track of this occurrence */
     Record *r = &s->rec[idx];
     if (r->count == 1) {
         if (r->head != slot)
             return RPIM_EBOUND;
-        return release_record(s, code, idx);
+        release_record(s, code, idx);
+        return RPIM_OK;
     }
-    int64_t p = prev[slot], nn = next[slot];
+    int32_t p = prev[slot], nn = next[slot];
     if (p < 0)
         r->head = nn;
     else
@@ -309,23 +375,23 @@ static int uncredit(State *s, int64_t left, int64_t right, int64_t slot,
    credit in the remainder: unthread them and re-file from the new head.
    The last run slot is skipped; its flag, if set, belongs to the pair
    formed with the symbol after the run. */
-static int repair_run_head(State *s, int64_t symbol, int64_t start,
-                           int64_t anchor)
+static int repair_run_head(State *s, int32_t symbol, int32_t start,
+                           int32_t anchor)
 {
-    const int64_t *sym = s->sym, *live_next = s->live_next;
-    int64_t ignored;
-    for (int64_t at = start;;) {
-        int64_t nxt = live_next[at];
+    const int32_t *sym = s->sym, *live_next = s->live_next;
+    int32_t ignored;
+    for (int32_t at = start;;) {
+        int32_t nxt = live_next[at];
         if (nxt < 0 || sym[nxt] != symbol)
             break;
         if (s->threaded[at])
             CHECK(uncredit(s, symbol, symbol, at, &ignored));
         at = nxt;
     }
-    for (int64_t at = start; at >= 0 && sym[at] == symbol;) {
+    for (int32_t at = start; at >= 0 && sym[at] == symbol;) {
         /* advancing by two can step past an even-length run, so the
            slot itself is re-checked, not just its successor */
-        int64_t nxt = live_next[at];
+        int32_t nxt = live_next[at];
         if (nxt < 0 || sym[nxt] != symbol)
             break;
         CHECK(credit(s, symbol, symbol, at, anchor));
@@ -338,32 +404,32 @@ static int repair_run_head(State *s, int64_t symbol, int64_t start,
 /* Replace every occurrence on the thread starting at head with fresh.
    Consecutive occurrences are processed as one chain so that the pairs
    a replacement creates are counted exactly once. */
-static int replace_thread(State *s, int64_t head, int64_t left,
-                          int64_t right, int64_t fresh)
+static int replace_thread(State *s, int32_t head, int32_t left,
+                          int32_t right, int32_t fresh)
 {
-    int64_t *sym = s->sym, *prev = s->prev_occ, *next = s->next_occ;
-    int64_t *live_prev = s->live_prev, *live_next = s->live_next;
+    int32_t *sym = s->sym, *prev = s->prev_occ, *next = s->next_occ;
+    int32_t *live_prev = s->live_prev, *live_next = s->live_next;
     uint8_t *threaded = s->threaded;
     int self_pair = left == right;
-    int64_t anchor;
+    int32_t anchor;
 
-    for (int64_t slot = head; slot >= 0;) {
-        int64_t i = slot;
-        int64_t upcoming = next[i];
+    for (int32_t slot = head; slot >= 0;) {
+        int32_t i = slot;
+        int32_t upcoming = next[i];
         threaded[i] = 0;
         prev[i] = -1;
         next[i] = -1;
 
-        int64_t p = live_prev[i];
+        int32_t p = live_prev[i];
         if (p >= 0 && threaded[p])
             /* the (left-context, left) occurrence dies here */
             CHECK(uncredit(s, sym[p], left, p, &anchor));
 
         for (int64_t link = 0;;) {
-            int64_t j = live_next[i];
+            int32_t j = live_next[i];
             if (j < 0)
                 return RPIM_EBOUND;
-            int64_t q = live_next[j];
+            int32_t q = live_next[j];
             anchor = -1;
             if (threaded[j]) {
                 /* the (right, right-context) occurrence dies with j */
@@ -390,7 +456,7 @@ static int replace_thread(State *s, int64_t head, int64_t left,
                 continue;
             }
             if (q >= 0) {
-                int64_t y = sym[q];
+                int32_t y = sym[q];
                 if (y == right && !self_pair)
                     /* the removal eroded the head of a run of right;
                        its parity credits need re-filing */
@@ -406,36 +472,32 @@ static int replace_thread(State *s, int64_t head, int64_t left,
     return RPIM_OK;
 }
 
-static int setup(State *s, int64_t n)
+/* Copy input into sym and thread the slots; n >= 2. */
+static int setup(State *s, const uint8_t *input, int32_t n)
 {
-    s->prev_occ = alloc(n, sizeof(int64_t));
-    s->next_occ = alloc(n, sizeof(int64_t));
-    s->live_prev = alloc(n, sizeof(int64_t));
-    s->live_next = alloc(n, sizeof(int64_t));
+    int32_t *sym = s->sym;
+    s->prev_occ = alloc(n, sizeof(int32_t));
+    s->next_occ = alloc(n, sizeof(int32_t));
+    s->live_prev = alloc(n, sizeof(int32_t));
+    s->live_next = alloc(n, sizeof(int32_t));
     s->threaded = calloc((size_t)n, 1);
     /* distinct records never exceed the threaded-slot count, so n + 2
-       bounds the record store even mid-step */
-    s->rec_cap = n + 2;
+       bounds the store even mid-step; int32 indices cap it as well */
+    s->rec_limit = n < INT32_MAX - 2 ? (int64_t)n + 2 : INT32_MAX;
+    s->rec_cap = MIN_RECORDS;
     s->rec = alloc(s->rec_cap, sizeof *s->rec);
-    s->free_list = alloc(s->rec_cap, sizeof *s->free_list);
-    /* power-of-two table kept at most half full */
-    int p = 4;
-    while (((int64_t)1 << p) < 2 * s->rec_cap)
-        p++;
-    s->mask = ((uint64_t)1 << p) - 1;
-    s->shift = 64 - p;
-    s->table = alloc((int64_t)s->mask + 1, sizeof *s->table);
-    s->pend_cap = n + 16;
+    s->free_head = -1;
+    s->pend_cap = MIN_PENDING;
     s->pend = alloc(s->pend_cap, sizeof *s->pend);
     s->heap_cap = 1024;
     s->heap = alloc(s->heap_cap, sizeof *s->heap);
     if (!s->prev_occ || !s->next_occ || !s->live_prev || !s->live_next
-        || !s->threaded || !s->rec || !s->free_list || !s->table || !s->pend
-        || !s->heap)
+        || !s->threaded || !s->rec || !s->pend || !s->heap)
         return RPIM_ENOMEM;
+    CHECK(ht_init(s, MIN_TABLE_BITS));
 
-    memset(s->table, 0xFF, (s->mask + 1) * sizeof *s->table);
-    for (int64_t i = 0; i < n; i++) {
+    for (int32_t i = 0; i < n; i++) {
+        sym[i] = input[i];
         s->prev_occ[i] = -1;
         s->next_occ[i] = -1;
         s->live_prev[i] = i - 1;
@@ -453,22 +515,21 @@ static void teardown(State *s)
     free(s->live_next);
     free(s->threaded);
     free(s->rec);
-    free(s->free_list);
     free(s->table);
     free(s->pend);
     free(s->heap);
 }
 
-static int run(State *s, int64_t n, int64_t min_frequency, int64_t max_rules,
-               int64_t *rule_left, int64_t *rule_right, int64_t rule_cap,
+static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
+               int32_t *rule_left, int32_t *rule_right, int64_t rule_cap,
                int64_t *nrules_out)
 {
-    const int64_t *sym = s->sym;
+    const int32_t *sym = s->sym;
 
     /* initial greedy count: skip slots overlapping the counted self-pair
        occurrence that starts one position earlier */
-    int64_t run_head = 0;
-    for (int64_t i = 0; i < n - 1; i++) {
+    int32_t run_head = 0;
+    for (int32_t i = 0; i < n - 1; i++) {
         if (i > 0 && sym[i] != sym[i - 1])
             run_head = i;
         if (sym[i] == sym[i + 1] && ((i - run_head) & 1))
@@ -479,12 +540,16 @@ static int run(State *s, int64_t n, int64_t min_frequency, int64_t max_rules,
     int64_t nrules = 0;
     while (max_rules < 0 || nrules < max_rules) {
         /* file fresh heap entries for pairs whose count grew; the floor
-           dedupes codes pushed twice within one flush */
+           skips a code queued again after its record was released and
+           re-created within one flush */
         int64_t floor = s->stamp;
         for (int64_t t = 0; t < s->npend; t++) {
             uint64_t code = s->pend[t];
-            int64_t idx = ht_get(s, code);
-            if (idx < 0 || s->rec[idx].count < 2 || s->rec[idx].stamp > floor)
+            int32_t idx = ht_get(s, code);
+            if (idx < 0)
+                continue;
+            s->rec[idx].pending = 0;
+            if (s->rec[idx].count < 2 || s->rec[idx].stamp > floor)
                 continue;
             CHECK(refile(s, idx, code));
         }
@@ -492,11 +557,11 @@ static int run(State *s, int64_t n, int64_t min_frequency, int64_t max_rules,
 
         /* pop the most frequent pair, discarding stale entries and
            re-filing entries whose count moved since they were pushed */
-        int64_t chosen = -1;
+        int32_t chosen = -1;
         uint64_t code = 0;
         while (s->hsize > 0) {
             Entry top = s->heap[0];
-            int64_t idx = ht_get(s, top.code);
+            int32_t idx = ht_get(s, top.code);
             if (idx < 0 || s->rec[idx].stamp != top.stamp) {
                 heap_pop(s);
                 continue;
@@ -520,13 +585,14 @@ static int run(State *s, int64_t n, int64_t min_frequency, int64_t max_rules,
 
         if (nrules >= rule_cap)
             return RPIM_EBOUND;
-        int64_t left = (int64_t)(code >> 32);
-        int64_t right = (int64_t)(code & 0xFFFFFFFFu);
-        int64_t head = s->rec[chosen].head;
-        CHECK(release_record(s, code, chosen));
+        int32_t left = (int32_t)(code >> 32);
+        int32_t right = (int32_t)(code & 0xFFFFFFFFu);
+        int32_t head = s->rec[chosen].head;
+        release_record(s, code, chosen);
         rule_left[nrules] = left;
         rule_right[nrules] = right;
-        CHECK(replace_thread(s, head, left, right, NONTERMINAL_BASE + nrules));
+        CHECK(replace_thread(s, head, left, right,
+                             (int32_t)(NONTERMINAL_BASE + nrules)));
         nrules++;
     }
     *nrules_out = nrules;
@@ -534,30 +600,35 @@ static int run(State *s, int64_t n, int64_t min_frequency, int64_t max_rules,
 }
 
 /*
- * Compress sym[0:n] (terminals 0-255) in place.  On success sizes[0] is
- * the rule count, rule k being (rule_left[k], rule_right[k]), and
- * sizes[1] the length of the final sequence, left in sym[0:sizes[1]].
- * max_rules < 0 means unbounded.  Returns RPIM_OK, RPIM_ENOMEM when an
- * allocation fails, or RPIM_EBOUND when a capacity would be exceeded.
+ * Compress input[0:n] (terminals 0-255), working in sym, which holds n
+ * elements.  On success sizes[0] is the rule count, rule k being
+ * (rule_left[k], rule_right[k]), and sizes[1] the length of the final
+ * sequence, left in sym[0:sizes[1]].  max_rules < 0 means unbounded.
+ * Returns RPIM_OK, RPIM_ENOMEM when an allocation fails, or RPIM_EBOUND
+ * when a capacity would be exceeded; an n above 2^31 - 1 is refused
+ * before input or sym is touched.
  */
-int rpim_compress(int64_t *sym, int64_t n, int64_t min_frequency,
-                  int64_t max_rules, int64_t *rule_left, int64_t *rule_right,
-                  int64_t rule_cap, int64_t *sizes)
+int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
+                  int64_t max_rules, int32_t *sym, int32_t *rule_left,
+                  int32_t *rule_right, int64_t rule_cap, int64_t *sizes)
 {
     sizes[0] = 0;
     sizes[1] = n;
-    if (n < 2)
-        return RPIM_OK;
-    if (n > (int64_t)UINT32_MAX)
+    if (n > INT32_MAX)
         return RPIM_EBOUND;
+    if (n < 2) {
+        if (n == 1)
+            sym[0] = input[0];
+        return RPIM_OK;
+    }
 
     State s;
     memset(&s, 0, sizeof s);
     s.sym = sym;
-    int err = setup(&s, n);
+    int err = setup(&s, input, (int32_t)n);
     if (err == RPIM_OK)
-        err = run(&s, n, min_frequency, max_rules, rule_left, rule_right,
-                  rule_cap, &sizes[0]);
+        err = run(&s, (int32_t)n, min_frequency, max_rules, rule_left,
+                  rule_right, rule_cap, &sizes[0]);
     teardown(&s);
     if (err != RPIM_OK)
         return err;

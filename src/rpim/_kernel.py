@@ -35,6 +35,11 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # status is a capacity bound the kernel refused to exceed
 _ENOMEM = 1
 
+# the kernel's slot indices and symbols are int32
+MAX_SYMBOLS = 2**31 - 1
+
+_uint8_input = ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_int32_array = ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int64_array = ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 
 # per-process load outcome: the library, or the reason it is unavailable
@@ -77,8 +82,9 @@ def load() -> ctypes.CDLL | None:
             _error = str(exc)
         else:
             lib.rpim_compress.argtypes = [
-                _int64_array, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                _int64_array, _int64_array, ctypes.c_int64, _int64_array]
+                _uint8_input, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                _int32_array, _int32_array, _int32_array, ctypes.c_int64,
+                _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
             _lib = lib
         if _error is not None:
@@ -94,26 +100,33 @@ def available() -> bool:
 
 def compress_array(symbols: np.ndarray, min_frequency: int,
                    max_rules: int | None):
-    """Run the kernel over a terminal array; returns (left, right, final).
+    """Run the kernel over a uint8 terminal array; returns (left, right,
+    final) as int32 arrays.
 
-    The input is copied, never mutated.  Raises RuntimeError when the
-    library cannot be built, MemoryError when the kernel's allocations
-    fail.
+    The input is passed as it is and never mutated; the kernel copies it
+    into its int32 working array.  Raises ValueError for more than
+    MAX_SYMBOLS symbols, before anything is allocated, RuntimeError when
+    the library cannot be built, MemoryError when the kernel's
+    allocations fail.
     """
+    n = symbols.size
+    if n > MAX_SYMBOLS:
+        raise ValueError(f"the C engine takes at most {MAX_SYMBOLS} "
+                         f"symbols, got {n}")
     lib = load()
     if lib is None:
         raise RuntimeError(f"the C engine is unavailable: {_error}")
-    sym = np.array(symbols, dtype=np.int64, order="C")
-    n = sym.size
+    data = np.ascontiguousarray(symbols)
     # each rule removes at least two symbols, so n // 2 rules always fit
     rule_cap = n // 2 + 2
     # clamping to what n symbols can reach keeps both within int64
     limit = -1 if max_rules is None else min(max_rules, rule_cap)
     threshold = min(min_frequency, n + 1)
-    rule_left = np.empty(rule_cap, np.int64)
-    rule_right = np.empty(rule_cap, np.int64)
+    sym = np.empty(n, np.int32)
+    rule_left = np.empty(rule_cap, np.int32)
+    rule_right = np.empty(rule_cap, np.int32)
     sizes = np.zeros(2, np.int64)
-    status = lib.rpim_compress(sym, n, threshold, limit,
+    status = lib.rpim_compress(data, n, threshold, limit, sym,
                                rule_left, rule_right, rule_cap, sizes)
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")

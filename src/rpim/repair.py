@@ -327,7 +327,7 @@ def build_sequence_array(seq) -> tuple[SequenceArray, PairTable]:
 
     Accepts bytes or any integer sequence with values in [0, 2**32).
     """
-    if isinstance(seq, (bytes, bytearray, memoryview)):
+    if isinstance(seq, (bytes, bytearray)):
         symbols = np.frombuffer(seq, dtype=np.uint8).astype(np.int64)
     else:
         symbols = np.asarray(seq, dtype=np.int64)
@@ -509,21 +509,29 @@ def compress(seq, config: CompressorConfig | None = None
              ) -> tuple[Grammar, list[int]]:
     """Compress a terminal sequence; returns (grammar, final sequence).
 
-    seq is bytes or a sequence of integers in 0-255; anything else raises
-    ValueError.  The work runs in the C engine (_kernel.c), built with the
+    seq is bytes or a one-dimensional sequence of integers in 0-255;
+    anything else raises ValueError.  Bytes reach the engine without a
+    copy.  The work runs in the C engine (_kernel.c), built with the
     system C compiler on first use.  When it cannot be built or loaded,
     reference_compress runs instead, with one warning per process; both
     produce identical output.
     """
     if config is None:
         config = CompressorConfig()
-    if isinstance(seq, (bytes, bytearray, memoryview)):
-        symbols = np.frombuffer(seq, dtype=np.uint8).astype(np.int64)
+    if isinstance(seq, (bytes, bytearray)):
+        symbols = np.frombuffer(seq, dtype=np.uint8)
     else:
-        symbols = np.asarray(seq, dtype=np.int64)
-        if symbols.size and (int(symbols.min()) < 0
-                             or int(symbols.max()) >= NONTERMINAL_BASE):
+        # a memoryview keeps its item type and shape here, so one over
+        # int64 items is not read as its raw bytes
+        values = np.asarray(seq)
+        if values.ndim != 1 or (values.size
+                                and values.dtype.kind not in "biu"):
+            raise ValueError("compress input must be a one-dimensional "
+                             "sequence of integers")
+        if values.size and (int(values.min()) < 0
+                            or int(values.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
+        symbols = values.astype(np.uint8, copy=False)
     if not _kernel.available():
         return reference_compress(symbols, config)
     rule_left, rule_right, final = _kernel.compress_array(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -158,6 +159,23 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress([-1, 2])
 
+    @pytest.mark.parametrize("seq", [np.array([[1, 2], [1, 2]]),
+                                     [1.7, 2.2, 1.7, 2.2],
+                                     np.array([1.0, 2.0, 1.0, 2.0])],
+                             ids=["2-D", "float-list", "float-array"])
+    def test_rejects_non_1d_and_non_integer_input(self, seq):
+        with pytest.raises(ValueError):
+            compress(seq)
+
+    def test_memoryview_keeps_its_item_type(self):
+        assert compress(memoryview(b"mississippi")) == compress(b"mississippi")
+        items = np.array([1, 2, 1, 2, 1, 2])
+        assert compress(memoryview(items)) == compress([1, 2, 1, 2, 1, 2])
+        assert (reference_compress(memoryview(items))
+                == reference_compress([1, 2, 1, 2, 1, 2]))
+        with pytest.raises(ValueError):
+            compress(memoryview(np.array([[1, 2], [1, 2]])))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CompressorConfig(min_frequency=1)
@@ -295,6 +313,121 @@ def test_engines_agree_on_runs():
         c_grammar, c_final = compress(seq, config)
         assert py_grammar.rules == c_grammar.rules, (case, config)
         assert py_final == c_final, (case, config)
+
+
+def _de_bruijn_walk():
+    """A walk over all 256 x 256 byte pairs in which every adjacent pair is
+    new: the de Bruijn sequence of order 2 built from Lyndon words."""
+    walk = []
+    for a in range(256):
+        walk.append(a)
+        for b in range(a + 1, 256):
+            walk += [a, b]
+    return walk + [0]
+
+
+def _repeated_walk(distinct):
+    """A walk prefix twice over, with exactly `distinct` distinct pairs."""
+    walk = _de_bruijn_walk()
+    for m in (distinct - 1, distinct):
+        seq = walk[:m + 1] * 2
+        if len(set(zip(seq, seq[1:]))) == distinct:
+            return seq
+    raise AssertionError(f"no walk prefix has {distinct} distinct pairs")
+
+
+# the kernel's record store starts at 256 records, its hash table at 512
+# slots, and both double; byte input has at most 2**16 distinct pairs
+GROWTH_STEPS = [256 << k for k in range(8)]
+
+
+@needs_c_engine
+@pytest.mark.parametrize("distinct", [step + side for step in GROWTH_STEPS
+                                      for side in (-1, 1)])
+def test_engines_agree_across_growth(distinct):
+    """Distinct-pair counts just below and just past each doubling of the
+    kernel's record store and hash table.  Every pair occurs twice, so the
+    rules release records after the last rehash and the kernel reuses
+    their slots, about once per input symbol."""
+    seq = _repeated_walk(distinct)
+    py_grammar, py_final = reference_compress(seq)
+    c_grammar, c_final = compress(seq)
+    assert py_grammar.rules == c_grammar.rules
+    assert py_final == c_final
+
+
+def test_kernel_under_sanitizers(tmp_path):
+    """_kernel.c with AddressSanitizer and UndefinedBehaviorSanitizer over
+    the cases in tests/sanitize_kernel.c."""
+    flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-g", "-O1"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    try:
+        subprocess.run([_kernel.COMPILER, *flags, "-o", str(tmp_path / "probe"),
+                        str(probe)], check=True, capture_output=True,
+                       timeout=120)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        pytest.skip(f"{_kernel.COMPILER} cannot build with sanitizers: {exc}")
+    program = tmp_path / "sanitize_kernel"
+    build = subprocess.run(
+        [_kernel.COMPILER, *flags, "-o", str(program),
+         str(Path(__file__).with_name("sanitize_kernel.c")),
+         str(_kernel.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    result = subprocess.run([str(program)], capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+@needs_c_engine
+def test_kernel_refuses_input_above_cap():
+    """The C entry point refuses an n above 2**31 - 1 before touching its
+    buffers, and compress_array refuses it before allocating."""
+    lib = _kernel.load()
+    one = np.zeros(1, np.uint8)
+    sym, left, right = (np.full(1, -7, np.int32) for _ in range(3))
+    sizes = np.zeros(2, np.int64)
+    for n in (_kernel.MAX_SYMBOLS + 1, 2**63 - 1):
+        status = lib.rpim_compress(one, n, 2, -1, sym, left, right, 1, sizes)
+        assert status == 2  # RPIM_EBOUND
+        assert sym[0] == left[0] == right[0] == -7
+
+    # a zero-stride view claims 2**31 symbols without holding them
+    forged = np.broadcast_to(np.uint8(0), (_kernel.MAX_SYMBOLS + 1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            _kernel.compress_array(forged, 2, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@needs_c_engine
+def test_compress_memory_per_symbol():
+    """Compressing a 3 MB solid stream grows peak RSS by at most 40 bytes
+    per input symbol; a kernel sized by the input length took about 100."""
+    script = textwrap.dedent("""
+        import resource
+        import rpim
+        from rpim import _kernel
+        assert _kernel.available()
+        data = bytes([40, 90, 200]) * 2**20
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        grammar, final = rpim.compress(data)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert len(final) < 100
+        print((after - before) * 1024 / len(data))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(_kernel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    per_symbol = float(result.stdout)
+    assert per_symbol <= 40, f"{per_symbol:.1f} B per input symbol"
 
 
 def test_auto_falls_back_without_compiler(monkeypatch, tmp_path):
