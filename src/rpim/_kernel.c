@@ -1,7 +1,8 @@
 /*
- * Compiled twin of the pure-Python compressor hot path: the flat-array,
- * linear-time Re-Pair of Larsson & Moffat, "Off-line dictionary-based
- * compression" (Proc. IEEE 2000).
+ * The C engine: the compiled twin of the pure-Python compressor hot
+ * path, the flat-array, linear-time Re-Pair of Larsson & Moffat,
+ * "Off-line dictionary-based compression" (Proc. IEEE 2000), and the
+ * expansion of its grammars.
  *
  * The kernel mirrors build_sequence_array + replace_step in repair.py
  * branch for branch: same greedy non-overlap counting, same (count desc,
@@ -31,13 +32,23 @@
  * indices and symbols fit int32 with -1 free to mean "absent", rule
  * ordinals stay below 2^30, and a packed pair code never reaches the
  * empty-slot key.
+ *
+ * Decompression has two entry points over an int64 grammar and final
+ * sequence.  rpim_expanded_length gives the exact expanded length up to
+ * a caller's 64-bit limit; a rule longer than the limit is marked as
+ * such, so doubling chains cannot overflow.  rpim_expand writes into one buffer
+ * of the exact length: it expands each rule by an explicit stack the
+ * first time it is used, records where that expansion starts, and
+ * copies it for every later use.  Rules the sequence does not reach are
+ * never expanded.  Both check every symbol they follow and every index
+ * they write, and return RPIM_EBOUND rather than pass a bound.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2 };
+enum { RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2, RPIM_ELIMIT = 3 };
 
 #define NONTERMINAL_BASE 256
 #define TOMBSTONE (-1)
@@ -639,4 +650,118 @@ int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
             sym[w++] = sym[i];
     sizes[1] = w;
     return RPIM_OK;
+}
+
+/* a + b when both are real lengths (nonzero) and the sum is at most
+   limit; else 0, the mark of a length past limit */
+static inline uint64_t add_within(uint64_t a, uint64_t b, uint64_t limit)
+{
+    if (a == 0 || b == 0 || a > limit || b > limit - a)
+        return 0;
+    return a + b;
+}
+
+/* Expanded length of symbol s, with len[k] that of rule k < nrules. */
+static inline uint64_t symbol_length(int64_t s, const uint64_t *len)
+{
+    return s < NONTERMINAL_BASE ? 1 : len[s - NONTERMINAL_BASE];
+}
+
+/*
+ * Expanded length of seq[0:nseq] under the grammar whose rule k is
+ * (left[k], right[k]).  len holds nrules elements; on return len[k] is
+ * the length of rule k, or 0 when that exceeds limit.  Returns RPIM_OK
+ * with the exact length in *total when it is at most limit, RPIM_ELIMIT
+ * when it exceeds limit, and RPIM_EBOUND when a rule side or a symbol
+ * lies outside what it may reference: [0, 256 + k) for rule k, and
+ * [0, 256 + nrules) for seq.
+ */
+int rpim_expanded_length(const int64_t *left, const int64_t *right,
+                         int64_t nrules, const int64_t *seq, int64_t nseq,
+                         uint64_t limit, uint64_t *len, uint64_t *total)
+{
+    *total = 0;
+    if (nrules < 0 || nseq < 0)
+        return RPIM_EBOUND;
+    for (int64_t k = 0; k < nrules; k++) {
+        int64_t a = left[k], b = right[k];
+        if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
+            || b >= NONTERMINAL_BASE + k)
+            return RPIM_EBOUND;
+        len[k] = add_within(symbol_length(a, len), symbol_length(b, len),
+                            limit);
+    }
+    uint64_t sum = 0;
+    for (int64_t i = 0; i < nseq; i++) {
+        int64_t s = seq[i];
+        if (s < 0 || s >= NONTERMINAL_BASE + nrules)
+            return RPIM_EBOUND;
+        uint64_t n = symbol_length(s, len);
+        if (n == 0 || n > limit - sum)
+            return RPIM_ELIMIT;
+        sum += n;
+    }
+    *total = sum;
+    return RPIM_OK;
+}
+
+/*
+ * Expand seq[0:nseq] into out, which must take exactly out_len bytes.
+ * Each rule is expanded once, by an explicit stack, the first time it
+ * is used; every later use copies that first expansion.  span holds
+ * 2 * nrules elements: the start and the length of each rule's first
+ * expansion.  stack holds stack_cap elements; 2 * depth + 1 suffice,
+ * where the depth is at most nrules.  Returns RPIM_OK, or RPIM_EBOUND,
+ * with out possibly part written, when a symbol lies outside what it
+ * may reference, the stack would overflow, or the expansion is not
+ * exactly out_len bytes long.
+ */
+int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
+                const int64_t *seq, int64_t nseq, uint8_t *out,
+                int64_t out_len, int64_t *span, int64_t *stack,
+                int64_t stack_cap)
+{
+    if (nrules < 0 || nseq < 0 || out_len < 0)
+        return RPIM_EBOUND;
+    for (int64_t k = 0; k < nrules; k++)
+        span[2 * k] = -1;
+    int64_t pos = 0;
+    for (int64_t i = 0; i < nseq; i++) {
+        if (seq[i] < 0 || seq[i] >= NONTERMINAL_BASE + nrules
+            || stack_cap < 1)
+            return RPIM_EBOUND;
+        int64_t top = 0;
+        stack[top++] = seq[i];
+        while (top > 0) {
+            int64_t s = stack[--top];
+            if (s < 0) {
+                /* rule ~s is expanded: record its length */
+                int64_t r = ~s;
+                span[2 * r + 1] = pos - span[2 * r];
+            } else if (s < NONTERMINAL_BASE) {
+                if (pos >= out_len)
+                    return RPIM_EBOUND;
+                out[pos++] = (uint8_t)s;
+            } else if (span[2 * (s - NONTERMINAL_BASE)] >= 0) {
+                /* a rule never occurs inside its own expansion, so a
+                   recorded start means a finished first expansion */
+                int64_t r = s - NONTERMINAL_BASE;
+                int64_t n = span[2 * r + 1];
+                if (n > out_len - pos)
+                    return RPIM_EBOUND;
+                memcpy(out + pos, out + span[2 * r], (size_t)n);
+                pos += n;
+            } else {
+                int64_t r = s - NONTERMINAL_BASE;
+                if (left[r] < 0 || left[r] >= s || right[r] < 0
+                    || right[r] >= s || stack_cap - top < 3)
+                    return RPIM_EBOUND;
+                span[2 * r] = pos;
+                stack[top++] = ~r;
+                stack[top++] = right[r];
+                stack[top++] = left[r];
+            }
+        }
+    }
+    return pos == out_len ? RPIM_OK : RPIM_EBOUND;
 }

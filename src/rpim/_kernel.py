@@ -1,4 +1,4 @@
-"""Loader for the compiled twin of the compressor hot path.
+"""Loader for the C engine: compression and expansion.
 
 The C source next to this module (_kernel.c) is built with the system C
 compiler on first use and loaded through ctypes.  The shared library is
@@ -9,8 +9,10 @@ name and moved into place with os.replace, so concurrent processes never
 load a half-written library.
 
 When no compiler is found or the build fails, load() returns None and
-warns once per process; compress then runs reference_compress, the
-pure-Python engine, which emits the same grammars.
+warns once per process.  compress then runs reference_compress, the
+pure-Python engine, which emits the same grammars; expand runs
+reference_expand, and the expanded-length check a Python loop, with the
+same results.
 """
 
 from __future__ import annotations
@@ -32,15 +34,20 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 SOURCE = Path(__file__).with_name("_kernel.c")
 
 # rpim_compress status for a failed allocation; any other nonzero
-# status is a capacity bound the kernel refused to exceed
+# status is a capacity bound the kernel refused to exceed, except
+# rpim_expanded_length's for a length past its limit
 _ENOMEM = 1
+_ELIMIT = 3
 
 # the kernel's slot indices and symbols are int32
 MAX_SYMBOLS = 2**31 - 1
 
 _uint8_input = ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_int64_input = ndpointer(np.int64, flags="C_CONTIGUOUS")
+_uint8_array = ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int32_array = ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int64_array = ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_uint64_array = ndpointer(np.uint64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 
 # per-process load outcome: the library, or the reason it is unavailable
 _lib: ctypes.CDLL | None = None
@@ -86,16 +93,33 @@ def load() -> ctypes.CDLL | None:
                 _int32_array, _int32_array, _int32_array, ctypes.c_int64,
                 _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
+            lib.rpim_expanded_length.argtypes = [
+                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
+                ctypes.c_int64, ctypes.c_uint64, _uint64_array,
+                _uint64_array]
+            lib.rpim_expanded_length.restype = ctypes.c_int
+            lib.rpim_expand.argtypes = [
+                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
+                ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array,
+                _int64_array, ctypes.c_int64]
+            lib.rpim_expand.restype = ctypes.c_int
             _lib = lib
         if _error is not None:
-            warnings.warn(f"C engine unavailable, compression falls back to "
-                          f"the pure-Python engine: {_error}", RuntimeWarning,
-                          stacklevel=2)
+            warnings.warn(f"C engine unavailable, compression and expansion "
+                          f"fall back to the pure-Python engine: {_error}",
+                          RuntimeWarning, stacklevel=2)
     return _lib
 
 
 def available() -> bool:
     return load() is not None
+
+
+def _loaded() -> ctypes.CDLL:
+    lib = load()
+    if lib is None:
+        raise RuntimeError(f"the C engine is unavailable: {_error}")
+    return lib
 
 
 def compress_array(symbols: np.ndarray, min_frequency: int,
@@ -113,9 +137,7 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     if n > MAX_SYMBOLS:
         raise ValueError(f"the C engine takes at most {MAX_SYMBOLS} "
                          f"symbols, got {n}")
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"the C engine is unavailable: {_error}")
+    lib = _loaded()
     data = np.ascontiguousarray(symbols)
     # each rule removes at least two symbols, so n // 2 rules always fit
     rule_cap = n // 2 + 2
@@ -135,3 +157,47 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
                            f"(status {status}) on {n} symbols")
     nrules, length = sizes.tolist()
     return rule_left[:nrules], rule_right[:nrules], sym[:length]
+
+
+def expanded_length(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
+                    limit: int) -> int | None:
+    """The exact expanded length of symbols under the grammar of int64
+    rule sides left and right, or None when it exceeds limit, which is
+    below 2**64.
+
+    Raises ValueError when a rule side or a symbol references a symbol
+    it may not, RuntimeError when the library cannot be built.
+    """
+    lib = _loaded()
+    lengths = np.empty(left.size, np.uint64)
+    total = np.zeros(1, np.uint64)
+    status = lib.rpim_expanded_length(left, right, left.size, symbols,
+                                      symbols.size, limit, lengths, total)
+    if status == _ELIMIT:
+        return None
+    if status != 0:
+        raise ValueError("grammar references an undefined symbol")
+    return int(total[0])
+
+
+def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
+           length: int) -> bytes:
+    """The bytes symbols expand to under the grammar of int64 rule sides
+    left and right, which must be length bytes.
+
+    Raises ValueError when the grammar references an undefined symbol
+    or the expansion is not length bytes, RuntimeError when the library
+    cannot be built.
+    """
+    lib = _loaded()
+    out = np.empty(length, np.uint8)
+    span = np.empty(2 * left.size, np.int64)
+    # a path from a sequence symbol down to a terminal passes at most
+    # every rule once, and each rule on it holds two stack entries
+    stack = np.empty(2 * left.size + 1, np.int64)
+    status = lib.rpim_expand(left, right, left.size, symbols, symbols.size,
+                             out, length, span, stack, stack.size)
+    if status != 0:
+        raise ValueError(f"grammar does not expand to {length} bytes "
+                         f"(status {status})")
+    return out.tobytes()

@@ -109,7 +109,7 @@ def _cmd_compress(args) -> int:
     _write_atomic(args.output, blob)
     ratio = len(blob) / len(data) if data else float("inf")
     print(f"in={len(data)} out={len(blob)} ratio={ratio:.4f} "
-          f"rules={len(grammar.rules)}", file=sys.stderr)
+          f"rules={len(grammar)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -144,7 +144,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def _cmd_inspect(args) -> int:
     # inspect expands nothing, so no output limit applies
     artifact = deserialize(args.input.read_bytes(), max_output=math.inf)
-    rules = len(artifact.grammar.rules)
+    rules = len(artifact.grammar)
     seq = len(artifact.sequence)
     expanded = artifact.expanded_length
     payload = artifact.payload

@@ -23,7 +23,6 @@ present, so a forged count cannot make it allocate.
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .errors import (
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import NONTERMINAL_BASE, Grammar
+from .repair import NONTERMINAL_BASE, Grammar, expanded_length
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -73,11 +72,23 @@ class ImagePayload:
         return self.width * self.height * self.channels
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedArtifact:
+    """A payload header, a grammar and its final sequence, held as an
+    int64 array."""
+
     payload: RawPayload | ImagePayload
     grammar: Grammar
-    sequence: list[int]
+    sequence: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.sequence = np.asarray(self.sequence, dtype=np.int64)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompressedArtifact):
+            return NotImplemented
+        return (self.payload == other.payload and self.grammar == other.grammar
+                and np.array_equal(self.sequence, other.sequence))
 
     @property
     def expanded_length(self) -> int:
@@ -174,12 +185,18 @@ def serialize(artifact: CompressedArtifact) -> bytes:
     else:
         out.append(_KIND_RAW)
         write_varint(out, payload.original_length)
-    rules = artifact.grammar.to_array().ravel()
+    grammar = artifact.grammar
     sequence = np.asarray(artifact.sequence, dtype=np.int64)
-    body = np.concatenate(([rules.size // 2], rules, [sequence.size], sequence))
+    seq_at = 2 * len(grammar) + 1
+    body = np.empty(seq_at + 1 + sequence.size, np.int64)
+    body[0] = len(grammar)
+    body[1:seq_at:2] = grammar.left
+    body[2:seq_at:2] = grammar.right
+    body[seq_at] = sequence.size
+    body[seq_at + 1:] = sequence
     if body.min() < 0:
         raise ValueError("varints are unsigned")
-    out += _encode_varints(body.astype(np.uint64))
+    out += _encode_varints(body.view(np.uint64))
     return bytes(out)
 
 
@@ -268,16 +285,10 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
     if trailing:
         raise CorruptContainerError(f"{trailing} trailing bytes after sequence")
 
-    grammar = Grammar.from_arrays(pairs[:, 0], pairs[:, 1])
-    symbols = values[seq_at + 1:]
-    # expansion length per symbol, saturating just past declared so that
-    # doubling chains stay small integers; any saturated use is a mismatch
-    ceiling = declared + 1
-    sizes = [1] * NONTERMINAL_BASE
-    for left, right in grammar.rules:
-        size = sizes[left] + sizes[right]
-        sizes.append(size if size < ceiling else ceiling)
-    uses = np.bincount(symbols.astype(np.intp), minlength=len(sizes)).tolist()
-    if sum(map(operator.mul, uses, sizes)) != declared:
+    # every rule side and symbol is now below 2**32, so int64 holds it
+    grammar = Grammar.from_arrays(pairs[:, 0].astype(np.int64),
+                                  pairs[:, 1].astype(np.int64))
+    symbols = values[seq_at + 1:].astype(np.int64)
+    if expanded_length(grammar, symbols, declared) != declared:
         raise CorruptContainerError("expanded length does not match payload header")
-    return CompressedArtifact(payload, grammar, symbols.tolist())
+    return CompressedArtifact(payload, grammar, symbols)

@@ -19,9 +19,10 @@ of the current maximum.
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import operator
+import sys
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -47,39 +48,55 @@ class Rule(NamedTuple):
     right: int
 
 
-@dataclass
 class Grammar:
-    """Ordered rule list; rule k defines nonterminal NONTERMINAL_BASE + k."""
+    """Rules as two int64 arrays: rule k defines nonterminal
+    NONTERMINAL_BASE + k as the pair (left[k], right[k]).
 
-    rules: list[Rule] = field(default_factory=list)
+    Length, iteration, indexing and rules give Rule values.
+    """
 
-    def __len__(self) -> int:
-        return len(self.rules)
+    __slots__ = ("left", "right")
 
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __getitem__(self, ordinal: int) -> Rule:
-        return self.rules[ordinal]
+    def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
+        pairs = np.array(list(rules), dtype=np.int64).reshape(-1, 2)
+        self.left = np.ascontiguousarray(pairs[:, 0])
+        self.right = np.ascontiguousarray(pairs[:, 1])
 
     @classmethod
-    def from_arrays(cls, left: np.ndarray, right: np.ndarray) -> Grammar:
-        """The grammar whose rule k is (left[k], right[k])."""
-        return cls(list(map(Rule, left.tolist(), right.tolist())))
+    def from_arrays(cls, left, right) -> Grammar:
+        """The grammar whose rule k is (left[k], right[k]); int64 arrays
+        are wrapped, not copied."""
+        left = np.ascontiguousarray(left, dtype=np.int64)
+        right = np.ascontiguousarray(right, dtype=np.int64)
+        if left.ndim != 1 or left.shape != right.shape:
+            raise ValueError("rule sides must be two one-dimensional arrays "
+                             "of one length")
+        grammar = cls.__new__(cls)
+        grammar.left = left
+        grammar.right = right
+        return grammar
 
-    def to_array(self) -> np.ndarray:
-        """The rules as an int64 array of shape (len(self), 2)."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.rules),
-                           np.int64, 2 * len(self.rules))
-        return flat.reshape(-1, 2)
+    @property
+    def rules(self) -> list[Rule]:
+        return list(self)
 
-    def add(self, left: int, right: int) -> int:
-        """Append a rule for (left, right) and return its nonterminal."""
-        symbol = NONTERMINAL_BASE + len(self.rules)
-        if symbol >= _SYMBOL_SPACE:
-            raise OverflowError("rule ordinals exhausted the 32-bit symbol space")
-        self.rules.append(Rule(left, right))
-        return symbol
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __iter__(self) -> Iterator[Rule]:
+        return map(Rule, self.left.tolist(), self.right.tolist())
+
+    def __getitem__(self, ordinal: int) -> Rule:
+        return Rule(int(self.left[ordinal]), int(self.right[ordinal]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Grammar):
+            return NotImplemented
+        return (np.array_equal(self.left, other.left)
+                and np.array_equal(self.right, other.right))
+
+    def __repr__(self) -> str:
+        return f"Grammar({self.rules!r})"
 
 
 @dataclass(frozen=True)
@@ -420,10 +437,10 @@ def _repair_run_head(array: SequenceArray, table: PairTable, symbol: int,
         anchor = s
 
 
-def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
+def replace_step(array: SequenceArray, table: PairTable, rules: list[Rule],
                  min_frequency: int = 2) -> bool:
     """Replace every occurrence of the most frequent pair with a fresh
-    nonterminal, appending the rule to grammar.
+    nonterminal, appending its rule to rules.
 
     Returns False (state untouched) when no pair reaches min_frequency.
     Consecutive occurrences are processed as one chain so that the pairs a
@@ -436,7 +453,10 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
         return False
     left_sym = record.left
     right_sym = record.right
-    fresh = grammar.add(left_sym, right_sym)
+    fresh = NONTERMINAL_BASE + len(rules)
+    if fresh >= _SYMBOL_SPACE:
+        raise OverflowError("rule ordinals exhausted the 32-bit symbol space")
+    rules.append(Rule(left_sym, right_sym))
     self_pair = left_sym == right_sym
 
     syms = array.symbols
@@ -506,8 +526,9 @@ def replace_step(array: SequenceArray, table: PairTable, grammar: Grammar,
 
 
 def compress(seq, config: CompressorConfig | None = None
-             ) -> tuple[Grammar, list[int]]:
-    """Compress a terminal sequence; returns (grammar, final sequence).
+             ) -> tuple[Grammar, np.ndarray]:
+    """Compress a terminal sequence; returns (grammar, final sequence),
+    the final sequence as an int64 array.
 
     seq is bytes or a one-dimensional sequence of integers in 0-255;
     anything else raises ValueError.  Bytes reach the engine without a
@@ -536,11 +557,14 @@ def compress(seq, config: CompressorConfig | None = None
         return reference_compress(symbols, config)
     rule_left, rule_right, final = _kernel.compress_array(
         symbols, config.min_frequency, config.max_rules)
-    return Grammar.from_arrays(rule_left, rule_right), final.tolist()
+    # the int32 views share the kernel's n-sized buffers; the int64
+    # copies let those go
+    return (Grammar.from_arrays(rule_left, rule_right),
+            final.astype(np.int64))
 
 
 def reference_compress(seq, config: CompressorConfig | None = None
-                       ) -> tuple[Grammar, list[int]]:
+                       ) -> tuple[Grammar, np.ndarray]:
     """The pure-Python engine: build_sequence_array, then replace_step until
     no pair reaches min_frequency or max_rules rules exist.
 
@@ -550,34 +574,83 @@ def reference_compress(seq, config: CompressorConfig | None = None
     if config is None:
         config = CompressorConfig()
     array, table = build_sequence_array(seq)
-    grammar = Grammar()
+    rules: list[Rule] = []
     max_rules = config.max_rules
-    while max_rules is None or len(grammar.rules) < max_rules:
-        if not replace_step(array, table, grammar, config.min_frequency):
+    while max_rules is None or len(rules) < max_rules:
+        if not replace_step(array, table, rules, config.min_frequency):
             break
-    return grammar, array.working_sequence()
+    return Grammar(rules), np.array(array.working_sequence(), dtype=np.int64)
+
+
+def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
+    """seq as an int64 array, once the grammar and seq are known to
+    reference only defined symbols; raises MalformedGrammarError."""
+    bounds = NONTERMINAL_BASE + np.arange(len(grammar))
+    bad = np.flatnonzero((grammar.left < 0) | (grammar.left >= bounds)
+                         | (grammar.right < 0) | (grammar.right >= bounds))
+    if bad.size:
+        ordinal = int(bad[0])
+        raise MalformedGrammarError(
+            f"rule {ordinal} references symbol outside [0, {bounds[ordinal]})")
+    symbols = np.ascontiguousarray(seq, dtype=np.int64)
+    undefined = np.flatnonzero((symbols < 0)
+                               | (symbols >= NONTERMINAL_BASE + len(grammar)))
+    if undefined.size:
+        raise MalformedGrammarError(
+            f"sequence symbol {symbols[undefined[0]]} is undefined")
+    return symbols
+
+
+def expanded_length(grammar: Grammar, symbols: np.ndarray,
+                    limit: int) -> int | None:
+    """The exact expanded length of symbols, an int64 array the grammar
+    defines, or None when it exceeds limit.
+
+    The C engine's pass takes limits below 2**64; the Python loop, its
+    fallback, takes any limit.
+    """
+    if limit < 1 << 64 and _kernel.available():
+        return _kernel.expanded_length(grammar.left, grammar.right, symbols,
+                                       limit)
+    # lengths saturate just past limit, so doubling chains stay small
+    # integers; any saturated use makes the total exceed limit
+    ceiling = limit + 1
+    sizes = [1] * NONTERMINAL_BASE
+    for left, right in zip(grammar.left.tolist(), grammar.right.tolist()):
+        size = sizes[left] + sizes[right]
+        sizes.append(size if size < ceiling else ceiling)
+    uses = np.bincount(symbols.astype(np.intp), minlength=len(sizes)).tolist()
+    total = sum(map(operator.mul, uses, sizes))
+    return total if total <= limit else None
 
 
 def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     """Substitute every nonterminal down to terminals; returns the bytes.
 
+    The C engine expands each rule reachable from seq once and copies
+    that first expansion for every later use, into one buffer of the
+    exact length.  Rules seq does not reach are never expanded.  When
+    the engine cannot be built or loaded, reference_expand runs instead;
+    both give the same bytes.
+    """
+    if not _kernel.available():
+        return reference_expand(grammar, seq)
+    symbols = _checked_symbols(grammar, seq)
+    length = _kernel.expanded_length(grammar.left, grammar.right, symbols,
+                                     sys.maxsize)
+    if length is None:
+        raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
+    return _kernel.expand(grammar.left, grammar.right, symbols, length)
+
+
+def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
+    """The pure-Python expansion: the oracle the C engine is tested
+    against and expand's fallback.
+
     Only rules reachable from seq are materialized, so memory stays
     proportional to the output even when the grammar carries unused rules.
     """
-    pairs = grammar.to_array()
-    bounds = NONTERMINAL_BASE + np.arange(len(pairs))
-    bad = np.flatnonzero(((pairs < 0) | (pairs >= bounds[:, None])).any(axis=1))
-    if bad.size:
-        ordinal = int(bad[0])
-        raise MalformedGrammarError(
-            f"rule {ordinal} references symbol outside [0, {bounds[ordinal]})")
-    symbols = np.asarray(seq, dtype=np.int64)
-    undefined = np.flatnonzero((symbols < 0)
-                               | (symbols >= NONTERMINAL_BASE + len(pairs)))
-    if undefined.size:
-        raise MalformedGrammarError(
-            f"sequence symbol {symbols[undefined[0]]} is undefined")
-
+    symbols = _checked_symbols(grammar, seq)
     # a rule references only earlier rules, so one backward pass marks
     # everything reachable from seq; live and table are indexed by symbol
     rules = grammar.rules

@@ -5,7 +5,11 @@
  * It compresses seeded random and run-heavy inputs, n < 2 included, and
  * inputs whose distinct-pair counts straddle every growth step of the
  * record store and the hash table.  Each grammar must reference only
- * earlier symbols and expand back to its input.  An n above the input
+ * earlier symbols and expand back to its input under this program's own
+ * stack expander.  The kernel's length pass and expand must agree with
+ * it, and must refuse, without writing past a buffer, an output one
+ * byte short or one byte long, a stack one entry short of the depth, a
+ * length past the limit and an undefined symbol.  An n above the input
  * cap must be refused before the one-byte input is read.  Exit status 0
  * means every case passed; a sanitizer report aborts with its own.
  */
@@ -18,9 +22,17 @@
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
                   int64_t max_rules, int32_t *sym, int32_t *rule_left,
                   int32_t *rule_right, int64_t rule_cap, int64_t *sizes);
+int rpim_expanded_length(const int64_t *left, const int64_t *right,
+                         int64_t nrules, const int64_t *seq, int64_t nseq,
+                         uint64_t limit, uint64_t *len, uint64_t *total);
+int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
+                const int64_t *seq, int64_t nseq, uint8_t *out,
+                int64_t out_len, int64_t *span, int64_t *stack,
+                int64_t stack_cap);
 
 /* FIRST_STEP is the kernel's initial record store, MIN_RECORDS */
-enum { RPIM_EBOUND = 2, NONTERMINAL_BASE = 256, FIRST_STEP = 256 };
+enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, NONTERMINAL_BASE = 256,
+       FIRST_STEP = 256 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -55,7 +67,101 @@ static void fail(const char *label, int64_t n, const char *what)
     failures++;
 }
 
-/* Compress input and check the grammar and its expansion. */
+/* Expand seq with an explicit stack, one symbol at a time, into out,
+   which takes cap bytes.  Returns the length, or -1 when a symbol is
+   undefined or the expansion would pass cap. */
+static int64_t stack_expand(const int64_t *left, const int64_t *right,
+                            int64_t nrules, const int64_t *seq, int64_t nseq,
+                            uint8_t *out, int64_t cap)
+{
+    /* each level holds a right side and the symbol on top: nrules + 1 */
+    int64_t *stack = must_alloc((size_t)(nrules + 1) * sizeof *stack);
+    int64_t w = 0;
+    for (int64_t i = 0; i < nseq && w >= 0; i++) {
+        int64_t top = 0;
+        stack[top++] = seq[i];
+        while (top > 0 && w >= 0) {
+            int64_t s = stack[--top];
+            if (s < 0 || s >= NONTERMINAL_BASE + nrules)
+                w = -1;
+            else if (s < NONTERMINAL_BASE)
+                w = w < cap ? (out[w] = (uint8_t)s, w + 1) : -1;
+            else {
+                stack[top++] = right[s - NONTERMINAL_BASE];
+                stack[top++] = left[s - NONTERMINAL_BASE];
+            }
+        }
+    }
+    free(stack);
+    return w;
+}
+
+/* rpim_expand into a buffer of exactly out_len bytes and a stack of
+   exactly stack_cap entries, so that any write past either is a
+   sanitizer report; returns the status, with the output in *out (the
+   caller frees it). */
+static int kernel_expand(const int64_t *left, const int64_t *right,
+                         int64_t nrules, const int64_t *seq, int64_t nseq,
+                         int64_t out_len, int64_t stack_cap, uint8_t **out)
+{
+    int64_t *span = must_alloc((size_t)(2 * nrules) * sizeof *span);
+    int64_t *stack = must_alloc((size_t)stack_cap * sizeof *stack);
+    *out = must_alloc((size_t)out_len);
+    int status = rpim_expand(left, right, nrules, seq, nseq, *out, out_len,
+                             span, stack, stack_cap);
+    free(span);
+    free(stack);
+    return status;
+}
+
+/* Expanded length by the kernel's pass, or -1 on a nonzero status. */
+static int64_t kernel_length(const int64_t *left, const int64_t *right,
+                             int64_t nrules, const int64_t *seq,
+                             int64_t nseq, uint64_t limit, int *status)
+{
+    uint64_t *len = must_alloc((size_t)nrules * sizeof *len);
+    uint64_t total = 0;
+    *status = rpim_expanded_length(left, right, nrules, seq, nseq, limit,
+                                   len, &total);
+    free(len);
+    return *status ? -1 : (int64_t)total;
+}
+
+/* The kernel's length pass and expand on a grammar that expands to
+   expected[0:n]: both must agree with it, and refuse a limit one short,
+   an output one byte short or long and a stack smaller than 2 * nrules
+   + 1 entries wherever that is below what the grammar needs. */
+static void check_entry_points(const char *label, const int64_t *left,
+                               const int64_t *right, int64_t nrules,
+                               const int64_t *seq, int64_t nseq,
+                               const uint8_t *expected, int64_t n)
+{
+    int status;
+    uint8_t *out;
+    if (kernel_length(left, right, nrules, seq, nseq, (uint64_t)n,
+                      &status) != n)
+        fail(label, n, "length pass disagrees");
+    if (n > 0 && (kernel_length(left, right, nrules, seq, nseq,
+                                (uint64_t)n - 1, &status) != -1
+                  || status != RPIM_ELIMIT))
+        fail(label, n, "length pass passed its limit");
+    status = kernel_expand(left, right, nrules, seq, nseq, n, 2 * nrules + 1,
+                           &out);
+    if (status != 0 || memcmp(out, expected, (size_t)n) != 0)
+        fail(label, n, "expand disagrees with the stack expander");
+    free(out);
+    for (int64_t delta = -1; delta <= 1; delta += 2) {
+        if (n + delta < 0)
+            continue;
+        status = kernel_expand(left, right, nrules, seq, nseq, n + delta,
+                               2 * nrules + 1, &out);
+        if (status != RPIM_EBOUND)
+            fail(label, n, "expand took a forged output length");
+        free(out);
+    }
+}
+
+/* Compress input and check the grammar and its expansions. */
 static void check(const char *label, const uint8_t *input, int64_t n,
                   int64_t min_frequency, int64_t max_rules)
 {
@@ -73,44 +179,112 @@ static void check(const char *label, const uint8_t *input, int64_t n,
              || (max_rules >= 0 && nrules > max_rules))
         fail(label, n, "sizes out of range");
     else {
-        for (int64_t k = 0; k < nrules; k++)
+        int64_t *left64 = must_alloc((size_t)nrules * sizeof *left64);
+        int64_t *right64 = must_alloc((size_t)nrules * sizeof *right64);
+        int64_t *seq64 = must_alloc((size_t)length * sizeof *seq64);
+        uint8_t *own = must_alloc((size_t)n);
+        int valid = 1;
+        for (int64_t k = 0; k < nrules; k++) {
+            left64[k] = left[k];
+            right64[k] = right[k];
             if (left[k] < 0 || right[k] < 0
                 || left[k] >= NONTERMINAL_BASE + k
-                || right[k] >= NONTERMINAL_BASE + k) {
-                fail(label, n, "rule references a later symbol");
-                goto done;
-            }
-        /* expand with an explicit stack; depth never exceeds nrules */
-        int32_t *stack = must_alloc((size_t)(nrules + 1) * sizeof *stack);
-        int64_t out = 0;
-        for (int64_t i = 0; i < length && out <= n; i++) {
-            if (sym[i] < 0 || sym[i] >= NONTERMINAL_BASE + nrules) {
-                out = n + 1;
-                break;
-            }
-            int64_t top = 0;
-            stack[top++] = sym[i];
-            while (top > 0 && out <= n) {
-                int32_t s = stack[--top];
-                if (s < NONTERMINAL_BASE) {
-                    if (out < n && input[out] != s)
-                        out = n + 1;
-                    else
-                        out++;
-                } else {
-                    stack[top++] = right[s - NONTERMINAL_BASE];
-                    stack[top++] = left[s - NONTERMINAL_BASE];
-                }
-            }
+                || right[k] >= NONTERMINAL_BASE + k)
+                valid = 0;
         }
-        free(stack);
-        if (out != n)
+        for (int64_t i = 0; i < length; i++)
+            seq64[i] = sym[i];
+        if (!valid)
+            fail(label, n, "rule references a later symbol");
+        else if (stack_expand(left64, right64, nrules, seq64, length, own, n)
+                     != n
+                 || memcmp(own, input, (size_t)n) != 0)
             fail(label, n, "expansion differs from the input");
+        else
+            check_entry_points(label, left64, right64, nrules, seq64, length,
+                               own, n);
+        free(left64);
+        free(right64);
+        free(seq64);
+        free(own);
     }
-done:
     free(sym);
     free(left);
     free(right);
+}
+
+/* Hand-built grammars: a stack at its bound, lengths at the 64-bit
+   edge, and undefined symbols. */
+static void check_forged_grammars(void)
+{
+    /* a comb: rule k = (rule k - 1, 'c'), as deep as it is long, so its
+       top needs exactly 2 * DEPTH + 1 stack entries */
+    enum { DEPTH = 1000 };
+    int64_t left[DEPTH], right[DEPTH];
+    left[0] = 'a';
+    right[0] = 'b';
+    for (int64_t k = 1; k < DEPTH; k++) {
+        left[k] = NONTERMINAL_BASE + k - 1;
+        right[k] = 'c';
+    }
+    int64_t top = NONTERMINAL_BASE + DEPTH - 1;
+    uint8_t *out;
+    uint8_t *expected = must_alloc(DEPTH + 1);
+    if (stack_expand(left, right, DEPTH, &top, 1, expected, DEPTH + 1)
+        != DEPTH + 1)
+        fail("comb", DEPTH, "stack expander failed");
+    if (kernel_expand(left, right, DEPTH, &top, 1, DEPTH + 1, 2 * DEPTH + 1,
+                      &out) != 0
+        || memcmp(out, expected, DEPTH + 1) != 0)
+        fail("comb", DEPTH, "expand failed with the stack at its bound");
+    free(out);
+    if (kernel_expand(left, right, DEPTH, &top, 1, DEPTH + 1, 2 * DEPTH,
+                      &out) != RPIM_EBOUND)
+        fail("comb", DEPTH, "expand overran a stack one entry short");
+    free(out);
+    free(expected);
+
+    /* a 63-rule doubling chain: 1 + 2 + ... + 2^63 = 2^64 - 1 */
+    enum { CHAIN = 63 };
+    int64_t chain[CHAIN], all[CHAIN + 1], last = NONTERMINAL_BASE + CHAIN - 1;
+    chain[0] = 'a';
+    all[0] = 'a';
+    for (int64_t k = 1; k < CHAIN; k++)
+        chain[k] = NONTERMINAL_BASE + k - 1;
+    for (int64_t k = 0; k < CHAIN; k++)
+        all[k + 1] = NONTERMINAL_BASE + k;
+    uint64_t *len = must_alloc(CHAIN * sizeof *len);
+    uint64_t total = 0;
+    if (rpim_expanded_length(chain, chain, CHAIN, all, CHAIN + 1, UINT64_MAX,
+                             len, &total) != 0 || total != UINT64_MAX)
+        fail("chain", CHAIN, "2^64 - 1 bytes measured wrongly");
+    if (rpim_expanded_length(chain, chain, CHAIN, all, CHAIN + 1,
+                             UINT64_MAX - 1, len, &total) != RPIM_ELIMIT)
+        fail("chain", CHAIN, "2^64 - 1 bytes passed a limit one short");
+    if (rpim_expanded_length(chain, chain, CHAIN, &last, 1, UINT64_MAX, len,
+                             &total) != 0 || total != (uint64_t)1 << 63)
+        fail("chain", CHAIN, "2^63 bytes measured wrongly");
+    free(len);
+
+    /* undefined symbols: a rule referencing itself, a sequence symbol
+       one past the rules, and a negative one */
+    int64_t self[1] = {NONTERMINAL_BASE}, first = NONTERMINAL_BASE;
+    int64_t past = NONTERMINAL_BASE + DEPTH, negative = -1;
+    struct { const int64_t *left; int64_t nrules; const int64_t *seq; }
+        undefined[3] = {{self, 1, &first}, {left, DEPTH, &past},
+                        {left, DEPTH, &negative}};
+    for (int k = 0; k < 3; k++) {
+        int status;
+        const int64_t *l = undefined[k].left, *seq = undefined[k].seq;
+        int64_t nrules = undefined[k].nrules;
+        if (kernel_length(l, l, nrules, seq, 1, UINT64_MAX, &status) != -1
+            || status != RPIM_EBOUND)
+            fail("undefined", k, "length pass took an undefined symbol");
+        if (kernel_expand(l, l, nrules, seq, 1, 2, 2 * nrules + 1, &out)
+            != RPIM_EBOUND)
+            fail("undefined", k, "expand took an undefined symbol");
+        free(out);
+    }
 }
 
 /* Fill buf with runs of length 1..longest over alphabet symbols. */
@@ -220,6 +394,8 @@ int main(void)
                           sizes) != RPIM_EBOUND
             || out != -7 || left != -7 || right != -7)
             fail("forged", forged[k], "an n above the cap was not refused");
+
+    check_forged_grammars();
 
     free(buf);
     if (failures) {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import time
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rpim import _kernel
 from rpim.container import (
     CompressedArtifact,
     ImagePayload,
@@ -374,6 +376,61 @@ def test_decompression_bomb_rejected_before_the_body():
     assert deserialize(BOMB, max_output=1 << 40).expanded_length == 1 << 40
     with pytest.raises(OutputTooLargeError):
         deserialize(BOMB, max_output=(1 << 40) - 1)
+
+
+def doubling_chain(count):
+    """count rules: rule 0 is (97, 97) and rule k + 1 doubles rule k, so
+    rule k stands for 2**(k + 1) bytes."""
+    return Grammar([Rule(97, 97)]
+                   + [Rule(256 + k, 256 + k) for k in range(count - 1)])
+
+
+# 1 + 2 + ... + 2**63 = 2**64 - 1: (declared, sequence, accepted) over
+# the 63-rule chain, whose rules are 256..318
+DECLARED_EXACTNESS = {
+    "2**64-1": (2**64 - 1, [97, *range(256, 319)], True),
+    "2**63": (2**63, [318], True),
+    "2**64-2": (2**64 - 2, [97, *range(256, 319)], False),
+}
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+@pytest.mark.parametrize("case", DECLARED_EXACTNESS)
+def test_declared_length_check_is_exact(case, engine, monkeypatch):
+    """The expanded-length check compares exact lengths up to 2**64 - 1,
+    in the C engine's saturating pass and in the Python loop alike."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "available", lambda: False)
+    elif not _kernel.available():
+        pytest.skip("C engine unavailable")
+    declared, sequence, accepted = DECLARED_EXACTNESS[case]
+    blob = serialize(CompressedArtifact(
+        RawPayload(declared), doubling_chain(63), sequence))
+    if accepted:
+        assert deserialize(blob, max_output=math.inf).expanded_length == declared
+    else:
+        with pytest.raises(CorruptContainerError) as caught:
+            deserialize(blob, max_output=math.inf)
+        assert type(caught.value) is CorruptContainerError
+
+
+def test_declared_length_past_64_bits():
+    """An image header can declare more than 2**64 - 1 samples; a grammar
+    that expands to exactly that many is accepted, one byte short is not."""
+    width = height = 2**32 - 1
+    declared = width * height * 3
+    assert declared >= 2**64
+    bits = [b for b in range(declared.bit_length()) if declared >> b & 1]
+    sequence = [97 if b == 0 else 255 + b for b in reversed(bits)]
+    payload = ImagePayload(width, height, 3, LinearizationMode.ROW_MAJOR)
+    chain = doubling_chain(declared.bit_length() - 1)
+    blob = serialize(CompressedArtifact(payload, chain, sequence))
+    assert deserialize(blob, max_output=math.inf).expanded_length == declared
+    assert bits[0] == 0
+    short = serialize(CompressedArtifact(payload, chain, sequence[:-1]))
+    with pytest.raises(CorruptContainerError) as caught:
+        deserialize(short, max_output=math.inf)
+    assert type(caught.value) is CorruptContainerError
 
 
 @given(st.binary(max_size=600), st.booleans())

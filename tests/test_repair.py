@@ -30,6 +30,7 @@ from rpim.repair import (
     count_pairs,
     expand,
     reference_compress,
+    reference_expand,
     replace_step,
 )
 
@@ -40,6 +41,12 @@ from conftest import (
     pair_code,
     run_pair_counts,
 )
+
+
+def as_lists(result):
+    """A (grammar, final sequence) pair as comparable lists."""
+    grammar, final = result
+    return grammar.rules, final.tolist()
 
 
 class TestCountPairs:
@@ -84,23 +91,23 @@ class TestBuildSequenceArray:
 class TestReplaceStep:
     def test_replaces_most_frequent(self):
         array, table = build_sequence_array([7, 8, 7, 8])
-        grammar = Grammar()
-        assert replace_step(array, table, grammar) is True
+        rules = []
+        assert replace_step(array, table, rules) is True
         assert array.working_sequence() == [256, 256]
-        assert grammar.rules == [(7, 8)]
+        assert rules == [(7, 8)]
 
     def test_nothing_repeats(self):
         array, table = build_sequence_array([1, 2, 3, 4])
-        grammar = Grammar()
-        assert replace_step(array, table, grammar) is False
-        assert grammar.rules == []
+        rules = []
+        assert replace_step(array, table, rules) is False
+        assert rules == []
 
     def test_tie_broken_lexicographically(self):
         # (1,1) and (1,2) both count 2; (1,1) is smaller
         array, table = build_sequence_array([1, 1, 2, 1, 1, 2])
-        grammar = Grammar()
-        assert replace_step(array, table, grammar) is True
-        assert grammar.rules == [(1, 1)]
+        rules = []
+        assert replace_step(array, table, rules) is True
+        assert rules == [(1, 1)]
         assert array.working_sequence() == [256, 2, 256, 2]
         full_state_check(array, table, "after tie-break step")
 
@@ -109,15 +116,15 @@ class TestReplaceStep:
         # credits must be recounted from the new run start
         seq = [0, 1, 1, 1, 1, 1, 0, 1]
         array, table = build_sequence_array(seq)
-        grammar = Grammar()
-        assert replace_step(array, table, grammar) is True
-        assert grammar.rules == [(0, 1)]
+        rules = []
+        assert replace_step(array, table, rules) is True
+        assert rules == [(0, 1)]
         full_state_check(array, table, "after erosion step")
 
     def test_min_frequency_respected(self):
         array, table = build_sequence_array([7, 8, 7, 8])
-        grammar = Grammar()
-        assert replace_step(array, table, grammar, min_frequency=3) is False
+        rules = []
+        assert replace_step(array, table, rules, min_frequency=3) is False
         assert array.working_sequence() == [7, 8, 7, 8]
 
 
@@ -125,12 +132,12 @@ class TestCompress:
     def test_empty(self):
         grammar, final = compress(b"")
         assert grammar.rules == []
-        assert final == []
+        assert final.tolist() == []
 
     def test_nested_rules(self):
         grammar, final = compress(bytes([1, 2] * 4))
         assert grammar.rules == [(1, 2), (256, 256)]
-        assert final == [257, 257]
+        assert final.tolist() == [257, 257]
 
     def test_abracadabra(self):
         grammar, final = compress(b"abracadabra")
@@ -141,17 +148,17 @@ class TestCompress:
         config = CompressorConfig(max_rules=1)
         grammar, final = compress(bytes([1, 2] * 4), config)
         assert grammar.rules == [(1, 2)]
-        assert final == [256, 256, 256, 256]
+        assert final.tolist() == [256, 256, 256, 256]
 
     def test_min_frequency_three(self):
         config = CompressorConfig(min_frequency=3)
         grammar, final = compress(bytes([1, 2] * 2), config)
         assert grammar.rules == []
-        assert final == [1, 2, 1, 2]
+        assert final.tolist() == [1, 2, 1, 2]
 
     def test_list_input_equals_bytes_input(self):
         data = b"mississippi"
-        assert compress(list(data)) == compress(data)
+        assert as_lists(compress(list(data))) == as_lists(compress(data))
 
     def test_rejects_nonterminal_input(self):
         with pytest.raises(ValueError):
@@ -168,11 +175,13 @@ class TestCompress:
             compress(seq)
 
     def test_memoryview_keeps_its_item_type(self):
-        assert compress(memoryview(b"mississippi")) == compress(b"mississippi")
+        assert (as_lists(compress(memoryview(b"mississippi")))
+                == as_lists(compress(b"mississippi")))
         items = np.array([1, 2, 1, 2, 1, 2])
-        assert compress(memoryview(items)) == compress([1, 2, 1, 2, 1, 2])
-        assert (reference_compress(memoryview(items))
-                == reference_compress([1, 2, 1, 2, 1, 2]))
+        assert (as_lists(compress(memoryview(items)))
+                == as_lists(compress([1, 2, 1, 2, 1, 2])))
+        assert (as_lists(reference_compress(memoryview(items)))
+                == as_lists(reference_compress([1, 2, 1, 2, 1, 2])))
         with pytest.raises(ValueError):
             compress(memoryview(np.array([[1, 2], [1, 2]])))
 
@@ -253,19 +262,19 @@ def test_count_pairs_matches_both_oracles(seq):
 def test_table_state_sound_through_all_steps(seq):
     array, table = build_sequence_array(seq)
     full_state_check(array, table, "after build")
-    grammar = Grammar()
+    rules = []
     while True:
         counts = greedy_pair_counts(array.working_sequence())
-        if not replace_step(array, table, grammar):
+        if not replace_step(array, table, rules):
             break
         # the chosen pair must have been maximal, ties broken toward
         # the smallest (left, right)
-        chosen = tuple(grammar.rules[-1])
+        chosen = tuple(rules[-1])
         top = max(counts.values())
         assert counts[chosen] == top
         assert chosen == min(p for p, c in counts.items() if c == top)
-        full_state_check(array, table, f"after step {len(grammar.rules)}")
-    assert expand(grammar, array.working_sequence()) == bytes(seq)
+        full_state_check(array, table, f"after step {len(rules)}")
+    assert expand(Grammar(rules), array.working_sequence()) == bytes(seq)
 
 
 @given(byte_strings)
@@ -281,9 +290,13 @@ needs_c_engine = pytest.mark.skipif(not _kernel.available(),
                                     reason="C engine unavailable")
 
 
+# compress inputs and configurations the engines are compared on
+engine_cases = (st.lists(st.integers(0, 255), max_size=2000),
+                st.sampled_from([2, 3]), st.sampled_from([None, 0, 1, 7]))
+
+
 @needs_c_engine
-@given(st.lists(st.integers(0, 255), max_size=2000),
-       st.sampled_from([2, 3]), st.sampled_from([None, 0, 1, 7]))
+@given(*engine_cases)
 @settings(max_examples=120, deadline=None)
 def test_engines_agree(seq, min_frequency, max_rules):
     config = CompressorConfig(min_frequency=min_frequency,
@@ -291,7 +304,61 @@ def test_engines_agree(seq, min_frequency, max_rules):
     py_grammar, py_final = reference_compress(seq, config)
     c_grammar, c_final = compress(seq, config)
     assert py_grammar.rules == c_grammar.rules
-    assert py_final == c_final
+    assert py_final.tolist() == c_final.tolist()
+
+
+# expansions the property below draws stay under this many bytes
+EXPAND_BUDGET = 1 << 16
+
+
+@st.composite
+def grammars_with_sequences(draw):
+    """A valid grammar and a sequence over it.  The grammar opens with a
+    doubling chain or a comb (rule k = (rule k - 1, terminal), as deep
+    as it is long) and goes on with random rules, many over the latest
+    ones; the sequence uses only symbols within EXPAND_BUDGET, so the
+    longest rules stay unreachable."""
+    rules = []
+    terminal = st.integers(0, NONTERMINAL_BASE - 1)
+    kind = draw(st.sampled_from(["doubling", "comb", "none"]))
+    depth = draw(st.integers(1, 24 if kind == "doubling" else 600))
+    if kind != "none":
+        rules.append(Rule(draw(terminal), draw(terminal)))
+        for k in range(depth - 1):
+            right = (NONTERMINAL_BASE + k if kind == "doubling"
+                     else draw(terminal))
+            rules.append(Rule(NONTERMINAL_BASE + k, right))
+    for _ in range(draw(st.integers(0, 40))):
+        bound = NONTERMINAL_BASE + len(rules)
+        side = (st.integers(0, bound - 1)
+                | st.integers(max(0, bound - 3), bound - 1))
+        rules.append(Rule(draw(side), draw(side)))
+    lengths = [1] * NONTERMINAL_BASE
+    for left, right in rules:
+        lengths.append(lengths[left] + lengths[right])
+    usable = [s for s, n in enumerate(lengths) if n <= EXPAND_BUDGET]
+    seq = draw(st.lists(st.sampled_from(usable), max_size=40))
+    return Grammar(rules), seq
+
+
+@needs_c_engine
+@given(grammars_with_sequences())
+@settings(max_examples=150, deadline=None)
+def test_expand_engines_agree_on_grammars(case):
+    grammar, seq = case
+    assert expand(grammar, seq) == reference_expand(grammar, seq)
+
+
+@needs_c_engine
+@given(*engine_cases)
+@settings(max_examples=120, deadline=None)
+def test_expand_engines_agree_on_compress_output(seq, min_frequency,
+                                                 max_rules):
+    config = CompressorConfig(min_frequency=min_frequency,
+                              max_rules=max_rules)
+    grammar, final = compress(seq, config)
+    assert expand(grammar, final) == reference_expand(grammar, final) \
+        == bytes(seq)
 
 
 @needs_c_engine
@@ -312,7 +379,7 @@ def test_engines_agree_on_runs():
         py_grammar, py_final = reference_compress(seq, config)
         c_grammar, c_final = compress(seq, config)
         assert py_grammar.rules == c_grammar.rules, (case, config)
-        assert py_final == c_final, (case, config)
+        assert py_final.tolist() == c_final.tolist(), (case, config)
 
 
 def _de_bruijn_walk():
@@ -353,14 +420,15 @@ def test_engines_agree_across_growth(distinct):
     py_grammar, py_final = reference_compress(seq)
     c_grammar, c_final = compress(seq)
     assert py_grammar.rules == c_grammar.rules
-    assert py_final == c_final
+    assert py_final.tolist() == c_final.tolist()
 
 
 def test_kernel_under_sanitizers(tmp_path):
     """_kernel.c with AddressSanitizer and UndefinedBehaviorSanitizer over
-    the cases in tests/sanitize_kernel.c."""
+    the cases in tests/sanitize_kernel.c; both files must build without
+    warnings."""
     flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-             "-g", "-O1"]
+             "-g", "-O1", "-Wall", "-Wextra", "-Werror"]
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     try:
@@ -442,11 +510,12 @@ def test_auto_falls_back_without_compiler(monkeypatch, tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         outputs = [compress(data) for _ in range(3)]
+        assert expand(*outputs[0]) == data
         with pytest.raises(RuntimeError):
             _kernel.compress_array(np.frombuffer(data, np.uint8), 2, None)
     assert [w.category for w in caught] == [RuntimeWarning]
     expected = reference_compress(data)
-    assert all(out == expected for out in outputs)
+    assert all(as_lists(out) == as_lists(expected) for out in outputs)
     assert not list(cache.rglob("*.so*")), "failed build left a file behind"
 
 
