@@ -1,8 +1,8 @@
 /*
  * The C engine: the compiled twin of the pure-Python compressor hot
  * path, the flat-array, linear-time Re-Pair of Larsson & Moffat,
- * "Off-line dictionary-based compression" (Proc. IEEE 2000), and the
- * expansion of its grammars.
+ * "Off-line dictionary-based compression" (Proc. IEEE 2000), the
+ * expansion of its grammars and the container body codec.
  *
  * The kernel mirrors build_sequence_array + replace_step in repair.py
  * branch for branch: same greedy non-overlap counting, same (count desc,
@@ -42,13 +42,27 @@
  * copies it for every later use.  Rules the sequence does not reach are
  * never expanded.  Both check every symbol they follow and every index
  * they write, and return RPIM_EBOUND rather than pass a bound.
+ *
+ * The container body codec is one sequential pass each way.
+ * rpim_decode_body reads the rule count, the rule sides, the sequence
+ * length and the symbols varint by varint, with every check the
+ * varint-by-varint reader makes, in its order, so it stops at the fault
+ * that reader would meet first and reports it by status and offset.
+ * It writes into one caller array of one value per body byte at most,
+ * so no declared count sizes anything.  rpim_encode_body writes the
+ * minimal unsigned LEB128 varints of the same fields.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2, RPIM_ELIMIT = 3 };
+enum {
+    RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2, RPIM_ELIMIT = 3,
+    /* rpim_decode_body's faults */
+    RPIM_ETRUNCATED = 4, RPIM_ENONMINIMAL = 5, RPIM_EOVERFLOW = 6,
+    RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9, RPIM_ETRAILING = 10
+};
 
 #define NONTERMINAL_BASE 256
 #define TOMBSTONE (-1)
@@ -764,4 +778,165 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
         }
     }
     return pos == out_len ? RPIM_OK : RPIM_EBOUND;
+}
+
+#define SYMBOL_MAX 0xFFFFFFFFull /* symbols and rule sides: below 2^32 */
+
+/* Read the varint at body[*pos], which must be minimal, at most 10
+   bytes and at most max, into *value and move *pos past it.  Checks
+   run in read_varint's order, so a fault gets the status that reader
+   would raise for it. */
+static inline int read_varint(const uint8_t *body, int64_t size,
+                              int64_t *pos, uint64_t max, uint64_t *value)
+{
+    int64_t p = *pos;
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        if (p >= size)
+            return RPIM_ETRUNCATED;
+        uint8_t byte = body[p++];
+        v |= (uint64_t)(byte & 0x7F) << shift;
+        if (!(byte & 0x80)) {
+            if (byte == 0 && shift > 0)
+                return RPIM_ENONMINIMAL;
+            /* bits past the 64th would be lost: the value is 2^64 or more */
+            if (shift == 63 && byte > 1)
+                return RPIM_ERANGE;
+            break;
+        }
+        if (shift + 7 >= 64)
+            return RPIM_EOVERFLOW;
+    }
+    if (v > max)
+        return RPIM_ERANGE;
+    *value = v;
+    *pos = p;
+    return RPIM_OK;
+}
+
+/* Read the next varint into dst, with info[2] set to its offset. */
+#define READ(dst, max)                                          \
+    do {                                                        \
+        info[2] = pos;                                          \
+        CHECK(read_varint(body, size, &pos, (max), &(dst)));    \
+    } while (0)
+
+/*
+ * Decode and check a container body, body[0:size]: the rule count, the
+ * rule sides, the sequence length and the symbols, in one sequential
+ * pass.  out holds cap elements and receives rule k's left side at
+ * out[k], its right side at out[nrules + k] and symbol i at
+ * out[2 * nrules + i].  info[0] gets the rule count and info[1] the
+ * sequence length, as a uint64 bit pattern, as soon as each is read.
+ * Returns RPIM_OK, or the first fault a varint-by-varint reader meets:
+ *   RPIM_ETRUNCATED, RPIM_ENONMINIMAL, RPIM_EOVERFLOW, RPIM_ERANGE for
+ *     a bad varint at byte offset info[2] (the rule count must be below
+ *     2^32 - 256, rule sides and symbols below 2^32);
+ *   RPIM_ERULE when rule info[2] references a symbol outside its
+ *     prefix, checked once its right side is read;
+ *   RPIM_ESYMBOL when symbol info[2], of value info[3], is undefined;
+ *   RPIM_ETRAILING when bytes follow the sequence from offset info[2].
+ * Every varint takes a byte, so a valid body needs at most size
+ * elements; no write passes cap, and a body that is valid but does not
+ * fit returns RPIM_EBOUND.
+ */
+int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
+                     int64_t cap, int64_t *info)
+{
+    int64_t pos = 0;
+    uint64_t count, a, b, s;
+    info[0] = info[1] = info[2] = info[3] = 0;
+    if (size < 0 || cap < 0)
+        return RPIM_EBOUND;
+    READ(count, SYMBOL_MAX - NONTERMINAL_BASE);
+    int64_t nrules = (int64_t)count;
+    info[0] = nrules;
+    /* with cap >= size, sides or symbols that do not fit cannot all be
+       present either: the reader meets a fault before their end */
+    int fits = 2 * nrules <= cap;
+    int64_t *left = out, *right = out + (fits ? nrules : 0);
+    for (int64_t k = 0; k < nrules; k++) {
+        READ(a, SYMBOL_MAX);
+        READ(b, SYMBOL_MAX);
+        if (a >= (uint64_t)(NONTERMINAL_BASE + k)
+            || b >= (uint64_t)(NONTERMINAL_BASE + k)) {
+            info[2] = k;
+            return RPIM_ERULE;
+        }
+        if (fits) {
+            left[k] = (int64_t)a;
+            right[k] = (int64_t)b;
+        }
+    }
+    READ(count, UINT64_MAX);
+    info[1] = (int64_t)count;
+    fits = fits && count <= (uint64_t)(cap - 2 * nrules);
+    int64_t *seq = out + (fits ? 2 * nrules : 0);
+    uint64_t defined = (uint64_t)(NONTERMINAL_BASE + nrules);
+    for (uint64_t i = 0; i < count; i++) {
+        READ(s, SYMBOL_MAX);
+        if (s >= defined) {
+            info[2] = (int64_t)i;
+            info[3] = (int64_t)s;
+            return RPIM_ESYMBOL;
+        }
+        if (fits)
+            seq[i] = (int64_t)s;
+    }
+    info[2] = pos;
+    if (pos != size)
+        return RPIM_ETRAILING;
+    return fits ? RPIM_OK : RPIM_EBOUND;
+}
+
+#undef READ
+
+/* Write value as a minimal varint at out[pos]. */
+static inline int64_t write_varint(uint8_t *out, int64_t pos, uint64_t value)
+{
+    while (value >= 0x80) {
+        out[pos++] = (uint8_t)(value | 0x80);
+        value >>= 7;
+    }
+    out[pos++] = (uint8_t)value;
+    return pos;
+}
+
+/*
+ * Encode a container body into out, which holds cap bytes: the rule
+ * count nrules, then left[k] and right[k] for each rule k, then the
+ * sequence length nseq and seq[0:nseq], each as a minimal unsigned
+ * LEB128 varint.  A value takes at most 9 bytes, so 9 * (2 * nrules +
+ * nseq + 2) bytes always suffice.  Returns RPIM_OK with the body's
+ * length in *written, or RPIM_EBOUND for a negative value or count, or
+ * when out is too small; out may then be part written.
+ */
+int rpim_encode_body(const int64_t *left, const int64_t *right,
+                     int64_t nrules, const int64_t *seq, int64_t nseq,
+                     uint8_t *out, int64_t cap, int64_t *written)
+{
+    *written = 0;
+    if (nrules < 0 || nseq < 0 || cap < 0)
+        return RPIM_EBOUND;
+    /* every write below starts at least 9 bytes before cap */
+    int64_t room = cap - 9, pos = 0;
+    if (pos > room)
+        return RPIM_EBOUND;
+    pos = write_varint(out, pos, (uint64_t)nrules);
+    for (int64_t k = 0; k < nrules; k++) {
+        if (left[k] < 0 || right[k] < 0 || pos > room - 9)
+            return RPIM_EBOUND;
+        pos = write_varint(out, pos, (uint64_t)left[k]);
+        pos = write_varint(out, pos, (uint64_t)right[k]);
+    }
+    if (pos > room)
+        return RPIM_EBOUND;
+    pos = write_varint(out, pos, (uint64_t)nseq);
+    for (int64_t i = 0; i < nseq; i++) {
+        if (seq[i] < 0 || pos > room)
+            return RPIM_EBOUND;
+        pos = write_varint(out, pos, (uint64_t)seq[i]);
+    }
+    *written = pos;
+    return RPIM_OK;
 }

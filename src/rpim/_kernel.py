@@ -1,4 +1,5 @@
-"""Loader for the C engine: compression and expansion.
+"""Loader for the C engine: compression, expansion and the container
+body codec.
 
 The C source next to this module (_kernel.c) is built with the system C
 compiler on first use and loaded through ctypes.  The shared library is
@@ -11,8 +12,9 @@ load a half-written library.
 When no compiler is found or the build fails, load() returns None and
 warns once per process.  compress then runs reference_compress, the
 pure-Python engine, which emits the same grammars; expand runs
-reference_expand, and the expanded-length check a Python loop, with the
-same results.
+reference_expand, the expanded-length check a Python loop, and the
+container body codec read_varint and write_varint loops, with the same
+results.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # rpim_expanded_length's for a length past its limit
 _ENOMEM = 1
 _ELIMIT = 3
+# rpim_decode_body's faults, each the first a sequential reader meets
+(TRUNCATED, NON_MINIMAL, OVERFLOW, OUT_OF_RANGE, BAD_RULE, UNDEFINED,
+ TRAILING) = range(4, 11)
 
 # the kernel's slot indices and symbols are int32
 MAX_SYMBOLS = 2**31 - 1
@@ -103,10 +108,19 @@ def load() -> ctypes.CDLL | None:
                 ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array,
                 _int64_array, ctypes.c_int64]
             lib.rpim_expand.restype = ctypes.c_int
+            lib.rpim_decode_body.argtypes = [
+                _uint8_input, ctypes.c_int64, _int64_array, ctypes.c_int64,
+                _int64_array]
+            lib.rpim_decode_body.restype = ctypes.c_int
+            lib.rpim_encode_body.argtypes = [
+                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
+                ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array]
+            lib.rpim_encode_body.restype = ctypes.c_int
             _lib = lib
         if _error is not None:
-            warnings.warn(f"C engine unavailable, compression and expansion "
-                          f"fall back to the pure-Python engine: {_error}",
+            warnings.warn(f"C engine unavailable, compression, expansion "
+                          f"and the container codec fall back to pure "
+                          f"Python: {_error}",
                           RuntimeWarning, stacklevel=2)
     return _lib
 
@@ -201,3 +215,49 @@ def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
         raise ValueError(f"grammar does not expand to {length} bytes "
                          f"(status {status})")
     return out.tobytes()
+
+
+def decode_body(body: np.ndarray):
+    """Decode and check a container body held in a uint8 array.
+
+    Returns (0, (left, right, symbols)) with three int64 arrays, views
+    of one buffer of body.size elements, or (status, (where, value))
+    for the first fault a varint-by-varint reader meets: a varint fault
+    at byte offset where, rule where referencing a symbol outside its
+    prefix, symbol number where, of value value, undefined, or trailing
+    bytes from offset where.  Raises RuntimeError when the library
+    cannot be built.
+    """
+    lib = _loaded()
+    data = np.ascontiguousarray(body)
+    # every varint takes a byte, so a valid body fits in body.size values
+    out = np.empty(data.size, np.int64)
+    info = np.zeros(4, np.int64)
+    status = lib.rpim_decode_body(data, data.size, out, out.size, info)
+    nrules, nseq, where, value = info.tolist()
+    if status != 0:
+        return status, (where, value)
+    return 0, (out[:nrules], out[nrules:2 * nrules],
+               out[2 * nrules:2 * nrules + nseq])
+
+
+def encode_body(prefix: bytes, left: np.ndarray, right: np.ndarray,
+                symbols: np.ndarray) -> bytes:
+    """prefix followed by the container body of int64 rule sides left and
+    right and int64 symbols, each value a minimal varint.
+
+    Raises ValueError for a negative value, RuntimeError when the
+    library cannot be built.
+    """
+    lib = _loaded()
+    count = 2 * left.size + symbols.size + 2
+    # a non-negative int64 takes at most 9 varint bytes
+    out = np.empty(len(prefix) + 9 * count, np.uint8)
+    out[:len(prefix)] = np.frombuffer(prefix, np.uint8)
+    written = np.zeros(1, np.int64)
+    status = lib.rpim_encode_body(left, right, left.size, symbols,
+                                  symbols.size, out[len(prefix):],
+                                  out.size - len(prefix), written)
+    if status != 0:
+        raise ValueError("varints are unsigned")
+    return out[:len(prefix) + int(written[0])].tobytes()

@@ -14,11 +14,13 @@ Varints are unsigned LEB128 and must be minimally encoded; the
 deserializer rejects anything else so that serialize and deserialize are
 exact inverses on the accepted domain.
 
-The fixed header is read field by field; the rest is encoded and decoded
-as whole numpy arrays, and validated by array comparisons.  That accepts
-exactly what a varint-by-varint reader accepts, raises the error class of
-the first fault such a reader would meet, and decodes only the varints
-present, so a forged count cannot make it allocate.
+The fixed header is read field by field.  The body (rule count, rule
+sides, sequence length, symbols) is read and checked varint by varint in
+one sequential pass, so the first fault met is the one reported; it is
+written in one pass too.  Both passes run in the C engine, with
+read_varint and write_varint loops as the fallback, and both give the
+same bytes, arrays and errors.  The decoder sizes nothing by a declared
+count: it stores at most one value per body byte.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import (
     CorruptContainerError,
     MalformedGrammarError,
@@ -106,6 +109,19 @@ def write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
+# varint faults by the C decoder's status, worded the same on both paths
+_VARINT_FAULTS = {
+    _kernel.TRUNCATED: "truncated varint",
+    _kernel.NON_MINIMAL: "non-minimal varint",
+    _kernel.OVERFLOW: "varint overflow",
+    _kernel.OUT_OF_RANGE: "varint out of range",
+}
+
+
+def _varint_fault(status: int, offset: int) -> CorruptContainerError:
+    return CorruptContainerError(f"{_VARINT_FAULTS[status]} at offset {offset}")
+
+
 def read_varint(data: bytes, pos: int, limit: int = _LENGTH_LIMIT) -> tuple[int, int]:
     """Decode one varint at pos, returning (value, next position)."""
     value = 0
@@ -113,64 +129,21 @@ def read_varint(data: bytes, pos: int, limit: int = _LENGTH_LIMIT) -> tuple[int,
     start = pos
     while True:
         if pos >= len(data):
-            raise CorruptContainerError(f"truncated varint at offset {start}")
+            raise _varint_fault(_kernel.TRUNCATED, start)
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             # forbid non-minimal encodings such as 0x80 0x00
             if byte == 0 and pos - start > 1:
-                raise CorruptContainerError(f"non-minimal varint at offset {start}")
+                raise _varint_fault(_kernel.NON_MINIMAL, start)
             break
         shift += 7
         if shift >= 64:
-            raise CorruptContainerError(f"varint overflow at offset {start}")
+            raise _varint_fault(_kernel.OVERFLOW, start)
     if value >= limit:
-        raise CorruptContainerError(f"varint out of range at offset {start}")
+        raise _varint_fault(_kernel.OUT_OF_RANGE, start)
     return value, pos
-
-
-def _encode_varints(values: np.ndarray) -> bytes:
-    """Concatenated minimal varints of a uint64 array, as write_varint
-    would emit them one at a time."""
-    widths = np.ones(values.size, dtype=np.int64)
-    for k in range(1, 10):
-        wider = values >= np.uint64(1 << (7 * k))
-        if not wider.any():
-            break
-        widths += wider
-    starts = np.cumsum(widths) - widths
-    out = np.empty(int(widths.sum()), dtype=np.uint8)
-    # byte k of every varint at least k + 1 bytes wide, in one assignment
-    for k in range(int(widths.max(initial=0))):
-        has = np.flatnonzero(widths > k) if k else slice(None)
-        group = (values[has] >> np.uint64(7 * k)).astype(np.uint8) & 0x7F
-        group[widths[has] > k + 1] |= 0x80
-        out[starts[has] + k] = group
-    return out.tobytes()
-
-
-def _decode_varints(body: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every complete varint in a uint8 array, as (values, ends, valid):
-    the uint64 values, the offset of each one's last byte, and whether
-    read_varint would accept it (minimal, at most 10 bytes, below 2**64).
-    """
-    ends = np.flatnonzero(body < 0x80)
-    starts = np.empty_like(ends)
-    starts[:1] = 0
-    starts[1:] = ends[:-1] + 1
-    widths = ends - starts + 1
-    values = np.zeros(ends.size, dtype=np.uint64)
-    # shift-or byte k of every varint at least k + 1 bytes wide; varints
-    # over 10 bytes are invalid, so their later bytes are not needed
-    for k in range(min(int(widths.max(initial=0)), 10)):
-        has = np.flatnonzero(widths > k) if k else slice(None)
-        group = (body[starts[has] + k] & 0x7F).astype(np.uint64)
-        values[has] |= group << np.uint64(7 * k)
-    last = body[ends]
-    valid = (((last != 0) | (widths == 1))
-             & ((widths < 10) | ((widths == 10) & (last == 1))))
-    return values, ends, valid
 
 
 def serialize(artifact: CompressedArtifact) -> bytes:
@@ -186,17 +159,17 @@ def serialize(artifact: CompressedArtifact) -> bytes:
         out.append(_KIND_RAW)
         write_varint(out, payload.original_length)
     grammar = artifact.grammar
-    sequence = np.asarray(artifact.sequence, dtype=np.int64)
-    seq_at = 2 * len(grammar) + 1
-    body = np.empty(seq_at + 1 + sequence.size, np.int64)
-    body[0] = len(grammar)
-    body[1:seq_at:2] = grammar.left
-    body[2:seq_at:2] = grammar.right
-    body[seq_at] = sequence.size
-    body[seq_at + 1:] = sequence
-    if body.min() < 0:
-        raise ValueError("varints are unsigned")
-    out += _encode_varints(body.view(np.uint64))
+    sequence = np.ascontiguousarray(artifact.sequence, dtype=np.int64)
+    if _kernel.available():
+        return _kernel.encode_body(bytes(out), grammar.left, grammar.right,
+                                   sequence)
+    write_varint(out, len(grammar))
+    for left, right in zip(grammar.left.tolist(), grammar.right.tolist()):
+        write_varint(out, left)
+        write_varint(out, right)
+    write_varint(out, sequence.size)
+    for symbol in sequence.tolist():
+        write_varint(out, symbol)
     return bytes(out)
 
 
@@ -242,53 +215,55 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
         raise OutputTooLargeError(
             f"container expands to {declared} bytes, over the limit of {max_output}")
 
-    # body: rule count, 2 * rule count rule sides, sequence length, symbols
-    body = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    values, ends, valid = _decode_varints(body)
-    present = values.size
-    rule_count = int(values[0]) if present else 0
-    seq_at = 2 * rule_count + 1
-    wanted = seq_at + 1 + (int(values[seq_at]) if seq_at < present else 0)
-    values = values[:wanted]
-    checked = values.size
-
-    # per-field limits: rule count, rule sides and symbols; the sequence
-    # length is any 64-bit value
-    corrupt = ~valid[:checked] | (values >= _SYMBOL_LIMIT)
-    corrupt[:1] = ~valid[:1] | (rule_count >= _SYMBOL_LIMIT - NONTERMINAL_BASE)
-    corrupt[seq_at:seq_at + 1] = ~valid[seq_at:seq_at + 1]
-    malformed = np.zeros(checked, dtype=bool)
-    sides = values[1:seq_at]
-    pairs = sides[:sides.size & ~1].reshape(-1, 2)
-    # rule k's prefix check happens once its right side (index 2k + 2) is read
-    malformed[2:2 + pairs.size:2] = (
-        pairs.max(axis=1) >= NONTERMINAL_BASE + np.arange(len(pairs)))
-    malformed[seq_at + 1:] = values[seq_at + 1:] >= NONTERMINAL_BASE + rule_count
-
-    # raise for the fault a sequential reader would meet first: faults in
-    # stream order, and a bad varint before the grammar check that reads it
-    faults = [2 * int(i) for i in np.flatnonzero(corrupt)[:1]]
-    faults += [2 * int(i) + 1 for i in np.flatnonzero(malformed)[:1]]
-    if wanted > present:
-        faults.append(2 * present)
-    if faults:
-        at, grammar_fault = divmod(min(faults), 2)
-        if not grammar_fault:
-            offset = pos + (int(ends[at - 1]) + 1 if at else 0)
-            raise CorruptContainerError(
-                f"truncated, non-minimal or out-of-range varint at offset {offset}")
-        if at < seq_at:
-            raise MalformedGrammarError(
-                f"rule {at // 2 - 1} references symbol outside its prefix")
-        raise MalformedGrammarError(f"sequence symbol {values[at]} is undefined")
-    trailing = body.size - int(ends[wanted - 1]) - 1
-    if trailing:
-        raise CorruptContainerError(f"{trailing} trailing bytes after sequence")
-
-    # every rule side and symbol is now below 2**32, so int64 holds it
-    grammar = Grammar.from_arrays(pairs[:, 0].astype(np.int64),
-                                  pairs[:, 1].astype(np.int64))
-    symbols = values[seq_at + 1:].astype(np.int64)
+    grammar, symbols = _read_body(data, pos)
     if expanded_length(grammar, symbols, declared) != declared:
         raise CorruptContainerError("expanded length does not match payload header")
     return CompressedArtifact(payload, grammar, symbols)
+
+
+def _read_body(data: bytes, pos: int) -> tuple[Grammar, np.ndarray]:
+    """The grammar and the int64 final sequence of the body at data[pos:],
+    checked varint by varint: each rule may reference only terminals and
+    earlier rules, and each symbol only a defined one."""
+    if not _kernel.available():
+        return _read_body_sequentially(data, pos)
+    body = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    status, found = _kernel.decode_body(body)
+    if status == 0:
+        left, right, symbols = found
+        return Grammar.from_arrays(left, right), symbols
+    where, value = found
+    if status in _VARINT_FAULTS:
+        raise _varint_fault(status, pos + where)
+    if status == _kernel.BAD_RULE:
+        raise MalformedGrammarError(f"rule {where} references symbol outside its prefix")
+    if status == _kernel.UNDEFINED:
+        raise MalformedGrammarError(f"sequence symbol {value} is undefined")
+    if status == _kernel.TRAILING:
+        raise CorruptContainerError(f"{body.size - where} trailing bytes after sequence")
+    raise RuntimeError(f"C engine could not decode the body (status {status})")
+
+
+def _read_body_sequentially(data: bytes, pos: int) -> tuple[Grammar, np.ndarray]:
+    """_read_body in Python, one read_varint call per value."""
+    rule_count, pos = read_varint(data, pos, _SYMBOL_LIMIT - NONTERMINAL_BASE)
+    sides = []
+    for ordinal in range(rule_count):
+        left, pos = read_varint(data, pos, _SYMBOL_LIMIT)
+        right, pos = read_varint(data, pos, _SYMBOL_LIMIT)
+        if left >= NONTERMINAL_BASE + ordinal or right >= NONTERMINAL_BASE + ordinal:
+            raise MalformedGrammarError(
+                f"rule {ordinal} references symbol outside its prefix")
+        sides += (left, right)
+    seq_len, pos = read_varint(data, pos)
+    symbols = []
+    for _ in range(seq_len):
+        symbol, pos = read_varint(data, pos, _SYMBOL_LIMIT)
+        if symbol >= NONTERMINAL_BASE + rule_count:
+            raise MalformedGrammarError(f"sequence symbol {symbol} is undefined")
+        symbols.append(symbol)
+    if pos != len(data):
+        raise CorruptContainerError(f"{len(data) - pos} trailing bytes after sequence")
+    pairs = np.array(sides, dtype=np.int64).reshape(-1, 2)
+    return (Grammar.from_arrays(pairs[:, 0], pairs[:, 1]),
+            np.array(symbols, dtype=np.int64))

@@ -114,18 +114,20 @@ def decode_bmp(data: bytes) -> PixelBuffer:
     bgr = raster.reshape(height, row)[:, : 3 * width].reshape(height, width, 3)
     if not top_down:
         bgr = bgr[::-1]
-    rgb = bgr[:, :, ::-1]
+    # one plane copy per channel is faster than reversing a length-3 axis
+    rgb = np.empty((height, width, 3), np.uint8)
+    for c in range(3):
+        rgb[:, :, c] = bgr[:, :, 2 - c]
     return PixelBuffer(width, height, 3, rgb.tobytes())
 
 
 def encode_bmp(buf: PixelBuffer) -> bytes:
     buf.validate()
     arr = buf.as_array()
-    if buf.channels == 1:
-        arr = np.repeat(arr, 3, axis=2)
     row = _row_size(buf.width)
     image_size = row * buf.height
-    header = struct.pack(
+    out = np.zeros(_HEADER_SIZE + image_size, np.uint8)
+    out[:_HEADER_SIZE] = np.frombuffer(struct.pack(
         "<2sIHHIIiiHHIIiiII",
         b"BM",
         _HEADER_SIZE + image_size,
@@ -143,10 +145,14 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
         _PPM_72DPI,
         0,
         0,
-    )
-    raster = np.zeros((buf.height, row), np.uint8)
-    raster[:, : 3 * buf.width] = arr[::-1, :, ::-1].reshape(buf.height, 3 * buf.width)
-    return header + raster.tobytes()
+    ), np.uint8)
+    # rows bottom-up, BGR pixels, zero padding: one plane copy per
+    # channel, and a single channel copied to all three
+    raster = out[_HEADER_SIZE:].reshape(buf.height, row)[::-1, : 3 * buf.width]
+    bgr = raster.reshape(buf.height, buf.width, 3)
+    for c in range(3):
+        bgr[:, :, c] = arr[:, :, 2 - c if buf.channels == 3 else 0]
+    return out.tobytes()
 
 
 def linearize(buf: PixelBuffer, mode: LinearizationMode) -> bytes:

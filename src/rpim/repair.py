@@ -635,9 +635,14 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     """
     if not _kernel.available():
         return reference_expand(grammar, seq)
-    symbols = _checked_symbols(grammar, seq)
-    length = _kernel.expanded_length(grammar.left, grammar.right, symbols,
-                                     sys.maxsize)
+    symbols = np.ascontiguousarray(seq, dtype=np.int64)
+    try:
+        length = _kernel.expanded_length(grammar.left, grammar.right,
+                                         symbols, sys.maxsize)
+    except ValueError:
+        # the C pass checks every rule side and symbol; name the fault
+        _checked_symbols(grammar, symbols)
+        raise
     if length is None:
         raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
     return _kernel.expand(grammar.left, grammar.right, symbols, length)

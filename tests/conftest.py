@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from rpim import _kernel
 from rpim.bench import DEFAULT_SEED, generate_corpus
 from rpim.container import (
     CompressedArtifact,
@@ -37,6 +38,9 @@ DOUBLING_CHAIN = Grammar([Rule(97, 97)]
 # a decompression bomb: 174 bytes declaring 2**40 raw bytes; it is well
 # formed, so only an output limit rejects it
 BOMB = serialize(CompressedArtifact(RawPayload(1 << 40), DOUBLING_CHAIN, [295]))
+
+needs_c_engine = pytest.mark.skipif(not _kernel.available(),
+                                    reason="C engine unavailable")
 
 
 def greedy_pair_counts(seq):

@@ -10,8 +10,15 @@
  * it, and must refuse, without writing past a buffer, an output one
  * byte short or one byte long, a stack one entry short of the depth, a
  * length past the limit and an undefined symbol.  An n above the input
- * cap must be refused before the one-byte input is read.  Exit status 0
- * means every case passed; a sanitizer report aborts with its own.
+ * cap must be refused before the one-byte input is read.
+ *
+ * Every grammar's container body is encoded and decoded back into
+ * buffers of exactly the body's size.  Its truncations must all be
+ * refused as truncated, and each single-byte mutant the decoder accepts
+ * must encode back to the same bytes.  Forged bodies cover the varint
+ * edges 2^64 - 1, 2^64 and eleven bytes, and counts far past the data.
+ * Exit status 0 means every case passed; a sanitizer report aborts with
+ * its own.
  */
 
 #include <stdint.h>
@@ -30,9 +37,16 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
                 int64_t out_len, int64_t *span, int64_t *stack,
                 int64_t stack_cap);
 
+int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
+                     int64_t cap, int64_t *info);
+int rpim_encode_body(const int64_t *left, const int64_t *right,
+                     int64_t nrules, const int64_t *seq, int64_t nseq,
+                     uint8_t *out, int64_t cap, int64_t *written);
+
 /* FIRST_STEP is the kernel's initial record store, MIN_RECORDS */
-enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, NONTERMINAL_BASE = 256,
-       FIRST_STEP = 256 };
+enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
+       RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ETRAILING = 10,
+       NONTERMINAL_BASE = 256, FIRST_STEP = 256 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -161,6 +175,116 @@ static void check_entry_points(const char *label, const int64_t *left,
     }
 }
 
+/* rpim_decode_body on body[0:size] into an array of exactly cap values,
+   so that any write past it is a sanitizer report; returns the status,
+   with the array in *out (the caller frees it). */
+static int decode(const uint8_t *body, int64_t size, int64_t cap,
+                  int64_t *info, int64_t **out)
+{
+    *out = must_alloc((size_t)cap * sizeof **out);
+    return rpim_decode_body(body, size, *out, cap, info);
+}
+
+/* rpim_encode_body into a fresh buffer of the bound it documents;
+   returns the status, with the buffer in *out (the caller frees it). */
+static int encode(const int64_t *left, const int64_t *right, int64_t nrules,
+                  const int64_t *seq, int64_t nseq, uint8_t **out,
+                  int64_t *size)
+{
+    int64_t cap = 9 * (2 * nrules + nseq + 2);
+    *out = must_alloc((size_t)cap);
+    return rpim_encode_body(left, right, nrules, seq, nseq, *out, cap, size);
+}
+
+/* Positions to cut or mutate a body of size bytes at: all of them up to
+   FULL_SWEEP bytes, else about SAMPLES spread evenly. */
+enum { FULL_SWEEP = 256, SAMPLES = 16 };
+
+static int64_t sweep_step(int64_t size)
+{
+    return size <= FULL_SWEEP ? 1 : size / SAMPLES;
+}
+
+/* A single-byte mutant of body the decoder accepts must be canonical:
+   its values encode back to exactly its bytes. */
+static void check_accepted(const char *label, const uint8_t *body,
+                           int64_t size, const int64_t *values,
+                           const int64_t *info)
+{
+    int64_t nrules = info[0], nseq = info[1], written;
+    uint8_t *again;
+    if (encode(values, values + nrules, nrules, values + 2 * nrules, nseq,
+               &again, &written) != 0
+        || written != size || memcmp(again, body, (size_t)size) != 0)
+        fail(label, size, "an accepted body does not encode back to itself");
+    free(again);
+}
+
+/* Encode the grammar's body, decode it back, and decode its truncations
+   and single-byte mutants. */
+static void check_codec(const char *label, const int64_t *left,
+                        const int64_t *right, int64_t nrules,
+                        const int64_t *seq, int64_t nseq)
+{
+    uint8_t *body, *mutant;
+    int64_t size, info[4], *out;
+    if (encode(left, right, nrules, seq, nseq, &body, &size) != 0) {
+        fail(label, nseq, "encode refused a grammar");
+        free(body);
+        return;
+    }
+    /* an output one byte short is refused without a write past it */
+    uint8_t *short_out = must_alloc((size_t)size - 1);
+    if (rpim_encode_body(left, right, nrules, seq, nseq, short_out, size - 1,
+                         &info[0]) != RPIM_EBOUND)
+        fail(label, nseq, "encode took an output one byte short");
+    free(short_out);
+
+    if (decode(body, size, size, info, &out) != 0 || info[0] != nrules
+        || info[1] != nseq
+        || memcmp(out, left, (size_t)nrules * sizeof *out) != 0
+        || memcmp(out + nrules, right, (size_t)nrules * sizeof *out) != 0
+        || memcmp(out + 2 * nrules, seq, (size_t)nseq * sizeof *out) != 0)
+        fail(label, nseq, "decode does not give back the grammar");
+    free(out);
+    /* a valid body into an array one value short of what it holds */
+    int64_t values = 2 * nrules + nseq;
+    if (values > 0) {
+        if (decode(body, size, values - 1, info, &out) != RPIM_EBOUND)
+            fail(label, nseq, "decode took an array one value short");
+        free(out);
+    }
+
+    int64_t step = sweep_step(size);
+    for (int64_t cut = 0; cut < size; cut += step) {
+        /* the copy ends where the cut does, so a read past it is caught */
+        uint8_t *head = must_alloc((size_t)cut);
+        memcpy(head, body, (size_t)cut);
+        if (decode(head, cut, cut, info, &out) != RPIM_ETRUNCATED)
+            fail(label, cut, "a truncated body was not refused");
+        free(out);
+        free(head);
+    }
+    mutant = must_alloc((size_t)size);
+    for (int64_t at = 0; at < size; at += step) {
+        const uint8_t bytes[] = {0x00, 0x7F, 0x80, 0xFF,
+                                 (uint8_t)(body[at] ^ 1),
+                                 (uint8_t)next_random()};
+        for (size_t k = 0; k < sizeof bytes; k++) {
+            memcpy(mutant, body, (size_t)size);
+            mutant[at] = bytes[k];
+            int status = decode(mutant, size, size, info, &out);
+            if (status == 0)
+                check_accepted(label, mutant, size, out, info);
+            else if (status < RPIM_ETRUNCATED || status > RPIM_ETRAILING)
+                fail(label, at, "a mutant gave an unknown status");
+            free(out);
+        }
+    }
+    free(mutant);
+    free(body);
+}
+
 /* Compress input and check the grammar and its expansions. */
 static void check(const char *label, const uint8_t *input, int64_t n,
                   int64_t min_frequency, int64_t max_rules)
@@ -200,9 +324,11 @@ static void check(const char *label, const uint8_t *input, int64_t n,
                      != n
                  || memcmp(own, input, (size_t)n) != 0)
             fail(label, n, "expansion differs from the input");
-        else
+        else {
             check_entry_points(label, left64, right64, nrules, seq64, length,
                                own, n);
+            check_codec(label, left64, right64, nrules, seq64, length);
+        }
         free(left64);
         free(right64);
         free(seq64);
@@ -285,6 +411,64 @@ static void check_forged_grammars(void)
             fail("undefined", k, "expand took an undefined symbol");
         free(out);
     }
+}
+
+/* Hand-built bodies: varints at the 64-bit edge and counts far past
+   the data, each decoded into an array of exactly the body's size. */
+static void check_forged_bodies(void)
+{
+    static const struct {
+        const char *what;
+        uint8_t bytes[24];
+        int64_t size;
+        int status;
+        int64_t offset;
+    } cases[] = {
+        /* no rules; 2^64 - 1 symbols declared, none present */
+        {"2^64 - 1", {0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                      0xFF, 0x01}, 11, RPIM_ETRUNCATED, 11},
+        /* a length of 2^64, whose top bits fall off in 64 bits */
+        {"2^64", {0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                  0x80, 0x02}, 11, RPIM_ERANGE, 1},
+        /* an eleven-byte varint */
+        {"11 bytes", {0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                      0x80, 0x80, 0x01}, 12, RPIM_EOVERFLOW, 1},
+        /* 2^60 symbols declared, eight present */
+        {"2^60", {0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                  0x10, 1, 2, 3, 4, 5, 6, 7, 8}, 18, RPIM_ETRUNCATED, 18},
+        /* 2^32 - 257 rules, the most allowed, and one rule present */
+        {"rule count", {0xFF, 0xFD, 0xFF, 0xFF, 0x0F, 'a', 'b'}, 7,
+         RPIM_ETRUNCATED, 7},
+        /* 2^32 - 256 rules, one too many */
+        {"rule count + 1", {0x80, 0xFE, 0xFF, 0xFF, 0x0F}, 5, RPIM_ERANGE, 0},
+        /* a valid empty body and a byte after it */
+        {"trailing", {0x00, 0x00, 0x00}, 3, RPIM_ETRAILING, 2},
+    };
+    for (size_t k = 0; k < sizeof cases / sizeof cases[0]; k++) {
+        int64_t size = cases[k].size, info[4], *out;
+        uint8_t *body = must_alloc((size_t)size);
+        memcpy(body, cases[k].bytes, (size_t)size);
+        if (decode(body, size, size, info, &out) != cases[k].status
+            || info[2] != cases[k].offset)
+            fail(cases[k].what, size, "forged body misjudged");
+        free(out);
+        free(body);
+    }
+
+    /* the widest value an int64 holds, and a negative one */
+    const int64_t widest = INT64_MAX, negative = -1;
+    const uint8_t expected[] = {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                0xFF, 0xFF, 0xFF, 0x7F};
+    uint8_t *out;
+    int64_t size;
+    if (encode(NULL, NULL, 0, &widest, 1, &out, &size) != 0
+        || size != (int64_t)sizeof expected
+        || memcmp(out, expected, sizeof expected) != 0)
+        fail("encode", INT64_MAX, "the widest int64 encoded wrongly");
+    free(out);
+    if (encode(NULL, NULL, 0, &negative, 1, &out, &size) != RPIM_EBOUND)
+        fail("encode", -1, "a negative value was encoded");
+    free(out);
 }
 
 /* Fill buf with runs of length 1..longest over alphabet symbols. */
@@ -396,6 +580,7 @@ int main(void)
             fail("forged", forged[k], "an n above the cap was not refused");
 
     check_forged_grammars();
+    check_forged_bodies();
 
     free(buf);
     if (failures) {

@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from rpim.container import (
     CompressedArtifact,
     ImagePayload,
     RawPayload,
-    _decode_varints,
-    _encode_varints,
+    _varint_fault,
     deserialize,
     read_varint,
     serialize,
@@ -34,7 +34,7 @@ from rpim.errors import (
 from rpim.image import LinearizationMode, linearize, PixelBuffer
 from rpim.repair import Grammar, Rule, compress, expand
 
-from conftest import BOMB
+from conftest import BOMB, needs_c_engine
 
 
 VARINT_EDGES = [0, 127, 128, 2**32 - 1, 2**63, 2**64 - 1]
@@ -47,9 +47,9 @@ def varint(value: int) -> bytes:
 
 
 def sequential_deserialize(data: bytes) -> CompressedArtifact:
-    """The varint-by-varint reader the array decoder replaced, kept as the
-    reference for which containers are accepted and which error class the
-    first fault raises."""
+    """A varint-by-varint reader written apart from rpim's, the reference
+    for which containers are accepted and which error class the first
+    fault raises."""
     if len(data) < 5 or data[:4] != b"RPIM":
         raise UnrecognizedContainerError("bad magic")
     if data[4] != 1:
@@ -109,6 +109,34 @@ def outcome(decoder, blob: bytes, **kwargs):
         return type(exc)
 
 
+def both_paths():
+    """Yield "c", then "python" with _kernel.available patched to False,
+    so that the loop body runs on the C codec and on its fallback."""
+    for path in ("c", "python"):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "python":
+                patch.setattr(_kernel, "available", lambda: False)
+            yield path
+
+
+def c_read_varint(blob: bytes, start: int):
+    """read_varint through rpim_decode_body: blob[start:], which holds at
+    most one varint, as the sequence length of a body with no rules, the
+    field that takes any 64-bit value.  Returns (value, next position),
+    or the message of the CorruptContainerError the decoder's status
+    stands for."""
+    body = np.frombuffer(b"\x00" + blob[start:], dtype=np.uint8)
+    out = np.empty(body.size, np.int64)
+    info = np.zeros(4, np.int64)
+    status = _kernel.load().rpim_decode_body(body, body.size, out, out.size,
+                                             info)
+    if status == 0 or status == _kernel.TRUNCATED and info[2] > 1:
+        # read; it is the whole body, or its count of symbols is missing
+        return int(info.view(np.uint64)[1]), start + int(info[2]) - 1
+    assert info[2] == 1, (status, info)
+    return str(_varint_fault(status, start))
+
+
 class TestVarint:
     def test_single_byte_values(self):
         assert varint(0) == b"\x00"
@@ -146,21 +174,23 @@ class TestVarint:
     @given(st.lists(st.sampled_from(VARINT_EDGES) | st.integers(0, 2**64 - 1),
                     max_size=40))
     @settings(max_examples=300, deadline=None)
+    @needs_c_engine
     def test_array_codec_matches_one_at_a_time(self, values):
+        # the C encoder takes int64 values, so the symbols of a body get
+        # those below 2**63; the decoder reads every value back through
+        # the sequence length, which takes all 64 bits
+        symbols = [v for v in values if v < 2**63]
+        body = varint(0) + varint(len(symbols)) + b"".join(map(varint, symbols))
+        empty = np.zeros(0, np.int64)
+        assert _kernel.encode_body(b"RPIM", empty, empty,
+                                   np.array(symbols, np.int64)) == b"RPIM" + body
         encoded = b"".join(varint(v) for v in values)
-        assert _encode_varints(np.array(values, dtype=np.uint64)) == encoded
-        sequential = []
-        ends = []
         pos = 0
-        while pos < len(encoded):
-            value, pos = read_varint(encoded, pos)
-            sequential.append(value)
-            ends.append(pos - 1)
-        decoded, decoded_ends, valid = _decode_varints(
-            np.frombuffer(encoded, dtype=np.uint8))
-        assert decoded.tolist() == sequential == values
-        assert decoded_ends.tolist() == ends
-        assert valid.all()
+        for value in values:
+            expected = read_varint(encoded, pos)
+            assert expected[0] == value
+            assert c_read_varint(encoded[:expected[1]], pos) == expected
+            pos = expected[1]
 
     @given(st.lists(st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0x81, 0xFF])
                     | st.integers(0, 255), max_size=48).map(bytes))
@@ -168,21 +198,22 @@ class TestVarint:
     @example(b"\x80" * 9 + b"\x02")  # 2**64, which wraps to 0 in 64 bits
     @example(b"\x80" * 10 + b"\x01")  # 11 bytes
     @settings(max_examples=300, deadline=None)
+    @needs_c_engine
     def test_array_decoder_judges_like_read_varint(self, blob):
-        # every complete varint: valid exactly when read_varint accepts it,
-        # with the same value; bytes after the last one are left alone
-        values, ends, valid = _decode_varints(np.frombuffer(blob, dtype=np.uint8))
+        # every complete varint, and an unfinished tail: the C decoder
+        # accepts it exactly when read_varint does, with the same value
+        # and width, and otherwise words the fault the same way
+        ends = [i + 1 for i, b in enumerate(blob) if b < 0x80]
+        if not ends or ends[-1] < len(blob):
+            ends.append(len(blob))
         start = 0
-        for value, end, ok in zip(values.tolist(), ends.tolist(), valid.tolist()):
+        for end in ends:
             try:
-                expected = read_varint(blob[:end + 1], start)
-            except CorruptContainerError:
-                expected = None
-            assert ok == (expected is not None), blob[start:end + 1]
-            if ok:
-                assert expected == (value, end + 1)
-            start = end + 1
-        assert all(b & 0x80 for b in blob[start:])
+                expected = read_varint(blob[:end], start)
+            except CorruptContainerError as exc:
+                expected = str(exc)
+            assert c_read_varint(blob[:end], start) == expected, blob[start:end]
+            start = end
 
 
 EMPTY_RAW = CompressedArtifact(RawPayload(0), Grammar(), [])
@@ -337,15 +368,19 @@ def test_single_fault_base_is_valid():
 def test_single_fault_raises_same_class(name):
     blob, expected = SINGLE_FAULTS[name]
     assert outcome(sequential_deserialize, blob) is expected
-    with pytest.raises(expected) as caught:
-        deserialize(blob)
-    assert type(caught.value) is expected
+    messages = set()
+    for path in both_paths():
+        with pytest.raises(expected) as caught:
+            deserialize(blob)
+        assert type(caught.value) is expected, path
+        messages.add(str(caught.value))
+    assert len(messages) == 1, messages
 
 
 def test_faults_rank_like_a_sequential_reader():
     # mutants of containers with 50+ rules, many with several faults:
-    # the array decoder accepts the same set and raises the class of the
-    # fault a sequential reader meets first
+    # the C decoder and its fallback accept the same set and raise the
+    # class of the fault a sequential reader meets first, worded alike
     rng = random.Random(0x5E0)
     data = bytes(rng.choice(b"abcdefgh") for _ in range(600))
     bases = [serialize(CompressedArtifact(RawPayload(len(data)), *compress(data))),
@@ -362,9 +397,34 @@ def test_faults_rank_like_a_sequential_reader():
         if rng.random() < 0.3:
             blob = blob[:rng.randrange(len(blob))]
         expected = outcome(sequential_deserialize, bytes(blob))
-        assert outcome(deserialize, bytes(blob), max_output=1 << 70) == expected
+        messages = set()
+        for path in both_paths():
+            try:
+                got = deserialize(bytes(blob), max_output=1 << 70)
+            except RpimError as exc:
+                got = type(exc)
+                messages.add(str(exc))
+            assert got == expected, path
+        assert len(messages) <= 1, messages
         seen.add(expected if isinstance(expected, type) else "accepted")
     assert {CorruptContainerError, MalformedGrammarError} <= seen
+
+
+def test_forged_counts_allocate_by_the_data():
+    """Bodies declaring 2**60 symbols, or the most rules allowed, in a few
+    bytes are refused on both paths with allocations sized by the data."""
+    blobs = [SINGLE_FAULTS["forged_sequence_length"][0],
+             b"RPIM\x01\x00" + varint(8) + varint(2**32 - 257) + b"ab"]
+    for path in both_paths():
+        for blob in blobs:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptContainerError):
+                    deserialize(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (path, blob, peak)
 
 
 def test_decompression_bomb_rejected_before_the_body():
@@ -398,7 +458,8 @@ DECLARED_EXACTNESS = {
 @pytest.mark.parametrize("case", DECLARED_EXACTNESS)
 def test_declared_length_check_is_exact(case, engine, monkeypatch):
     """The expanded-length check compares exact lengths up to 2**64 - 1,
-    in the C engine's saturating pass and in the Python loop alike."""
+    in the C engine's saturating pass and in the Python loop alike; the
+    body codec runs on the same path."""
     if engine == "python":
         monkeypatch.setattr(_kernel, "available", lambda: False)
     elif not _kernel.available():
@@ -446,4 +507,9 @@ def test_serialize_deserialize_identity(data, as_image):
         grammar, final = compress(data)
         payload = RawPayload(len(data))
     artifact = CompressedArtifact(payload, grammar, final)
-    assert deserialize(serialize(artifact)) == artifact
+    blobs = set()
+    for path in both_paths():
+        blob = serialize(artifact)
+        assert deserialize(blob) == artifact, path
+        blobs.add(blob)
+    assert len(blobs) == 1

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -38,6 +40,7 @@ from conftest import (
     DOUBLING_CHAIN,
     full_state_check,
     greedy_pair_counts,
+    needs_c_engine,
     pair_code,
     run_pair_counts,
 )
@@ -223,6 +226,23 @@ class TestExpand:
         with pytest.raises(MalformedGrammarError):
             expand(Grammar([Rule(97, -1)]), [97])
 
+    @pytest.mark.parametrize("grammar, seq, message", [
+        (Grammar(), [256], "sequence symbol 256 is undefined"),
+        (Grammar(), [-1], "sequence symbol -1 is undefined"),
+        (Grammar([Rule(257, 0)]), [256],
+         "rule 0 references symbol outside [0, 256)"),
+        (Grammar([Rule(97, 98), Rule(97, -1)]), [97],
+         "rule 1 references symbol outside [0, 257)"),
+    ])
+    def test_malformed_error_names_the_fault(self, grammar, seq, message):
+        # the C length pass finds the fault; the error and its wording
+        # match the fallback's
+        for expander in (expand, reference_expand):
+            with pytest.raises(MalformedGrammarError) as caught:
+                expander(grammar, seq)
+            assert type(caught.value) is MalformedGrammarError
+            assert str(caught.value) == message
+
     def test_unreachable_rules_not_materialized(self):
         # expand may build only the rules seq reaches
         start = time.perf_counter()
@@ -284,10 +304,6 @@ def test_grammar_is_acyclic(data):
     for ordinal, rule in enumerate(grammar.rules):
         assert rule.left < NONTERMINAL_BASE + ordinal
         assert rule.right < NONTERMINAL_BASE + ordinal
-
-
-needs_c_engine = pytest.mark.skipif(not _kernel.available(),
-                                    reason="C engine unavailable")
 
 
 # compress inputs and configurations the engines are compared on
@@ -421,6 +437,22 @@ def test_engines_agree_across_growth(distinct):
     c_grammar, c_final = compress(seq)
     assert py_grammar.rules == c_grammar.rules
     assert py_final.tolist() == c_final.tolist()
+
+
+@needs_c_engine
+def test_every_entry_point_has_a_ctypes_signature():
+    """Every int rpim_*( function defined in _kernel.c gets argtypes, one
+    per C parameter, and an int restype in _kernel.load(); without them
+    ctypes would pass an int64 count as a C int."""
+    entries = re.findall(r"^int (rpim_\w+)\(([^)]*)\)",
+                         _kernel.SOURCE.read_text(), re.MULTILINE)
+    assert {"rpim_compress", "rpim_decode_body"} <= {n for n, _ in entries}
+    lib = _kernel.load()
+    for name, params in entries:
+        function = getattr(lib, name)
+        assert function.argtypes is not None, name
+        assert len(function.argtypes) == params.count(",") + 1, name
+        assert function.restype is ctypes.c_int, name
 
 
 def test_kernel_under_sanitizers(tmp_path):
