@@ -10,28 +10,43 @@
  * so both engines emit identical grammars and the test suite pins that
  * equivalence on random inputs.
  *
- * Layout differences are mechanical.  Pair records live in one flat
- * array indexed through an open-addressing hash table (linear probing,
- * backward-shift deletion).  A pair counted once is a record with count
- * 1, standing in for the reference implementation's seen-once table.
- * The per-count bucket queue collapses into a single array heap ordered
- * by (count desc, code asc); entries carry the same stamps and go stale
- * the same way, so extraction picks the exact pair the bucket queue
- * would.
+ * No pair is ever hashed; every pair record is reached by index.  A
+ * threaded slot names its record in rec_of, heap entries and the pending
+ * list carry record indices, and a pair being credited is found through
+ * one cell.  That works because a replacement step only ever credits
+ * pairs that hold its fresh symbol, or self pairs through run-head
+ * repair: a self pair (a, a) is filed under self_rec[a], (x, fresh)
+ * under fresh_right[x] and (fresh, y) under fresh_left[y], and the
+ * initial count files byte pairs in a 2^16-cell array freed after it.
+ * A cell is trusted only when its record is live and holds exactly the
+ * pair, so cells left by earlier steps need no reset.  A pair counted
+ * once is a record with count 1, standing in for the reference
+ * implementation's seen-once table.  The per-count bucket queue
+ * collapses into a single array heap ordered by (count desc, code asc);
+ * entries carry the same stamps and go stale the same way, so
+ * extraction picks the exact pair the bucket queue would.
  *
- * Memory: the per-slot arrays (symbols, occurrence links, live links)
- * are 32-bit, 17 bytes per input symbol with the threaded flags plus the
- * caller's 4-byte output array.  The record store and the hash table
- * start small and double with the number of distinct pairs, so a
- * low-entropy input pays for the few pairs it has, not for its length;
- * released records are chained through their own head field for reuse.
+ * Replaced slots become tombstones, and there are no live links: a
+ * block of tombstones [a, b] keeps b + 1 in next_occ[a] and a - 1 in
+ * prev_occ[b], links a tombstone, never threaded, does not use.  The
+ * live neighbour of slot i is i + 1 (i - 1) unless that slot is a
+ * tombstone, whose link then skips the block.  Slot 0 is never a
+ * tombstone.
  *
- * Every capacity is checked before it is written: a violated bound
- * returns RPIM_EBOUND and a failed allocation RPIM_ENOMEM, with all
- * memory released.  Inputs are limited to 2^31 - 1 symbols, so slot
- * indices and symbols fit int32 with -1 free to mean "absent", rule
- * ordinals stay below 2^30, and a packed pair code never reaches the
- * empty-slot key.
+ * Memory: the per-slot arrays (occurrence links, record of each slot)
+ * are 32-bit, 16 bytes per input symbol with the caller's 4-byte working
+ * array.  The record store starts small and doubles with the number of
+ * distinct pairs, and the three symbol maps double with the rule count,
+ * so a low-entropy input pays for the few pairs it has, not for its
+ * length; released records are chained through their own head field
+ * for reuse.
+ *
+ * Every capacity is checked before it is written: a violated bound, or
+ * a pair no cell files, returns RPIM_EBOUND and a failed allocation
+ * RPIM_ENOMEM, with all memory released.  Inputs are limited to
+ * 2^31 - 1 symbols, so slot indices, record indices and symbols fit
+ * int32 with -1 free to mean "absent", and rule ordinals stay below
+ * 2^30.
  *
  * Decompression has two entry points over an int64 grammar and final
  * sequence.  rpim_expanded_length gives the exact expanded length up to
@@ -49,7 +64,8 @@
  * varint-by-varint reader makes, in its order, so it stops at the fault
  * that reader would meet first and reports it by status and offset.
  * It writes into one caller array of one value per body byte at most,
- * so no declared count sizes anything.  rpim_encode_body writes the
+ * so no declared count sizes anything, and sums the expanded length as
+ * it reads, as rpim_expanded_length does.  rpim_encode_body writes the
  * minimal unsigned LEB128 varints of the same fields.
  */
 
@@ -66,10 +82,9 @@ enum {
 
 #define NONTERMINAL_BASE 256
 #define TOMBSTONE (-1)
-#define EMPTY UINT64_MAX /* free hash slot */
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
 #define MIN_RECORDS 256  /* initial record store */
-#define MIN_TABLE_BITS 9 /* initial hash table: 2^9 slots */
+#define MIN_SYMBOLS 512  /* initial symbol maps */
 #define MIN_PENDING 256  /* initial pending list */
 
 #define CHECK(expr)                 \
@@ -79,22 +94,27 @@ enum {
             return err_;            \
     } while (0)
 
-typedef struct { uint64_t key; int32_t val; } Slot;
-/* pending: the code is queued for the next flush.  A released record
-   keeps its place on the free chain in head. */
-typedef struct { int64_t stamp; int32_t count, head, tail, pending; } Record;
-typedef struct { int64_t count; uint64_t code; int64_t stamp; } Entry;
+/* pending: the record is queued for the next flush.  A released record
+   has count 0 and stamp -1, and keeps its place on the free chain in
+   head. */
+typedef struct {
+    int64_t stamp;
+    int32_t count, head, tail, pending, left, right;
+} Record;
+typedef struct { uint64_t code; int64_t stamp; int32_t count, idx; } Entry;
 
 typedef struct {
-    int32_t *sym, *prev_occ, *next_occ, *live_prev, *live_next;
-    uint8_t *threaded;
+    int32_t *sym, *prev_occ, *next_occ;
+    int32_t *rec_of;      /* record threading each slot, -1 if none */
+    int32_t n;
     Record *rec;          /* pair records: nrec used, at most rec_limit */
     int64_t rec_cap, rec_limit, nrec;
     int32_t free_head;    /* last released record, -1 if none */
-    Slot *table;          /* pair code -> record index */
-    uint64_t mask, nkeys;
-    int shift;
-    uint64_t *pend;       /* codes whose count grew since the last flush */
+    int32_t fresh;        /* symbol the current step creates, else -1 */
+    int32_t *self_rec, *fresh_left, *fresh_right; /* by symbol */
+    int64_t map_cap;
+    int32_t *byte_pair;   /* by left << 8 | right, initial count only */
+    int32_t *pend;        /* records whose count grew since the last flush */
     int64_t npend, pend_cap;
     Entry *heap;
     int64_t hsize, heap_cap;
@@ -128,89 +148,68 @@ static void *reserve(void *buf, int64_t *cap, int64_t need, size_t size)
     return grown;
 }
 
+/* Grow the symbol maps by doubling until they hold need cells, the new
+   ones -1. */
+static int reserve_maps(State *s, int64_t need)
+{
+    int32_t **maps[] = {&s->self_rec, &s->fresh_left, &s->fresh_right};
+    int64_t cap = s->map_cap > 0 ? s->map_cap : MIN_SYMBOLS;
+    while (cap < need)
+        cap *= 2;
+    if (cap == s->map_cap)
+        return RPIM_OK;
+    if ((uint64_t)cap > SIZE_MAX / sizeof(int32_t))
+        return RPIM_ENOMEM;
+    for (int k = 0; k < 3; k++) {
+        int32_t *grown = realloc(*maps[k], (size_t)cap * sizeof *grown);
+        if (grown == NULL)
+            return RPIM_ENOMEM;
+        memset(grown + s->map_cap, 0xFF,
+               (size_t)(cap - s->map_cap) * sizeof *grown);
+        *maps[k] = grown;
+    }
+    s->map_cap = cap;
+    return RPIM_OK;
+}
+
+/* The live slot after i, or -1. */
+static inline int32_t live_next(const State *s, int32_t i)
+{
+    int32_t j = i + 1;
+    if (j < s->n && s->sym[j] == TOMBSTONE)
+        j = s->next_occ[j];
+    return j < s->n ? j : -1;
+}
+
+/* The live slot before i, or -1. */
+static inline int32_t live_prev(const State *s, int32_t i)
+{
+    int32_t j = i - 1;
+    if (j >= 0 && s->sym[j] == TOMBSTONE)
+        j = s->prev_occ[j];
+    return j;
+}
+
 static inline uint64_t pair_code(int32_t left, int32_t right)
 {
     return ((uint64_t)(uint32_t)left << 32) | (uint32_t)right;
 }
 
-static inline uint64_t home(const State *s, uint64_t code)
+/* The cell that files (left, right), or NULL when none may. */
+static inline int32_t *cell_of(State *s, int32_t left, int32_t right)
 {
-    /* Fibonacci hashing; the high product bits index the table */
-    return (code * 0x9E3779B97F4A7C15ull) >> s->shift;
-}
-
-static int32_t ht_get(const State *s, uint64_t code)
-{
-    for (uint64_t i = home(s, code);; i = (i + 1) & s->mask) {
-        if (s->table[i].key == code)
-            return s->table[i].val;
-        if (s->table[i].key == EMPTY)
-            return -1;
-    }
-}
-
-/* The key is absent and the table has a free slot. */
-static void ht_put(State *s, uint64_t code, int32_t val)
-{
-    uint64_t i = home(s, code);
-    while (s->table[i].key != EMPTY)
-        i = (i + 1) & s->mask;
-    s->table[i].key = code;
-    s->table[i].val = val;
-    s->nkeys++;
-}
-
-/* Allocate an empty table of 2^bits slots. */
-static int ht_init(State *s, int bits)
-{
-    s->table = alloc((int64_t)1 << bits, sizeof *s->table);
-    if (s->table == NULL)
-        return RPIM_ENOMEM;
-    memset(s->table, 0xFF, ((size_t)1 << bits) * sizeof *s->table);
-    s->mask = ((uint64_t)1 << bits) - 1;
-    s->shift = 64 - bits;
-    return RPIM_OK;
-}
-
-/* Make room for one more key, doubling the table and re-inserting every
-   key when it would pass half load. */
-static int ht_reserve(State *s)
-{
-    uint64_t size = s->mask + 1;
-    if (2 * (s->nkeys + 1) <= size)
-        return RPIM_OK;
-    Slot *old = s->table;
-    int err = ht_init(s, 64 - s->shift + 1);
-    if (err != RPIM_OK) {
-        s->table = old;
-        return err;
-    }
-    s->nkeys = 0;
-    for (uint64_t i = 0; i < size; i++)
-        if (old[i].key != EMPTY)
-            ht_put(s, old[i].key, old[i].val);
-    free(old);
-    return RPIM_OK;
-}
-
-/* Backward-shift compaction keeps probe chains intact without
-   tombstones, so the table never degrades under heavy churn.  The key
-   is present. */
-static void ht_del(State *s, uint64_t code)
-{
-    uint64_t i = home(s, code);
-    while (s->table[i].key != code)
-        i = (i + 1) & s->mask;
-    for (uint64_t j = (i + 1) & s->mask; s->table[j].key != EMPTY;
-         j = (j + 1) & s->mask) {
-        uint64_t h = home(s, s->table[j].key);
-        if (((j - h) & s->mask) >= ((j - i) & s->mask)) {
-            s->table[i] = s->table[j];
-            i = j;
-        }
-    }
-    s->table[i].key = EMPTY;
-    s->nkeys--;
+    if ((uint32_t)left >= (uint64_t)s->map_cap
+        || (uint32_t)right >= (uint64_t)s->map_cap)
+        return NULL;
+    if (left == right)
+        return &s->self_rec[left];
+    if (right == s->fresh)
+        return &s->fresh_right[left];
+    if (left == s->fresh)
+        return &s->fresh_left[right];
+    if (s->byte_pair != NULL && left < 256 && right < 256)
+        return &s->byte_pair[left << 8 | right];
+    return NULL;
 }
 
 /* Index for a new record: the last released one, else the next unused
@@ -232,10 +231,12 @@ static int take_record(State *s, int32_t *idx)
     return RPIM_OK;
 }
 
-static void release_record(State *s, uint64_t code, int32_t idx)
+static void release_record(State *s, int32_t idx)
 {
-    ht_del(s, code);
-    s->rec[idx].head = s->free_head;
+    Record *r = &s->rec[idx];
+    r->count = 0;
+    r->stamp = -1;
+    r->head = s->free_head;
     s->free_head = idx;
 }
 
@@ -245,13 +246,12 @@ static inline int above(const Entry *a, const Entry *b)
     return a->count > b->count || (a->count == b->count && a->code < b->code);
 }
 
-static int heap_push(State *s, int64_t count, uint64_t code, int64_t stamp)
+static int heap_push(State *s, Entry e)
 {
     Entry *heap = reserve(s->heap, &s->heap_cap, s->hsize + 1, sizeof *heap);
     if (heap == NULL)
         return RPIM_ENOMEM;
     s->heap = heap;
-    Entry e = {count, code, stamp};
     int64_t i = s->hsize++;
     while (i > 0) {
         int64_t par = (i - 1) >> 1;
@@ -286,23 +286,25 @@ static void heap_pop(State *s)
 }
 
 /* File a fresh heap entry for the record's current count. */
-static int refile(State *s, int32_t idx, uint64_t code)
+static int refile(State *s, int32_t idx)
 {
-    s->rec[idx].stamp = ++s->stamp;
-    return heap_push(s, s->rec[idx].count, code, s->stamp);
+    Record *r = &s->rec[idx];
+    r->stamp = ++s->stamp;
+    Entry e = {pair_code(r->left, r->right), s->stamp, r->count, idx};
+    return heap_push(s, e);
 }
 
-/* Queue the record's code for the next flush, once per flush. */
-static int push_pending(State *s, int32_t idx, uint64_t code)
+/* Queue the record for the next flush, once per flush. */
+static int push_pending(State *s, int32_t idx)
 {
     if (s->rec[idx].pending)
         return RPIM_OK;
-    uint64_t *pend = reserve(s->pend, &s->pend_cap, s->npend + 1,
-                             sizeof *pend);
+    int32_t *pend = reserve(s->pend, &s->pend_cap, s->npend + 1,
+                            sizeof *pend);
     if (pend == NULL)
         return RPIM_ENOMEM;
     s->pend = pend;
-    s->pend[s->npend++] = code;
+    s->pend[s->npend++] = idx;
     s->rec[idx].pending = 1;
     return RPIM_OK;
 }
@@ -313,20 +315,21 @@ static int push_pending(State *s, int32_t idx, uint64_t code)
 static int credit(State *s, int32_t left, int32_t right, int32_t slot,
                   int32_t after)
 {
-    uint64_t code = pair_code(left, right);
     int32_t *prev = s->prev_occ, *next = s->next_occ;
-    s->threaded[slot] = 1;
-    int32_t idx = ht_get(s, code);
-    if (idx < 0) {
+    int32_t *cell = cell_of(s, left, right);
+    if (cell == NULL)
+        return RPIM_EBOUND;
+    int32_t idx = *cell;
+    if (idx < 0 || s->rec[idx].count == 0 || s->rec[idx].left != left
+        || s->rec[idx].right != right) {
         /* first occurrence: a count-1 record tracks just its slot */
-        CHECK(ht_reserve(s));
         CHECK(take_record(s, &idx));
-        s->rec[idx] = (Record){-1, 1, slot, slot, 0};
-        prev[slot] = -1;
-        next[slot] = -1;
-        ht_put(s, code, idx);
+        s->rec[idx] = (Record){-1, 1, slot, slot, 0, left, right};
+        *cell = idx;
+        s->rec_of[slot] = idx;
         return RPIM_OK;
     }
+    s->rec_of[slot] = idx;
     Record *r = &s->rec[idx];
     if (r->count == 1) {
         int32_t lo = r->head < slot ? r->head : slot;
@@ -338,7 +341,7 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
         r->count = 2;
         r->head = lo;
         r->tail = hi;
-        return push_pending(s, idx, code);
+        return push_pending(s, idx);
     }
     r->count++;
     int32_t a = after == TAIL ? r->tail : after;
@@ -357,7 +360,7 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
         r->tail = slot;
     else
         prev[follower] = slot;
-    return push_pending(s, idx, code);
+    return push_pending(s, idx);
 }
 
 /* Drop the counted occurrence of (left, right) at slot.  *anchor gets
@@ -366,18 +369,17 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
 static int uncredit(State *s, int32_t left, int32_t right, int32_t slot,
                     int32_t *anchor)
 {
-    uint64_t code = pair_code(left, right);
     int32_t *prev = s->prev_occ, *next = s->next_occ;
-    s->threaded[slot] = 0;
+    int32_t idx = s->rec_of[slot];
+    s->rec_of[slot] = -1;
     *anchor = -1;
-    int32_t idx = ht_get(s, code);
-    if (idx < 0)
-        return RPIM_EBOUND; /* the table lost track of this occurrence */
+    if (idx < 0 || s->rec[idx].left != left || s->rec[idx].right != right)
+        return RPIM_EBOUND; /* the slot's record lost track of this pair */
     Record *r = &s->rec[idx];
     if (r->count == 1) {
         if (r->head != slot)
             return RPIM_EBOUND;
-        release_record(s, code, idx);
+        release_record(s, idx);
         return RPIM_OK;
     }
     int32_t p = prev[slot], nn = next[slot];
@@ -389,8 +391,6 @@ static int uncredit(State *s, int32_t left, int32_t right, int32_t slot,
         r->tail = p;
     else
         prev[nn] = p;
-    prev[slot] = -1;
-    next[slot] = -1;
     r->count--;
     *anchor = p;
     return RPIM_OK;
@@ -398,30 +398,30 @@ static int uncredit(State *s, int32_t left, int32_t right, int32_t slot,
 
 /* Erosion at a run's head shifts the greedy parity of every self-pair
    credit in the remainder: unthread them and re-file from the new head.
-   The last run slot is skipped; its flag, if set, belongs to the pair
+   The last run slot is skipped; its record, if any, belongs to the pair
    formed with the symbol after the run. */
 static int repair_run_head(State *s, int32_t symbol, int32_t start,
                            int32_t anchor)
 {
-    const int32_t *sym = s->sym, *live_next = s->live_next;
+    const int32_t *sym = s->sym;
     int32_t ignored;
     for (int32_t at = start;;) {
-        int32_t nxt = live_next[at];
+        int32_t nxt = live_next(s, at);
         if (nxt < 0 || sym[nxt] != symbol)
             break;
-        if (s->threaded[at])
+        if (s->rec_of[at] >= 0)
             CHECK(uncredit(s, symbol, symbol, at, &ignored));
         at = nxt;
     }
     for (int32_t at = start; at >= 0 && sym[at] == symbol;) {
         /* advancing by two can step past an even-length run, so the
            slot itself is re-checked, not just its successor */
-        int32_t nxt = live_next[at];
+        int32_t nxt = live_next(s, at);
         if (nxt < 0 || sym[nxt] != symbol)
             break;
         CHECK(credit(s, symbol, symbol, at, anchor));
         anchor = at;
-        at = live_next[nxt];
+        at = live_next(s, nxt);
     }
     return RPIM_OK;
 }
@@ -433,30 +433,28 @@ static int replace_thread(State *s, int32_t head, int32_t left,
                           int32_t right, int32_t fresh)
 {
     int32_t *sym = s->sym, *prev = s->prev_occ, *next = s->next_occ;
-    int32_t *live_prev = s->live_prev, *live_next = s->live_next;
-    uint8_t *threaded = s->threaded;
+    int32_t *rec_of = s->rec_of;
     int self_pair = left == right;
     int32_t anchor;
 
+    s->fresh = fresh;
     for (int32_t slot = head; slot >= 0;) {
         int32_t i = slot;
         int32_t upcoming = next[i];
-        threaded[i] = 0;
-        prev[i] = -1;
-        next[i] = -1;
+        rec_of[i] = -1;
 
-        int32_t p = live_prev[i];
-        if (p >= 0 && threaded[p])
+        int32_t p = live_prev(s, i);
+        if (p >= 0 && rec_of[p] >= 0)
             /* the (left-context, left) occurrence dies here */
             CHECK(uncredit(s, sym[p], left, p, &anchor));
 
         for (int64_t link = 0;;) {
-            int32_t j = live_next[i];
+            int32_t j = live_next(s, i);
             if (j < 0)
                 return RPIM_EBOUND;
-            int32_t q = live_next[j];
+            int32_t q = live_next(s, j);
             anchor = -1;
-            if (threaded[j]) {
+            if (rec_of[j] >= 0) {
                 /* the (right, right-context) occurrence dies with j */
                 if (q < 0)
                     return RPIM_EBOUND;
@@ -464,16 +462,15 @@ static int replace_thread(State *s, int32_t head, int32_t left,
             }
             sym[i] = fresh;
             sym[j] = TOMBSTONE;
-            live_next[i] = q;
-            if (q >= 0)
-                live_prev[q] = i;
+            /* i + 1 .. q - 1 is now one block of tombstones */
+            int32_t end = q < 0 ? s->n : q;
+            next[i + 1] = end;
+            prev[end - 1] = i;
 
             if (q >= 0 && q == upcoming) {
                 /* adjacent occurrence: extend the chain */
                 upcoming = next[q];
-                threaded[q] = 0;
-                prev[q] = -1;
-                next[q] = -1;
+                rec_of[q] = -1;
                 if (++link & 1)
                     /* self-pair credit for the fresh-symbol run */
                     CHECK(credit(s, fresh, fresh, i, TAIL));
@@ -497,38 +494,34 @@ static int replace_thread(State *s, int32_t head, int32_t left,
     return RPIM_OK;
 }
 
-/* Copy input into sym and thread the slots; n >= 2. */
+/* Copy input into sym and allocate the kernel's arrays; n >= 2. */
 static int setup(State *s, const uint8_t *input, int32_t n)
 {
-    int32_t *sym = s->sym;
+    s->n = n;
     s->prev_occ = alloc(n, sizeof(int32_t));
     s->next_occ = alloc(n, sizeof(int32_t));
-    s->live_prev = alloc(n, sizeof(int32_t));
-    s->live_next = alloc(n, sizeof(int32_t));
-    s->threaded = calloc((size_t)n, 1);
+    s->rec_of = alloc(n, sizeof(int32_t));
     /* distinct records never exceed the threaded-slot count, so n + 2
        bounds the store even mid-step; int32 indices cap it as well */
     s->rec_limit = n < INT32_MAX - 2 ? (int64_t)n + 2 : INT32_MAX;
     s->rec_cap = MIN_RECORDS;
     s->rec = alloc(s->rec_cap, sizeof *s->rec);
     s->free_head = -1;
+    s->fresh = -1;
+    s->byte_pair = alloc(1 << 16, sizeof *s->byte_pair);
     s->pend_cap = MIN_PENDING;
     s->pend = alloc(s->pend_cap, sizeof *s->pend);
     s->heap_cap = 1024;
     s->heap = alloc(s->heap_cap, sizeof *s->heap);
-    if (!s->prev_occ || !s->next_occ || !s->live_prev || !s->live_next
-        || !s->threaded || !s->rec || !s->pend || !s->heap)
+    if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->rec
+        || !s->byte_pair || !s->pend || !s->heap)
         return RPIM_ENOMEM;
-    CHECK(ht_init(s, MIN_TABLE_BITS));
-
+    CHECK(reserve_maps(s, MIN_SYMBOLS));
+    memset(s->byte_pair, 0xFF, (1 << 16) * sizeof *s->byte_pair);
     for (int32_t i = 0; i < n; i++) {
-        sym[i] = input[i];
-        s->prev_occ[i] = -1;
-        s->next_occ[i] = -1;
-        s->live_prev[i] = i - 1;
-        s->live_next[i] = i + 1;
+        s->sym[i] = input[i];
+        s->rec_of[i] = -1;
     }
-    s->live_next[n - 1] = -1;
     return RPIM_OK;
 }
 
@@ -536,11 +529,12 @@ static void teardown(State *s)
 {
     free(s->prev_occ);
     free(s->next_occ);
-    free(s->live_prev);
-    free(s->live_next);
-    free(s->threaded);
+    free(s->rec_of);
     free(s->rec);
-    free(s->table);
+    free(s->self_rec);
+    free(s->fresh_left);
+    free(s->fresh_right);
+    free(s->byte_pair);
     free(s->pend);
     free(s->heap);
 }
@@ -561,48 +555,44 @@ static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
             continue;
         CHECK(credit(s, sym[i], sym[i + 1], i, TAIL));
     }
+    free(s->byte_pair);
+    s->byte_pair = NULL;
 
     int64_t nrules = 0;
     while (max_rules < 0 || nrules < max_rules) {
         /* file fresh heap entries for pairs whose count grew; the floor
-           skips a code queued again after its record was released and
-           re-created within one flush */
+           skips a record queued again after it was released and re-used
+           within one flush */
         int64_t floor = s->stamp;
         for (int64_t t = 0; t < s->npend; t++) {
-            uint64_t code = s->pend[t];
-            int32_t idx = ht_get(s, code);
-            if (idx < 0)
-                continue;
+            int32_t idx = s->pend[t];
             s->rec[idx].pending = 0;
             if (s->rec[idx].count < 2 || s->rec[idx].stamp > floor)
                 continue;
-            CHECK(refile(s, idx, code));
+            CHECK(refile(s, idx));
         }
         s->npend = 0;
 
         /* pop the most frequent pair, discarding stale entries and
            re-filing entries whose count moved since they were pushed */
         int32_t chosen = -1;
-        uint64_t code = 0;
         while (s->hsize > 0) {
             Entry top = s->heap[0];
-            int32_t idx = ht_get(s, top.code);
-            if (idx < 0 || s->rec[idx].stamp != top.stamp) {
+            const Record *r = &s->rec[top.idx];
+            if (r->stamp != top.stamp) {
                 heap_pop(s);
                 continue;
             }
-            int64_t cur = s->rec[idx].count;
-            if (cur != top.count) {
+            if (r->count != top.count) {
                 heap_pop(s);
-                if (cur >= 2)
-                    CHECK(refile(s, idx, top.code));
+                if (r->count >= 2)
+                    CHECK(refile(s, top.idx));
                 continue;
             }
             if (top.count < min_frequency)
                 break;
             heap_pop(s);
-            chosen = idx;
-            code = top.code;
+            chosen = top.idx;
             break;
         }
         if (chosen < 0)
@@ -610,14 +600,14 @@ static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
 
         if (nrules >= rule_cap)
             return RPIM_EBOUND;
-        int32_t left = (int32_t)(code >> 32);
-        int32_t right = (int32_t)(code & 0xFFFFFFFFu);
+        int32_t fresh = (int32_t)(NONTERMINAL_BASE + nrules);
+        CHECK(reserve_maps(s, (int64_t)fresh + 1));
+        int32_t left = s->rec[chosen].left, right = s->rec[chosen].right;
         int32_t head = s->rec[chosen].head;
-        release_record(s, code, chosen);
+        release_record(s, chosen);
         rule_left[nrules] = left;
         rule_right[nrules] = right;
-        CHECK(replace_thread(s, head, left, right,
-                             (int32_t)(NONTERMINAL_BASE + nrules)));
+        CHECK(replace_thread(s, head, left, right, fresh));
         nrules++;
     }
     *nrules_out = nrules;
@@ -826,26 +816,33 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  * rule sides, the sequence length and the symbols, in one sequential
  * pass.  out holds cap elements and receives rule k's left side at
  * out[k], its right side at out[nrules + k] and symbol i at
- * out[2 * nrules + i].  info[0] gets the rule count and info[1] the
+ * out[2 * nrules + i].  len holds cap / 2 elements and receives the
+ * expanded length of rule k at len[k], or 0 when that exceeds limit, as
+ * in rpim_expanded_length.  info[0] gets the rule count and info[1] the
  * sequence length, as a uint64 bit pattern, as soon as each is read.
- * Returns RPIM_OK, or the first fault a varint-by-varint reader meets:
+ * Returns RPIM_OK with the expanded length of the sequence in info[4],
+ * as a uint64 bit pattern; or the first fault a varint-by-varint reader
+ * meets:
  *   RPIM_ETRUNCATED, RPIM_ENONMINIMAL, RPIM_EOVERFLOW, RPIM_ERANGE for
  *     a bad varint at byte offset info[2] (the rule count must be below
  *     2^32 - 256, rule sides and symbols below 2^32);
  *   RPIM_ERULE when rule info[2] references a symbol outside its
  *     prefix, checked once its right side is read;
  *   RPIM_ESYMBOL when symbol info[2], of value info[3], is undefined;
- *   RPIM_ETRAILING when bytes follow the sequence from offset info[2].
- * Every varint takes a byte, so a valid body needs at most size
- * elements; no write passes cap, and a body that is valid but does not
- * fit returns RPIM_EBOUND.
+ *   RPIM_ETRAILING when bytes follow the sequence from offset info[2];
+ * or, for a body without faults, RPIM_ELIMIT when its expanded length
+ * exceeds limit.  Every varint takes a byte, so a valid body needs at
+ * most size elements; no write passes cap, and a body that is valid but
+ * does not fit returns RPIM_EBOUND.
  */
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
-                     int64_t cap, int64_t *info)
+                     int64_t cap, uint64_t limit, uint64_t *len,
+                     int64_t *info)
 {
     int64_t pos = 0;
-    uint64_t count, a, b, s;
-    info[0] = info[1] = info[2] = info[3] = 0;
+    uint64_t count, a, b, s, total = 0;
+    int over = 0;
+    info[0] = info[1] = info[2] = info[3] = info[4] = 0;
     if (size < 0 || cap < 0)
         return RPIM_EBOUND;
     READ(count, SYMBOL_MAX - NONTERMINAL_BASE);
@@ -866,6 +863,8 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
         if (fits) {
             left[k] = (int64_t)a;
             right[k] = (int64_t)b;
+            len[k] = add_within(symbol_length((int64_t)a, len),
+                                symbol_length((int64_t)b, len), limit);
         }
     }
     READ(count, UINT64_MAX);
@@ -880,13 +879,22 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
             info[3] = (int64_t)s;
             return RPIM_ESYMBOL;
         }
-        if (fits)
+        if (fits) {
             seq[i] = (int64_t)s;
+            uint64_t n = symbol_length((int64_t)s, len);
+            if (n == 0 || n > limit - total)
+                over = 1;
+            else
+                total += n;
+        }
     }
     info[2] = pos;
     if (pos != size)
         return RPIM_ETRAILING;
-    return fits ? RPIM_OK : RPIM_EBOUND;
+    if (!fits)
+        return RPIM_EBOUND;
+    info[4] = (int64_t)total;
+    return over ? RPIM_ELIMIT : RPIM_OK;
 }
 
 #undef READ

@@ -110,7 +110,7 @@ def load() -> ctypes.CDLL | None:
             lib.rpim_expand.restype = ctypes.c_int
             lib.rpim_decode_body.argtypes = [
                 _uint8_input, ctypes.c_int64, _int64_array, ctypes.c_int64,
-                _int64_array]
+                ctypes.c_uint64, _uint64_array, _int64_array]
             lib.rpim_decode_body.restype = ctypes.c_int
             lib.rpim_encode_body.argtypes = [
                 _int64_input, _int64_input, ctypes.c_int64, _int64_input,
@@ -217,28 +217,34 @@ def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
     return out.tobytes()
 
 
-def decode_body(body: np.ndarray):
-    """Decode and check a container body held in a uint8 array.
+def decode_body(body: np.ndarray, limit: int):
+    """Decode and check a container body held in a uint8 array, summing
+    its expanded length up to limit, which is below 2**64.
 
-    Returns (0, (left, right, symbols)) with three int64 arrays, views
-    of one buffer of body.size elements, or (status, (where, value))
-    for the first fault a varint-by-varint reader meets: a varint fault
-    at byte offset where, rule where referencing a symbol outside its
-    prefix, symbol number where, of value value, undefined, or trailing
-    bytes from offset where.  Raises RuntimeError when the library
-    cannot be built.
+    Returns (0, (left, right, symbols, length)) with three int64 arrays,
+    views of one buffer of body.size elements, and the expanded length,
+    or None when it exceeds limit; or (status, (where, value)) for the
+    first fault a varint-by-varint reader meets: a varint fault at byte
+    offset where, rule where referencing a symbol outside its prefix,
+    symbol number where, of value value, undefined, or trailing bytes
+    from offset where.  Raises RuntimeError when the library cannot be
+    built.
     """
     lib = _loaded()
     data = np.ascontiguousarray(body)
     # every varint takes a byte, so a valid body fits in body.size values
+    # and holds at most body.size // 2 rules
     out = np.empty(data.size, np.int64)
-    info = np.zeros(4, np.int64)
-    status = lib.rpim_decode_body(data, data.size, out, out.size, info)
-    nrules, nseq, where, value = info.tolist()
-    if status != 0:
+    lengths = np.empty(data.size // 2, np.uint64)
+    info = np.zeros(5, np.int64)
+    status = lib.rpim_decode_body(data, data.size, out, out.size, limit,
+                                  lengths, info)
+    nrules, nseq, where, value, _ = info.tolist()
+    if status not in (0, _ELIMIT):
         return status, (where, value)
+    length = None if status == _ELIMIT else int(info.view(np.uint64)[4])
     return 0, (out[:nrules], out[nrules:2 * nrules],
-               out[2 * nrules:2 * nrules + nseq])
+               out[2 * nrules:2 * nrules + nseq], length)
 
 
 def encode_body(prefix: bytes, left: np.ndarray, right: np.ndarray,

@@ -16,7 +16,8 @@ exact inverses on the accepted domain.
 
 The fixed header is read field by field.  The body (rule count, rule
 sides, sequence length, symbols) is read and checked varint by varint in
-one sequential pass, so the first fault met is the one reported; it is
+one sequential pass, so the first fault met is the one reported, and
+the same pass sums the expanded length the header must match; it is
 written in one pass too.  Both passes run in the C engine, with
 read_varint and write_varint loops as the fallback, and both give the
 same bytes, arrays and errors.  The decoder sizes nothing by a declared
@@ -215,23 +216,30 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
         raise OutputTooLargeError(
             f"container expands to {declared} bytes, over the limit of {max_output}")
 
-    grammar, symbols = _read_body(data, pos)
-    if expanded_length(grammar, symbols, declared) != declared:
+    grammar, symbols, length = _read_body(data, pos, declared)
+    if length != declared:
         raise CorruptContainerError("expanded length does not match payload header")
     return CompressedArtifact(payload, grammar, symbols)
 
 
-def _read_body(data: bytes, pos: int) -> tuple[Grammar, np.ndarray]:
+def _read_body(data: bytes, pos: int,
+               declared: int) -> tuple[Grammar, np.ndarray, int | None]:
     """The grammar and the int64 final sequence of the body at data[pos:],
     checked varint by varint: each rule may reference only terminals and
-    earlier rules, and each symbol only a defined one."""
+    earlier rules, and each symbol only a defined one.  Third comes the
+    expanded length, or None when it exceeds declared; the C decoder sums
+    it as it reads, up to a declared length below 2**64."""
     if not _kernel.available():
-        return _read_body_sequentially(data, pos)
+        grammar, symbols = _read_body_sequentially(data, pos)
+        return grammar, symbols, expanded_length(grammar, symbols, declared)
     body = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    status, found = _kernel.decode_body(body)
+    status, found = _kernel.decode_body(body, min(declared, _LENGTH_LIMIT - 1))
     if status == 0:
-        left, right, symbols = found
-        return Grammar.from_arrays(left, right), symbols
+        left, right, symbols, length = found
+        grammar = Grammar.from_arrays(left, right)
+        if declared >= _LENGTH_LIMIT:
+            length = expanded_length(grammar, symbols, declared)
+        return grammar, symbols, length
     where, value = found
     if status in _VARINT_FAULTS:
         raise _varint_fault(status, pos + where)

@@ -604,14 +604,11 @@ def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
 def expanded_length(grammar: Grammar, symbols: np.ndarray,
                     limit: int) -> int | None:
     """The exact expanded length of symbols, an int64 array the grammar
-    defines, or None when it exceeds limit.
+    defines, or None when it exceeds limit, which may be any size.
 
-    The C engine's pass takes limits below 2**64; the Python loop, its
-    fallback, takes any limit.
+    This is the Python loop; the C engine sums the same lengths as it
+    decodes a container body, for limits below 2**64.
     """
-    if limit < 1 << 64 and _kernel.available():
-        return _kernel.expanded_length(grammar.left, grammar.right, symbols,
-                                       limit)
     # lengths saturate just past limit, so doubling chains stay small
     # integers; any saturated use makes the total exceed limit
     ceiling = limit + 1

@@ -2,20 +2,26 @@
  * Test program for src/rpim/_kernel.c under -fsanitize=address,undefined,
  * built and run by tests/test_repair.py::test_kernel_under_sanitizers.
  *
- * It compresses seeded random and run-heavy inputs, n < 2 included, and
+ * It compresses seeded random and run-heavy inputs, n < 2 included,
  * inputs whose distinct-pair counts straddle every growth step of the
- * record store and the hash table.  Each grammar must reference only
- * earlier symbols and expand back to its input under this program's own
- * stack expander.  The kernel's length pass and expand must agree with
- * it, and must refuse, without writing past a buffer, an output one
- * byte short or one byte long, a stack one entry short of the depth, a
- * length past the limit and an undefined symbol.  An n above the input
+ * record store, and rule counts that straddle every doubling of the
+ * symbol maps the kernel files fresh and self pairs under.  Long solid
+ * inputs and inputs that end or start in a long run make tombstone
+ * blocks that start at slot 1 and end at the last slot, so the block
+ * links at both edges of the working array are written and followed.
+ * Each grammar must reference only earlier symbols and expand back to
+ * its input under this program's own stack expander.  The kernel's
+ * length pass and expand must agree with it, and must refuse, without
+ * writing past a buffer, an output one byte short or one byte long, a
+ * stack one entry short of the depth, a length past the limit and an
+ * undefined symbol.  An n above the input
  * cap must be refused before the one-byte input is read.
  *
  * Every grammar's container body is encoded and decoded back into
- * buffers of exactly the body's size.  Its truncations must all be
- * refused as truncated, and each single-byte mutant the decoder accepts
- * must encode back to the same bytes.  Forged bodies cover the varint
+ * buffers of exactly the body's size; the decoder's expanded length must
+ * be the input's, and past a limit one short.  Its truncations must all
+ * be refused as truncated, and each single-byte mutant the decoder
+ * accepts must encode back to the same bytes.  Forged bodies cover the varint
  * edges 2^64 - 1, 2^64 and eleven bytes, and counts far past the data.
  * Exit status 0 means every case passed; a sanitizer report aborts with
  * its own.
@@ -38,15 +44,17 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
                 int64_t stack_cap);
 
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
-                     int64_t cap, int64_t *info);
+                     int64_t cap, uint64_t limit, uint64_t *len,
+                     int64_t *info);
 int rpim_encode_body(const int64_t *left, const int64_t *right,
                      int64_t nrules, const int64_t *seq, int64_t nseq,
                      uint8_t *out, int64_t cap, int64_t *written);
 
-/* FIRST_STEP is the kernel's initial record store, MIN_RECORDS */
+/* FIRST_STEP is the kernel's initial record store, MIN_RECORDS, and
+   FIRST_MAP its initial symbol maps, MIN_SYMBOLS */
 enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
        RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ETRAILING = 10,
-       NONTERMINAL_BASE = 256, FIRST_STEP = 256 };
+       NONTERMINAL_BASE = 256, FIRST_STEP = 256, FIRST_MAP = 512 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -175,14 +183,18 @@ static void check_entry_points(const char *label, const int64_t *left,
     }
 }
 
-/* rpim_decode_body on body[0:size] into an array of exactly cap values,
-   so that any write past it is a sanitizer report; returns the status,
-   with the array in *out (the caller frees it). */
+/* rpim_decode_body on body[0:size] into an array of exactly cap values
+   and a length array of exactly cap / 2, so that any write past either
+   is a sanitizer report; returns the status, with the array in *out
+   (the caller frees it). */
 static int decode(const uint8_t *body, int64_t size, int64_t cap,
-                  int64_t *info, int64_t **out)
+                  uint64_t limit, int64_t *info, int64_t **out)
 {
     *out = must_alloc((size_t)cap * sizeof **out);
-    return rpim_decode_body(body, size, *out, cap, info);
+    uint64_t *len = must_alloc((size_t)(cap / 2) * sizeof *len);
+    int status = rpim_decode_body(body, size, *out, cap, limit, len, info);
+    free(len);
+    return status;
 }
 
 /* rpim_encode_body into a fresh buffer of the bound it documents;
@@ -220,14 +232,14 @@ static void check_accepted(const char *label, const uint8_t *body,
     free(again);
 }
 
-/* Encode the grammar's body, decode it back, and decode its truncations
-   and single-byte mutants. */
+/* Encode the grammar, which expands to n bytes, decode it back, and
+   decode its truncations and single-byte mutants. */
 static void check_codec(const char *label, const int64_t *left,
                         const int64_t *right, int64_t nrules,
-                        const int64_t *seq, int64_t nseq)
+                        const int64_t *seq, int64_t nseq, int64_t n)
 {
     uint8_t *body, *mutant;
-    int64_t size, info[4], *out;
+    int64_t size, info[5], *out;
     if (encode(left, right, nrules, seq, nseq, &body, &size) != 0) {
         fail(label, nseq, "encode refused a grammar");
         free(body);
@@ -240,17 +252,24 @@ static void check_codec(const char *label, const int64_t *left,
         fail(label, nseq, "encode took an output one byte short");
     free(short_out);
 
-    if (decode(body, size, size, info, &out) != 0 || info[0] != nrules
-        || info[1] != nseq
+    if (decode(body, size, size, (uint64_t)n, info, &out) != 0
+        || info[0] != nrules || info[1] != nseq || info[4] != n
         || memcmp(out, left, (size_t)nrules * sizeof *out) != 0
         || memcmp(out + nrules, right, (size_t)nrules * sizeof *out) != 0
         || memcmp(out + 2 * nrules, seq, (size_t)nseq * sizeof *out) != 0)
         fail(label, nseq, "decode does not give back the grammar");
     free(out);
+    if (n > 0) {
+        if (decode(body, size, size, (uint64_t)n - 1, info, &out)
+            != RPIM_ELIMIT)
+            fail(label, nseq, "decode passed a length limit one short");
+        free(out);
+    }
     /* a valid body into an array one value short of what it holds */
     int64_t values = 2 * nrules + nseq;
     if (values > 0) {
-        if (decode(body, size, values - 1, info, &out) != RPIM_EBOUND)
+        if (decode(body, size, values - 1, UINT64_MAX, info, &out)
+            != RPIM_EBOUND)
             fail(label, nseq, "decode took an array one value short");
         free(out);
     }
@@ -260,7 +279,8 @@ static void check_codec(const char *label, const int64_t *left,
         /* the copy ends where the cut does, so a read past it is caught */
         uint8_t *head = must_alloc((size_t)cut);
         memcpy(head, body, (size_t)cut);
-        if (decode(head, cut, cut, info, &out) != RPIM_ETRUNCATED)
+        if (decode(head, cut, cut, UINT64_MAX, info, &out)
+            != RPIM_ETRUNCATED)
             fail(label, cut, "a truncated body was not refused");
         free(out);
         free(head);
@@ -273,7 +293,7 @@ static void check_codec(const char *label, const int64_t *left,
         for (size_t k = 0; k < sizeof bytes; k++) {
             memcpy(mutant, body, (size_t)size);
             mutant[at] = bytes[k];
-            int status = decode(mutant, size, size, info, &out);
+            int status = decode(mutant, size, size, UINT64_MAX, info, &out);
             if (status == 0)
                 check_accepted(label, mutant, size, out, info);
             else if (status < RPIM_ETRUNCATED || status > RPIM_ETRAILING)
@@ -285,9 +305,10 @@ static void check_codec(const char *label, const int64_t *left,
     free(body);
 }
 
-/* Compress input and check the grammar and its expansions. */
-static void check(const char *label, const uint8_t *input, int64_t n,
-                  int64_t min_frequency, int64_t max_rules)
+/* Compress input and check the grammar and its expansions; returns the
+   rule count, or -1 on a failure. */
+static int64_t check(const char *label, const uint8_t *input, int64_t n,
+                     int64_t min_frequency, int64_t max_rules)
 {
     int64_t cap = n / 2 + 2;
     int32_t *sym = must_alloc((size_t)n * sizeof *sym);
@@ -297,9 +318,10 @@ static void check(const char *label, const uint8_t *input, int64_t n,
     int status = rpim_compress(input, n, min_frequency, max_rules, sym, left,
                                right, cap, sizes);
     int64_t nrules = sizes[0], length = sizes[1];
-    if (status != 0)
+    if (status != 0) {
         fail(label, n, "nonzero status");
-    else if (nrules < 0 || length < 0 || length > n - 2 * nrules
+        nrules = -1;
+    } else if (nrules < 0 || length < 0 || length > n - 2 * nrules
              || (max_rules >= 0 && nrules > max_rules))
         fail(label, n, "sizes out of range");
     else {
@@ -327,7 +349,7 @@ static void check(const char *label, const uint8_t *input, int64_t n,
         else {
             check_entry_points(label, left64, right64, nrules, seq64, length,
                                own, n);
-            check_codec(label, left64, right64, nrules, seq64, length);
+            check_codec(label, left64, right64, nrules, seq64, length, n);
         }
         free(left64);
         free(right64);
@@ -337,6 +359,7 @@ static void check(const char *label, const uint8_t *input, int64_t n,
     free(sym);
     free(left);
     free(right);
+    return nrules;
 }
 
 /* Hand-built grammars: a stack at its bound, lengths at the 64-bit
@@ -445,10 +468,11 @@ static void check_forged_bodies(void)
         {"trailing", {0x00, 0x00, 0x00}, 3, RPIM_ETRAILING, 2},
     };
     for (size_t k = 0; k < sizeof cases / sizeof cases[0]; k++) {
-        int64_t size = cases[k].size, info[4], *out;
+        int64_t size = cases[k].size, info[5], *out;
         uint8_t *body = must_alloc((size_t)size);
         memcpy(body, cases[k].bytes, (size_t)size);
-        if (decode(body, size, size, info, &out) != cases[k].status
+        if (decode(body, size, size, UINT64_MAX, info, &out)
+            != cases[k].status
             || info[2] != cases[k].offset)
             fail(cases[k].what, size, "forged body misjudged");
         free(out);
@@ -549,8 +573,8 @@ int main(void)
     }
 
     /* distinct-pair counts just below and just past each doubling of
-       the record store and the table, each walk twice so that rules
-       release and reuse records after the rehash */
+       the record store, each walk twice so that rules release and reuse
+       records after the store last grew */
     uint8_t *walk = must_alloc(65537);
     de_bruijn(walk);
     for (int64_t step = FIRST_STEP; step <= 65536; step *= 2)
@@ -561,7 +585,34 @@ int main(void)
             else
                 check("growth", buf, n, 2, -1);
         }
+
+    /* rule counts one below, at and one past what each size of the
+       symbol maps holds, m cells taking rules up to m - 256; a walk with
+       16385 distinct pairs makes 16383 rules */
+    int64_t n = repeated_walk(buf, walk, 16385);
+    for (int64_t m = FIRST_MAP; m <= 16384; m *= 2)
+        for (int64_t r = m - NONTERMINAL_BASE - 1;
+             r <= m - NONTERMINAL_BASE + 1; r++)
+            if (check("maps", buf, n, 2, r) != r)
+                fail("maps", r, "the input made fewer rules than asked");
     free(walk);
+
+    /* solid inputs and inputs that end or start in one long run: their
+       tombstone blocks start at slot 1 and end at the last slot */
+    static const int64_t solid[] = {2, 3, 4, 5, 1 << 17, (1 << 17) + 1};
+    for (size_t k = 0; k < sizeof solid / sizeof solid[0]; k++) {
+        memset(buf, 'a', (size_t)solid[k]);
+        check("solid", buf, solid[k], 2, -1);
+    }
+    for (int c = 0; c < 8; c++) {
+        int64_t n = (c < 4 ? 3000 : 40000) + c % 2, half = n / 2;
+        runs(buf, n, 3, 5);
+        if (c % 4 < 2)
+            memset(buf + half, 1, (size_t)(n - half));
+        else
+            memset(buf, 1, (size_t)half);
+        check(c % 4 < 2 ? "tail run" : "head run", buf, n, minf[c % 4], -1);
+    }
 
     /* random bytes: nonterminal pairs take the records further */
     for (int64_t i = 0; i < cap; i++)

@@ -127,9 +127,10 @@ def c_read_varint(blob: bytes, start: int):
     stands for."""
     body = np.frombuffer(b"\x00" + blob[start:], dtype=np.uint8)
     out = np.empty(body.size, np.int64)
-    info = np.zeros(4, np.int64)
+    lengths = np.empty(body.size // 2, np.uint64)
+    info = np.zeros(5, np.int64)
     status = _kernel.load().rpim_decode_body(body, body.size, out, out.size,
-                                             info)
+                                             2**64 - 1, lengths, info)
     if status == 0 or status == _kernel.TRUNCATED and info[2] > 1:
         # read; it is the whole body, or its count of symbols is missing
         return int(info.view(np.uint64)[1]), start + int(info[2]) - 1
@@ -451,6 +452,13 @@ DECLARED_EXACTNESS = {
     "2**64-1": (2**64 - 1, [97, *range(256, 319)], True),
     "2**63": (2**63, [318], True),
     "2**64-2": (2**64 - 2, [97, *range(256, 319)], False),
+    # the sum falls short of the declared length
+    "2**64-1 over 2**63": (2**64 - 1, [318], False),
+    # rule 318 alone is past the declared length
+    "2**63-1": (2**63 - 1, [318], False),
+    "2**63+1": (2**63 + 1, [318, 97], True),
+    "0": (0, [], True),
+    "0 over a byte": (0, [97], False),
 }
 
 

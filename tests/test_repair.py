@@ -419,8 +419,8 @@ def _repeated_walk(distinct):
     raise AssertionError(f"no walk prefix has {distinct} distinct pairs")
 
 
-# the kernel's record store starts at 256 records, its hash table at 512
-# slots, and both double; byte input has at most 2**16 distinct pairs
+# the kernel's record store starts at 256 records and doubles with the
+# distinct pairs; byte input has at most 2**16 distinct pairs
 GROWTH_STEPS = [256 << k for k in range(8)]
 
 
@@ -429,9 +429,15 @@ GROWTH_STEPS = [256 << k for k in range(8)]
                                       for side in (-1, 1)])
 def test_engines_agree_across_growth(distinct):
     """Distinct-pair counts just below and just past each doubling of the
-    kernel's record store and hash table.  Every pair occurs twice, so the
-    rules release records after the last rehash and the kernel reuses
-    their slots, about once per input symbol."""
+    kernel's record store, from 256 to 32768 records.  Every pair occurs
+    twice, so the rules release records after the store last grew and the
+    kernel reuses them, about once per input symbol.  The walks make
+    distinct - 2 rules, give or take one, so the cases also cross the
+    doublings of the kernel's symbol maps, which start at 512 symbols and
+    double at rule 257, 769, 1793, ..., 32513: 255 and 257 distinct pairs
+    end at 254 and 256 rules, the most the first maps hold, 511 and 513
+    cross the first doubling, and each later step one more, so that 32767
+    and 32769 cross all seven."""
     seq = _repeated_walk(distinct)
     py_grammar, py_final = reference_compress(seq)
     c_grammar, c_final = compress(seq)
