@@ -15,6 +15,7 @@ from .container import (
 from .errors import (
     CorruptBmpError,
     CorruptContainerError,
+    EngineUnavailableError,
     InvalidDimensionsError,
     InvalidGeometryError,
     MalformedGrammarError,
@@ -50,6 +51,7 @@ __all__ = [
     "CompressorConfig",
     "CorruptBmpError",
     "CorruptContainerError",
+    "EngineUnavailableError",
     "Grammar",
     "ImagePayload",
     "InvalidDimensionsError",

@@ -1,14 +1,20 @@
 /*
- * The C engine: the compiled twin of the pure-Python compressor hot
- * path, the flat-array, linear-time Re-Pair of Larsson & Moffat,
- * "Off-line dictionary-based compression" (Proc. IEEE 2000), the
- * expansion of its grammars and the container body codec.
+ * The C engine: Re-Pair compression over flat arrays, after Larsson &
+ * Moffat, "Off-line dictionary-based compression" (Proc. IEEE 2000),
+ * the expansion of its grammars and the container body codec.
  *
- * The kernel mirrors build_sequence_array + replace_step in repair.py
- * branch for branch: same greedy non-overlap counting, same (count desc,
- * pair asc) extraction order, same chain batching and run-head repair,
- * so both engines emit identical grammars and the test suite pins that
- * equivalence on random inputs.
+ * Compression counts every adjacent pair greedily left to right without
+ * overlap, threads the counted occurrences of each pair in slot order,
+ * and then repeats one step until no pair reaches the threshold: take
+ * the pair of highest count, the smallest (left, right) among equals,
+ * and replace its occurrences left to right with a fresh symbol.  The
+ * counts are kept up to date as the step goes.  Consecutive occurrences
+ * are replaced as one chain, so that the pairs a replacement creates
+ * are counted once: the inner contexts of a chain cancel, and the run
+ * of fresh symbols a chain leaves gets its self-pair credits by
+ * position parity.  A replacement that eats the first symbol of a run
+ * shifts the parity of that run's self-pair occurrences, so their
+ * credits are re-filed from the new run head (run-head repair).
  *
  * No pair is ever hashed; every pair record is reached by index.  A
  * threaded slot names its record in rec_of, heap entries and the pending
@@ -20,11 +26,12 @@
  * initial count files byte pairs in a 2^16-cell array freed after it.
  * A cell is trusted only when its record is live and holds exactly the
  * pair, so cells left by earlier steps need no reset.  A pair counted
- * once is a record with count 1, standing in for the reference
- * implementation's seen-once table.  The per-count bucket queue
- * collapses into a single array heap ordered by (count desc, code asc);
- * entries carry the same stamps and go stale the same way, so
- * extraction picks the exact pair the bucket queue would.
+ * once is a record with count 1.  Records of count 2 or more wait in
+ * one array heap ordered by (count desc, code asc).  A pair's entry
+ * carries the stamp of its record's newest entry, and the record is
+ * filed again whenever its count grows, so extraction discards entries
+ * whose stamp is stale and re-files those whose count fell; the entry
+ * it takes is the pair of highest count, the smallest among equals.
  *
  * Replaced slots become tombstones, and there are no live links: a
  * block of tombstones [a, b] keeps b + 1 in next_occ[a] and a - 1 in

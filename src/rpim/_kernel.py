@@ -9,12 +9,9 @@ source never loads a stale build.  A build is written under a temporary
 name and moved into place with os.replace, so concurrent processes never
 load a half-written library.
 
-When no compiler is found or the build fails, load() returns None and
-warns once per process.  compress then runs reference_compress, the
-pure-Python engine, which emits the same grammars; expand runs
-reference_expand, the expanded-length check a Python loop, and the
-container body codec read_varint and write_varint loops, with the same
-results.
+The engine is required.  When no compiler is found or the build fails,
+load() returns None and every entry point below raises
+EngineUnavailableError, whose message names the failure.
 """
 
 from __future__ import annotations
@@ -25,11 +22,12 @@ import os
 import subprocess
 import sysconfig
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
+
+from .errors import EngineUnavailableError
 
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -117,11 +115,6 @@ def load() -> ctypes.CDLL | None:
                 ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array]
             lib.rpim_encode_body.restype = ctypes.c_int
             _lib = lib
-        if _error is not None:
-            warnings.warn(f"C engine unavailable, compression, expansion "
-                          f"and the container codec fall back to pure "
-                          f"Python: {_error}",
-                          RuntimeWarning, stacklevel=2)
     return _lib
 
 
@@ -132,7 +125,7 @@ def available() -> bool:
 def _loaded() -> ctypes.CDLL:
     lib = load()
     if lib is None:
-        raise RuntimeError(f"the C engine is unavailable: {_error}")
+        raise EngineUnavailableError(f"the C engine is unavailable: {_error}")
     return lib
 
 
@@ -143,9 +136,9 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
 
     The input is passed as it is and never mutated; the kernel copies it
     into its int32 working array.  Raises ValueError for more than
-    MAX_SYMBOLS symbols, before anything is allocated, RuntimeError when
-    the library cannot be built, MemoryError when the kernel's
-    allocations fail.
+    MAX_SYMBOLS symbols, before anything is allocated,
+    EngineUnavailableError when the library cannot be built, MemoryError
+    when the kernel's allocations fail.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -180,7 +173,7 @@ def expanded_length(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
     below 2**64.
 
     Raises ValueError when a rule side or a symbol references a symbol
-    it may not, RuntimeError when the library cannot be built.
+    it may not, EngineUnavailableError when the library cannot be built.
     """
     lib = _loaded()
     lengths = np.empty(left.size, np.uint64)
@@ -200,8 +193,8 @@ def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
     left and right, which must be length bytes.
 
     Raises ValueError when the grammar references an undefined symbol
-    or the expansion is not length bytes, RuntimeError when the library
-    cannot be built.
+    or the expansion is not length bytes, EngineUnavailableError when
+    the library cannot be built.
     """
     lib = _loaded()
     out = np.empty(length, np.uint8)
@@ -227,8 +220,8 @@ def decode_body(body: np.ndarray, limit: int):
     first fault a varint-by-varint reader meets: a varint fault at byte
     offset where, rule where referencing a symbol outside its prefix,
     symbol number where, of value value, undefined, or trailing bytes
-    from offset where.  Raises RuntimeError when the library cannot be
-    built.
+    from offset where.  Raises EngineUnavailableError when the library
+    cannot be built.
     """
     lib = _loaded()
     data = np.ascontiguousarray(body)
@@ -252,8 +245,8 @@ def encode_body(prefix: bytes, left: np.ndarray, right: np.ndarray,
     """prefix followed by the container body of int64 rule sides left and
     right and int64 symbols, each value a minimal varint.
 
-    Raises ValueError for a negative value, RuntimeError when the
-    library cannot be built.
+    Raises ValueError for a negative value, EngineUnavailableError when
+    the library cannot be built.
     """
     lib = _loaded()
     count = 2 * left.size + symbols.size + 2

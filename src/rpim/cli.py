@@ -2,7 +2,8 @@
 
 Four subcommands: compress, decompress, inspect, bench.  Exit codes are
 stable so scripts can branch on them: 0 success, 1 usage error, 2 bad or
-unsupported input data, 3 filesystem error.
+unsupported input data, 3 filesystem error, 4 the C engine could not be
+built or loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from .container import (
     deserialize,
     serialize,
 )
-from .errors import NotABmpError, RpimError, UnsupportedBmpError
+from .errors import (
+    EngineUnavailableError,
+    NotABmpError,
+    RpimError,
+    UnsupportedBmpError,
+)
 from .image import (
     MODE_BY_LABEL,
     LinearizationMode,
@@ -37,6 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
+EXIT_ENGINE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,6 +193,8 @@ def main(argv=None) -> int:
         return _report(EXIT_DATA)
     except OSError:
         return _report(EXIT_IO)
+    except EngineUnavailableError:
+        return _report(EXIT_ENGINE)
 
 
 def _report(code: int) -> int:

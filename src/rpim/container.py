@@ -18,10 +18,9 @@ The fixed header is read field by field.  The body (rule count, rule
 sides, sequence length, symbols) is read and checked varint by varint in
 one sequential pass, so the first fault met is the one reported, and
 the same pass sums the expanded length the header must match; it is
-written in one pass too.  Both passes run in the C engine, with
-read_varint and write_varint loops as the fallback, and both give the
-same bytes, arrays and errors.  The decoder sizes nothing by a declared
-count: it stores at most one value per body byte.
+written in one pass too.  Both passes run in the C engine; read_varint
+and write_varint handle the varint header field.  The decoder sizes
+nothing by a declared count: it stores at most one value per body byte.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import NONTERMINAL_BASE, Grammar, expanded_length
+from .repair import Grammar, expanded_length
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -47,8 +46,7 @@ VERSION = 1
 _KIND_RAW = 0
 _KIND_IMAGE = 1
 
-# Symbols live in a 32-bit value space; length fields get the full 64 bits.
-_SYMBOL_LIMIT = 1 << 32
+# length fields get the full 64 bits
 _LENGTH_LIMIT = 1 << 64
 
 # deserialize's default cap on the declared expanded length: 1 GiB
@@ -110,7 +108,7 @@ def write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-# varint faults by the C decoder's status, worded the same on both paths
+# varint faults by the C decoder's status; read_varint raises them too
 _VARINT_FAULTS = {
     _kernel.TRUNCATED: "truncated varint",
     _kernel.NON_MINIMAL: "non-minimal varint",
@@ -161,17 +159,8 @@ def serialize(artifact: CompressedArtifact) -> bytes:
         write_varint(out, payload.original_length)
     grammar = artifact.grammar
     sequence = np.ascontiguousarray(artifact.sequence, dtype=np.int64)
-    if _kernel.available():
-        return _kernel.encode_body(bytes(out), grammar.left, grammar.right,
-                                   sequence)
-    write_varint(out, len(grammar))
-    for left, right in zip(grammar.left.tolist(), grammar.right.tolist()):
-        write_varint(out, left)
-        write_varint(out, right)
-    write_varint(out, sequence.size)
-    for symbol in sequence.tolist():
-        write_varint(out, symbol)
-    return bytes(out)
+    return _kernel.encode_body(bytes(out), grammar.left, grammar.right,
+                               sequence)
 
 
 def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifact:
@@ -229,9 +218,6 @@ def _read_body(data: bytes, pos: int,
     earlier rules, and each symbol only a defined one.  Third comes the
     expanded length, or None when it exceeds declared; the C decoder sums
     it as it reads, up to a declared length below 2**64."""
-    if not _kernel.available():
-        grammar, symbols = _read_body_sequentially(data, pos)
-        return grammar, symbols, expanded_length(grammar, symbols, declared)
     body = np.frombuffer(data, dtype=np.uint8, offset=pos)
     status, found = _kernel.decode_body(body, min(declared, _LENGTH_LIMIT - 1))
     if status == 0:
@@ -250,28 +236,3 @@ def _read_body(data: bytes, pos: int,
     if status == _kernel.TRAILING:
         raise CorruptContainerError(f"{body.size - where} trailing bytes after sequence")
     raise RuntimeError(f"C engine could not decode the body (status {status})")
-
-
-def _read_body_sequentially(data: bytes, pos: int) -> tuple[Grammar, np.ndarray]:
-    """_read_body in Python, one read_varint call per value."""
-    rule_count, pos = read_varint(data, pos, _SYMBOL_LIMIT - NONTERMINAL_BASE)
-    sides = []
-    for ordinal in range(rule_count):
-        left, pos = read_varint(data, pos, _SYMBOL_LIMIT)
-        right, pos = read_varint(data, pos, _SYMBOL_LIMIT)
-        if left >= NONTERMINAL_BASE + ordinal or right >= NONTERMINAL_BASE + ordinal:
-            raise MalformedGrammarError(
-                f"rule {ordinal} references symbol outside its prefix")
-        sides += (left, right)
-    seq_len, pos = read_varint(data, pos)
-    symbols = []
-    for _ in range(seq_len):
-        symbol, pos = read_varint(data, pos, _SYMBOL_LIMIT)
-        if symbol >= NONTERMINAL_BASE + rule_count:
-            raise MalformedGrammarError(f"sequence symbol {symbol} is undefined")
-        symbols.append(symbol)
-    if pos != len(data):
-        raise CorruptContainerError(f"{len(data) - pos} trailing bytes after sequence")
-    pairs = np.array(sides, dtype=np.int64).reshape(-1, 2)
-    return (Grammar.from_arrays(pairs[:, 0], pairs[:, 1]),
-            np.array(symbols, dtype=np.int64))

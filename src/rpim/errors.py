@@ -2,7 +2,8 @@
 
 Every data-dependent failure raises a subclass of RpimError so callers can
 distinguish "your input is bad" from genuine bugs or I/O trouble (plain
-OSError is left alone).
+OSError is left alone).  EngineUnavailableError is not about the input:
+the C engine that does the work could not be built or loaded.
 """
 
 
@@ -52,3 +53,7 @@ class RoundTripMismatchError(RpimError):
     Raised by the bench harness before a result row would be recorded; it
     always indicates a bug, never a property of the input.
     """
+
+
+class EngineUnavailableError(RuntimeError):
+    """The C engine could not be built or loaded; the message names why."""

@@ -9,16 +9,15 @@ program deriving exactly one string.
 
 Pair occurrences are counted greedily left to right without overlap, so a
 run of the same symbol of length L contributes floor(L/2) occurrences of
-its self-pair.  Counts are maintained incrementally: the working sequence
-keeps doubly-linked occurrence threads per pair plus live-neighbor links
-across the tombstones that replacements leave behind, and the pair table
-keeps a bucket queue keyed by count for amortized constant-time extraction
-of the current maximum.
+its self-pair; of pairs with equal counts the smallest (left, right) is
+replaced first.  compress and expand run in the C engine (_kernel.c),
+which keeps the counts up to date as it replaces.  reference_compress and
+reference_expand are their oracles: short, slow and written from the
+definition alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 import sys
 from collections.abc import Iterable, Sequence
@@ -31,14 +30,6 @@ from . import _kernel
 from .errors import MalformedGrammarError
 
 NONTERMINAL_BASE = 256
-
-TOMBSTONE = -1
-
-_SYMBOL_SPACE = 1 << 32
-_CODE_MASK = _SYMBOL_SPACE - 1
-
-# thread-insertion sentinel: append at the record's tail
-_TAIL = -2
 
 
 class Rule(NamedTuple):
@@ -131,400 +122,6 @@ def count_pairs(seq: Sequence[int]) -> dict[tuple[int, int], int]:
     return counts
 
 
-class PairRecord:
-    """Count and occurrence thread for one pair seen at least twice."""
-
-    __slots__ = ("left", "right", "count", "thread_head", "thread_tail", "stamp")
-
-    def __init__(self, left: int, right: int, count: int,
-                 thread_head: int, thread_tail: int) -> None:
-        self.left = left
-        self.right = right
-        self.count = count
-        self.thread_head = thread_head
-        self.thread_tail = thread_tail
-        # identity of this record's newest bucket-queue entry; -1 = none yet
-        self.stamp = -1
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return (f"PairRecord(pair=({self.left}, {self.right}), count={self.count}, "
-                f"thread={self.thread_head}..{self.thread_tail})")
-
-
-class SequenceArray:
-    """Working sequence under replacement.
-
-    Parallel arrays per slot: the symbol (TOMBSTONE once vacated), the
-    prev/next links of the occurrence thread the slot belongs to, and a
-    threaded flag marking slots that start a counted occurrence.  live_prev
-    and live_next skip tombstones in both directions.  Index -1 means
-    absent throughout.
-    """
-
-    __slots__ = ("symbols", "prev_occurrence", "next_occurrence", "threaded",
-                 "live_prev", "live_next", "live_count")
-
-    def __init__(self, symbols, prev_occurrence=None, next_occurrence=None,
-                 threaded=None):
-        if not isinstance(symbols, list):
-            symbols = list(symbols)
-        n = len(symbols)
-        self.symbols: list[int] = symbols
-        self.prev_occurrence: list[int] = (
-            [-1] * n if prev_occurrence is None else prev_occurrence)
-        self.next_occurrence: list[int] = (
-            [-1] * n if next_occurrence is None else next_occurrence)
-        self.threaded: bytearray = bytearray(n) if threaded is None else threaded
-        self.live_prev: list[int] = list(range(-1, n - 1))
-        self.live_next: list[int] = list(range(1, n + 1))
-        if n:
-            self.live_next[n - 1] = -1
-        self.live_count: int = n
-
-    def working_sequence(self) -> list[int]:
-        """Live symbols left to right, tombstones skipped."""
-        if self.live_count == len(self.symbols):
-            return list(self.symbols)
-        return [s for s in self.symbols if s != TOMBSTONE]
-
-
-class PairTable:
-    """Pair statistics: full records for counts >= 2, seen-once slots, and
-    a count-indexed bucket queue for max extraction.
-
-    records and seen_once are keyed by the pair code (left << 32) | right;
-    seen_once maps a pair counted exactly once to its occurrence's slot.
-
-    Bucket entries are (code, stamp) pairs in min-heaps, so equal-count
-    ties resolve to the lexicographically smallest pair.  Entries go stale
-    when a count changes; extraction discards entries whose stamp no longer
-    matches the record and lazily re-files entries whose count moved.
-    """
-
-    __slots__ = ("records", "seen_once", "_buckets", "_pending", "_stamp",
-                 "_max_count")
-
-    def __init__(self) -> None:
-        self.records: dict[int, PairRecord] = {}
-        self.seen_once: dict[int, int] = {}
-        self._buckets: dict[int, list[tuple[int, int]]] = {}
-        self._pending: set[int] = set()
-        self._stamp = 0
-        self._max_count = 0
-
-    def _flush_pending(self) -> None:
-        # file a fresh bucket entry for every record whose count grew
-        records = self.records
-        buckets = self._buckets
-        for code in self._pending:
-            record = records.get(code)
-            if record is None:
-                continue
-            self._stamp += 1
-            record.stamp = self._stamp
-            heapq.heappush(buckets.setdefault(record.count, []),
-                           (code, self._stamp))
-            if record.count > self._max_count:
-                self._max_count = record.count
-        self._pending.clear()
-
-    def _extract_max(self, min_frequency: int) -> PairRecord | None:
-        """Pop and return the most frequent record, or None below threshold."""
-        buckets = self._buckets
-        records = self.records
-        while self._max_count >= min_frequency:
-            heap = buckets.get(self._max_count)
-            if not heap:
-                buckets.pop(self._max_count, None)
-                self._max_count -= 1
-                continue
-            code, stamp = heapq.heappop(heap)
-            record = records.get(code)
-            if record is None or record.stamp != stamp:
-                continue
-            if record.count != self._max_count:
-                # count decreased since this entry was filed; re-file it
-                self._stamp += 1
-                record.stamp = self._stamp
-                heapq.heappush(buckets.setdefault(record.count, []),
-                               (code, self._stamp))
-                continue
-            del records[code]
-            return record
-        return None
-
-    def _credit(self, array: SequenceArray, left: int, right: int,
-                slot: int, after: int = _TAIL) -> None:
-        """Register a new counted occurrence of (left, right) at slot.
-
-        `after` places the slot in the record's thread: _TAIL appends, -1
-        prepends, otherwise the slot is spliced in behind that thread slot.
-        """
-        code = (left << 32) | right
-        prev_occ = array.prev_occurrence
-        next_occ = array.next_occurrence
-        array.threaded[slot] = 1
-        record = self.records.get(code)
-        if record is None:
-            first = self.seen_once.pop(code, -1)
-            if first < 0:
-                self.seen_once[code] = slot
-                prev_occ[slot] = -1
-                next_occ[slot] = -1
-                return
-            lo, hi = (first, slot) if first < slot else (slot, first)
-            prev_occ[lo] = -1
-            next_occ[lo] = hi
-            prev_occ[hi] = lo
-            next_occ[hi] = -1
-            self.records[code] = PairRecord(left, right, 2, lo, hi)
-            self._pending.add(code)
-            return
-        record.count += 1
-        if after == _TAIL:
-            after = record.thread_tail
-        if after < 0:
-            follower = record.thread_head
-            record.thread_head = slot
-            prev_occ[slot] = -1
-        else:
-            follower = next_occ[after]
-            next_occ[after] = slot
-            prev_occ[slot] = after
-        next_occ[slot] = follower
-        if follower < 0:
-            record.thread_tail = slot
-        else:
-            prev_occ[follower] = slot
-        self._pending.add(code)
-
-    def _uncredit(self, array: SequenceArray, left: int, right: int,
-                  slot: int) -> int:
-        """Drop the counted occurrence of (left, right) at slot.
-
-        Returns the removed slot's thread predecessor (-1 if it was the
-        head); run-head repair uses it as the splice-back anchor.
-        """
-        code = (left << 32) | right
-        prev_occ = array.prev_occurrence
-        next_occ = array.next_occurrence
-        array.threaded[slot] = 0
-        record = self.records.get(code)
-        if record is None:
-            if self.seen_once.pop(code) != slot:
-                raise AssertionError("seen-once slot out of sync")
-            return -1
-        p = prev_occ[slot]
-        n = next_occ[slot]
-        if p < 0:
-            record.thread_head = n
-        else:
-            next_occ[p] = n
-        if n < 0:
-            record.thread_tail = p
-        else:
-            prev_occ[n] = p
-        prev_occ[slot] = -1
-        next_occ[slot] = -1
-        record.count -= 1
-        if record.count == 1:
-            # demote: the surviving occurrence is tracked as seen-once
-            del self.records[code]
-            self.seen_once[code] = record.thread_head
-            self._pending.discard(code)
-        return p
-
-
-def build_sequence_array(seq) -> tuple[SequenceArray, PairTable]:
-    """Index a sequence: occurrence threads plus pair counts.
-
-    Accepts bytes or any integer sequence with values in [0, 2**32).
-    """
-    if isinstance(seq, (bytes, bytearray)):
-        symbols = np.frombuffer(seq, dtype=np.uint8).astype(np.int64)
-    else:
-        symbols = np.asarray(seq, dtype=np.int64)
-        if symbols.ndim != 1 and symbols.size:
-            raise ValueError("sequence must be one-dimensional")
-    n = int(symbols.size)
-    table = PairTable()
-    if n and (int(symbols.min()) < 0 or int(symbols.max()) >= _SYMBOL_SPACE):
-        raise ValueError("symbols must fit unsigned 32-bit values")
-    if n < 2:
-        return SequenceArray(symbols.tolist()), table
-
-    wide = symbols.astype(np.uint64)
-    codes = (wide[:-1] << np.uint64(32)) | wide[1:]
-
-    # greedy non-overlap: within a run of equal symbols only even offsets
-    # from the run head start a counted occurrence
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(symbols[1:], symbols[:-1], out=change[1:])
-    run_head = np.flatnonzero(change)
-    offsets = np.arange(n, dtype=np.int64) - run_head[np.cumsum(change) - 1]
-    counted = change[1:] | ((offsets[:-1] & 1) == 0)
-
-    slots = np.flatnonzero(counted)
-    slot_codes = codes[slots]
-    order = np.argsort(slot_codes, kind="stable")
-    sorted_slots = slots[order]
-    sorted_codes = slot_codes[order]
-
-    next_occ = np.full(n, -1, dtype=np.int64)
-    prev_occ = np.full(n, -1, dtype=np.int64)
-    same = sorted_codes[1:] == sorted_codes[:-1]
-    left_link = sorted_slots[:-1][same]
-    right_link = sorted_slots[1:][same]
-    next_occ[left_link] = right_link
-    prev_occ[right_link] = left_link
-
-    threaded = np.zeros(n, dtype=np.uint8)
-    threaded[slots] = 1
-
-    array = SequenceArray(symbols.tolist(), prev_occ.tolist(),
-                          next_occ.tolist(), bytearray(threaded.tobytes()))
-
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    ends = np.append(starts[1:], len(sorted_slots))
-    heads = sorted_slots[starts].tolist()
-    tails = sorted_slots[ends - 1].tolist()
-    group_counts = (ends - starts).tolist()
-    group_codes = sorted_codes[starts].tolist()
-
-    records = table.records
-    seen_once = table.seen_once
-    for code, cnt, head, tail in zip(group_codes, group_counts, heads, tails):
-        if cnt == 1:
-            seen_once[code] = head
-        else:
-            records[code] = PairRecord(code >> 32, code & _CODE_MASK,
-                                       cnt, head, tail)
-            table._pending.add(code)
-    table._flush_pending()
-    return array, table
-
-
-def _repair_run_head(array: SequenceArray, table: PairTable, symbol: int,
-                     start: int, anchor: int) -> None:
-    """Recount a run's self-pair credits after its head symbol was removed.
-
-    Erosion at the head shifts the greedy parity of every credit in the
-    remainder, so they are unthreaded and re-filed from the new head.  The
-    last run slot is skipped: its flag, if set, belongs to the pair formed
-    with the symbol after the run.  Cost is linear in the run length.
-    """
-    syms = array.symbols
-    live_next = array.live_next
-    threaded = array.threaded
-    run = []
-    s = start
-    while s >= 0 and syms[s] == symbol:
-        run.append(s)
-        s = live_next[s]
-    last = len(run) - 1
-    for idx in range(last):
-        s = run[idx]
-        if threaded[s]:
-            table._uncredit(array, symbol, symbol, s)
-    for idx in range(0, last, 2):
-        s = run[idx]
-        table._credit(array, symbol, symbol, s, anchor)
-        anchor = s
-
-
-def replace_step(array: SequenceArray, table: PairTable, rules: list[Rule],
-                 min_frequency: int = 2) -> bool:
-    """Replace every occurrence of the most frequent pair with a fresh
-    nonterminal, appending its rule to rules.
-
-    Returns False (state untouched) when no pair reaches min_frequency.
-    Consecutive occurrences are processed as one chain so that the pairs a
-    replacement creates are counted exactly once: inner left/right contexts
-    of a chain cancel, and the run of fresh nonterminals a chain leaves
-    behind gets its self-pair credits by position parity.
-    """
-    record = table._extract_max(min_frequency)
-    if record is None:
-        return False
-    left_sym = record.left
-    right_sym = record.right
-    fresh = NONTERMINAL_BASE + len(rules)
-    if fresh >= _SYMBOL_SPACE:
-        raise OverflowError("rule ordinals exhausted the 32-bit symbol space")
-    rules.append(Rule(left_sym, right_sym))
-    self_pair = left_sym == right_sym
-
-    syms = array.symbols
-    prev_occ = array.prev_occurrence
-    next_occ = array.next_occurrence
-    live_prev = array.live_prev
-    live_next = array.live_next
-    threaded = array.threaded
-    removed = 0
-
-    slot = record.thread_head
-    while slot >= 0:
-        i = slot
-        upcoming = next_occ[i]
-        threaded[i] = 0
-        prev_occ[i] = -1
-        next_occ[i] = -1
-
-        p = live_prev[i]
-        if p >= 0 and threaded[p]:
-            # the (left-context, left_sym) occurrence dies with this slot
-            table._uncredit(array, syms[p], left_sym, p)
-
-        link = 0
-        while True:
-            j = live_next[i]
-            q = live_next[j]
-            anchor = -1
-            if threaded[j]:
-                # the (right_sym, right-context) occurrence dies with j
-                anchor = table._uncredit(array, right_sym, syms[q], j)
-            syms[i] = fresh
-            syms[j] = TOMBSTONE
-            live_next[i] = q
-            if q >= 0:
-                live_prev[q] = i
-            removed += 1
-
-            if q >= 0 and q == upcoming:
-                # adjacent occurrence: extend the chain
-                upcoming = next_occ[q]
-                threaded[q] = 0
-                prev_occ[q] = -1
-                next_occ[q] = -1
-                link += 1
-                if link & 1:
-                    # self-pair credit for the fresh-symbol run, at slot i
-                    table._credit(array, fresh, fresh, i)
-                i = q
-                continue
-
-            if q >= 0:
-                y = syms[q]
-                if y == right_sym and not self_pair:
-                    # the removal eroded the head of a right_sym run
-                    _repair_run_head(array, table, right_sym, q, anchor)
-                table._credit(array, fresh, y, i)
-            if p >= 0:
-                table._credit(array, syms[p], fresh, p)
-            break
-
-        slot = upcoming
-
-    array.live_count -= removed
-    table._flush_pending()
-    return True
-
-
 def compress(seq, config: CompressorConfig | None = None
              ) -> tuple[Grammar, np.ndarray]:
     """Compress a terminal sequence; returns (grammar, final sequence),
@@ -533,9 +130,8 @@ def compress(seq, config: CompressorConfig | None = None
     seq is bytes or a one-dimensional sequence of integers in 0-255;
     anything else raises ValueError.  Bytes reach the engine without a
     copy.  The work runs in the C engine (_kernel.c), built with the
-    system C compiler on first use.  When it cannot be built or loaded,
-    reference_compress runs instead, with one warning per process; both
-    produce identical output.
+    system C compiler on first use; EngineUnavailableError names the
+    failure when it cannot be built or loaded.
     """
     if config is None:
         config = CompressorConfig()
@@ -553,8 +149,6 @@ def compress(seq, config: CompressorConfig | None = None
                             or int(values.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
         symbols = values.astype(np.uint8, copy=False)
-    if not _kernel.available():
-        return reference_compress(symbols, config)
     rule_left, rule_right, final = _kernel.compress_array(
         symbols, config.min_frequency, config.max_rules)
     # the int32 views share the kernel's n-sized buffers; the int64
@@ -565,21 +159,37 @@ def compress(seq, config: CompressorConfig | None = None
 
 def reference_compress(seq, config: CompressorConfig | None = None
                        ) -> tuple[Grammar, np.ndarray]:
-    """The pure-Python engine: build_sequence_array, then replace_step until
-    no pair reaches min_frequency or max_rules rules exist.
+    """Re-Pair from its definition, the oracle compress is tested against.
 
-    It is the oracle the C engine is tested against and compress's
-    fallback.  seq must hold terminal symbols; compress checks that.
+    Each step counts the pairs afresh, takes the most frequent (the
+    smallest pair among equals) and replaces its occurrences left to
+    right, until no pair reaches min_frequency or max_rules rules exist.
+    It costs O(len(seq)) per rule.  seq must hold terminal symbols.
     """
     if config is None:
         config = CompressorConfig()
-    array, table = build_sequence_array(seq)
+    symbols = [int(s) for s in seq]
     rules: list[Rule] = []
-    max_rules = config.max_rules
-    while max_rules is None or len(rules) < max_rules:
-        if not replace_step(array, table, rules, config.min_frequency):
+    while config.max_rules is None or len(rules) < config.max_rules:
+        counts = count_pairs(symbols)
+        pair = min(counts, key=lambda p: (-counts[p], p), default=None)
+        if pair is None or counts[pair] < config.min_frequency:
             break
-    return Grammar(rules), np.array(array.working_sequence(), dtype=np.int64)
+        left, right = pair
+        fresh = NONTERMINAL_BASE + len(rules)
+        rules.append(Rule(left, right))
+        out = []
+        i = 0
+        while i < len(symbols):
+            if (symbols[i] == left and i + 1 < len(symbols)
+                    and symbols[i + 1] == right):
+                out.append(fresh)
+                i += 2
+            else:
+                out.append(symbols[i])
+                i += 1
+        symbols = out
+    return Grammar(rules), np.array(symbols, dtype=np.int64)
 
 
 def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
@@ -606,8 +216,9 @@ def expanded_length(grammar: Grammar, symbols: np.ndarray,
     """The exact expanded length of symbols, an int64 array the grammar
     defines, or None when it exceeds limit, which may be any size.
 
-    This is the Python loop; the C engine sums the same lengths as it
-    decodes a container body, for limits below 2**64.
+    The C engine sums the same lengths as it decodes a container body,
+    for limits below 2**64; deserialize runs this loop for an image
+    header that declares 2**64 samples or more.
     """
     # lengths saturate just past limit, so doubling chains stay small
     # integers; any saturated use makes the total exceed limit
@@ -626,12 +237,8 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
 
     The C engine expands each rule reachable from seq once and copies
     that first expansion for every later use, into one buffer of the
-    exact length.  Rules seq does not reach are never expanded.  When
-    the engine cannot be built or loaded, reference_expand runs instead;
-    both give the same bytes.
+    exact length.  Rules seq does not reach are never expanded.
     """
-    if not _kernel.available():
-        return reference_expand(grammar, seq)
     symbols = np.ascontiguousarray(seq, dtype=np.int64)
     try:
         length = _kernel.expanded_length(grammar.left, grammar.right,
@@ -646,8 +253,7 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
 
 
 def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
-    """The pure-Python expansion: the oracle the C engine is tested
-    against and expand's fallback.
+    """Expansion in Python, the oracle expand is tested against.
 
     Only rules reachable from seq are materialized, so memory stays
     proportional to the output even when the grammar carries unused rules.

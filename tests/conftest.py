@@ -9,9 +9,6 @@ implementation against slow but obviously-correct derivations:
 * run_pair_counts derives the same numbers arithmetically: unequal
   neighbors count every adjacency, a run of k equal symbols contributes
   floor(k/2).
-
-full_state_check verifies a live SequenceArray/PairTable pair against
-the oracle and walks every occurrence thread link by link.
 """
 
 from __future__ import annotations
@@ -39,8 +36,17 @@ DOUBLING_CHAIN = Grammar([Rule(97, 97)]
 # formed, so only an output limit rejects it
 BOMB = serialize(CompressedArtifact(RawPayload(1 << 40), DOUBLING_CHAIN, [295]))
 
-needs_c_engine = pytest.mark.skipif(not _kernel.available(),
-                                    reason="C engine unavailable")
+
+def break_compiler(monkeypatch, tmp_path):
+    """Point the engine build at a compiler that does not exist and an
+    empty cache, and forget this process's load outcome; monkeypatch
+    restores all of it.  Returns the cache directory."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_kernel, "COMPILER", str(tmp_path / "missing-cc"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(_kernel, "_lib", None)
+    monkeypatch.setattr(_kernel, "_error", None)
+    return cache
 
 
 def greedy_pair_counts(seq):
@@ -77,67 +83,6 @@ def run_pair_counts(seq):
             counts[pair] = counts.get(pair, 0) + (j - i) // 2
         i = j
     return counts
-
-
-def pair_code(left, right):
-    """The key PairTable files (left, right) under."""
-    return (left << 32) | right
-
-
-def code_pair(code):
-    """The (left, right) pair a PairTable key stands for."""
-    return (code >> 32, code & 0xFFFFFFFF)
-
-
-def table_counts(table):
-    """Pair counts claimed by a PairTable, seen-once pairs included."""
-    got = {code_pair(code): rec.count for code, rec in table.records.items()}
-    for code in table.seen_once:
-        pair = code_pair(code)
-        assert pair not in got, f"records/seen_once overlap at {pair}"
-        got[pair] = 1
-    return got
-
-
-def check_threads(array, table):
-    """Walk every occurrence thread and verify each link and flag."""
-    for code, rec in table.records.items():
-        pair = code_pair(code)
-        slot = rec.thread_head
-        seen = 0
-        prev = -1
-        last = -1
-        while slot >= 0:
-            assert array.threaded[slot], f"{pair}: slot {slot} not flagged"
-            assert array.prev_occurrence[slot] == prev, \
-                f"{pair}: prev link broken at {slot}"
-            assert slot > last, f"{pair}: thread not left-to-right at {slot}"
-            left = array.symbols[slot]
-            succ = array.live_next[slot]
-            assert succ >= 0, f"{pair}: slot {slot} has no live successor"
-            right = array.symbols[succ]
-            assert (left, right) == pair, \
-                f"{pair}: thread holds occurrence ({left},{right}) at {slot}"
-            seen += 1
-            last = slot
-            prev = slot
-            slot = array.next_occurrence[slot]
-        assert seen == rec.count, \
-            f"{pair}: thread length {seen} != count {rec.count}"
-        assert rec.thread_tail == last, f"{pair}: stale tail"
-
-
-def full_state_check(array, table, label=""):
-    """Table counts must match the oracle and threads must be sound."""
-    seq = array.working_sequence()
-    want = greedy_pair_counts(seq)
-    want = {p: c for p, c in want.items() if c > 0}
-    got = table_counts(table)
-    assert got == want, (
-        f"{label}: table/oracle mismatch\n"
-        f"  wrong in table: { {k: v for k, v in got.items() if want.get(k) != v} }\n"
-        f"  missing/wrong:  { {k: v for k, v in want.items() if got.get(k) != v} }")
-    check_threads(array, table)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ PUBLIC = {
     "InvalidDimensionsError", "InvalidGeometryError", "MalformedGrammarError",
     "NotABmpError", "OutputTooLargeError", "RoundTripMismatchError",
     "UnrecognizedContainerError", "UnsupportedBmpError",
+    "EngineUnavailableError",
     "__version__",
 }
 

@@ -11,7 +11,7 @@ from rpim import cli
 from rpim.cli import main
 from rpim.image import PixelBuffer, decode_bmp, encode_bmp
 
-from conftest import BOMB
+from conftest import BOMB, break_compiler
 
 
 @pytest.fixture()
@@ -153,6 +153,28 @@ class TestDecompress:
         assert out.read_bytes() == b"previous"
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["data.bin", "data.rpim", "out"]
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_no_compiler_exits_4(self, tmp_path, monkeypatch, capsys,
+                                 command):
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(b"abcabcabc" * 9)
+        packed = tmp_path / "data.rpim"
+        assert main(["compress", str(blob), str(packed), "--raw"]) == 0
+        source = blob if command == "compress" else packed
+        out = tmp_path / "out"
+        capsys.readouterr()
+
+        break_compiler(monkeypatch, tmp_path)
+        args = [command, str(source), str(out)] + \
+            (["--raw"] if command == "compress" else [])
+        assert main(args) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rpim: "), lines
+        assert "missing-cc" in lines[0]
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cache", "data.bin", "data.rpim"]
 
 
 class TestInspect:

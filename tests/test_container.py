@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import struct
@@ -32,9 +33,9 @@ from rpim.errors import (
     UnrecognizedContainerError,
 )
 from rpim.image import LinearizationMode, linearize, PixelBuffer
-from rpim.repair import Grammar, Rule, compress, expand
+from rpim.repair import Grammar, Rule, compress, expand, expanded_length
 
-from conftest import BOMB, needs_c_engine
+from conftest import BOMB
 
 
 VARINT_EDGES = [0, 127, 128, 2**32 - 1, 2**63, 2**64 - 1]
@@ -109,16 +110,6 @@ def outcome(decoder, blob: bytes, **kwargs):
         return type(exc)
 
 
-def both_paths():
-    """Yield "c", then "python" with _kernel.available patched to False,
-    so that the loop body runs on the C codec and on its fallback."""
-    for path in ("c", "python"):
-        with pytest.MonkeyPatch.context() as patch:
-            if path == "python":
-                patch.setattr(_kernel, "available", lambda: False)
-            yield path
-
-
 def c_read_varint(blob: bytes, start: int):
     """read_varint through rpim_decode_body: blob[start:], which holds at
     most one varint, as the sequence length of a body with no rules, the
@@ -175,7 +166,6 @@ class TestVarint:
     @given(st.lists(st.sampled_from(VARINT_EDGES) | st.integers(0, 2**64 - 1),
                     max_size=40))
     @settings(max_examples=300, deadline=None)
-    @needs_c_engine
     def test_array_codec_matches_one_at_a_time(self, values):
         # the C encoder takes int64 values, so the symbols of a body get
         # those below 2**63; the decoder reads every value back through
@@ -199,7 +189,6 @@ class TestVarint:
     @example(b"\x80" * 9 + b"\x02")  # 2**64, which wraps to 0 in 64 bits
     @example(b"\x80" * 10 + b"\x01")  # 11 bytes
     @settings(max_examples=300, deadline=None)
-    @needs_c_engine
     def test_array_decoder_judges_like_read_varint(self, blob):
         # every complete varint, and an unfinished tail: the C decoder
         # accepts it exactly when read_varint does, with the same value
@@ -369,19 +358,15 @@ def test_single_fault_base_is_valid():
 def test_single_fault_raises_same_class(name):
     blob, expected = SINGLE_FAULTS[name]
     assert outcome(sequential_deserialize, blob) is expected
-    messages = set()
-    for path in both_paths():
-        with pytest.raises(expected) as caught:
-            deserialize(blob)
-        assert type(caught.value) is expected, path
-        messages.add(str(caught.value))
-    assert len(messages) == 1, messages
+    with pytest.raises(expected) as caught:
+        deserialize(blob)
+    assert type(caught.value) is expected
 
 
 def test_faults_rank_like_a_sequential_reader():
     # mutants of containers with 50+ rules, many with several faults:
-    # the C decoder and its fallback accept the same set and raise the
-    # class of the fault a sequential reader meets first, worded alike
+    # the C decoder accepts what a sequential reader accepts and raises
+    # the class of the fault that reader meets first
     rng = random.Random(0x5E0)
     data = bytes(rng.choice(b"abcdefgh") for _ in range(600))
     bases = [serialize(CompressedArtifact(RawPayload(len(data)), *compress(data))),
@@ -398,34 +383,26 @@ def test_faults_rank_like_a_sequential_reader():
         if rng.random() < 0.3:
             blob = blob[:rng.randrange(len(blob))]
         expected = outcome(sequential_deserialize, bytes(blob))
-        messages = set()
-        for path in both_paths():
-            try:
-                got = deserialize(bytes(blob), max_output=1 << 70)
-            except RpimError as exc:
-                got = type(exc)
-                messages.add(str(exc))
-            assert got == expected, path
-        assert len(messages) <= 1, messages
+        got = outcome(deserialize, bytes(blob), max_output=1 << 70)
+        assert got == expected
         seen.add(expected if isinstance(expected, type) else "accepted")
     assert {CorruptContainerError, MalformedGrammarError} <= seen
 
 
 def test_forged_counts_allocate_by_the_data():
     """Bodies declaring 2**60 symbols, or the most rules allowed, in a few
-    bytes are refused on both paths with allocations sized by the data."""
+    bytes are refused with allocations sized by the data."""
     blobs = [SINGLE_FAULTS["forged_sequence_length"][0],
              b"RPIM\x01\x00" + varint(8) + varint(2**32 - 257) + b"ab"]
-    for path in both_paths():
-        for blob in blobs:
-            tracemalloc.start()
-            try:
-                with pytest.raises(CorruptContainerError):
-                    deserialize(blob)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 64 * 1024, (path, blob, peak)
+    for blob in blobs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptContainerError):
+                deserialize(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (blob, peak)
 
 
 def test_decompression_bomb_rejected_before_the_body():
@@ -464,15 +441,16 @@ DECLARED_EXACTNESS = {
 
 @pytest.mark.parametrize("engine", ["c", "python"])
 @pytest.mark.parametrize("case", DECLARED_EXACTNESS)
-def test_declared_length_check_is_exact(case, engine, monkeypatch):
+def test_declared_length_check_is_exact(case, engine):
     """The expanded-length check compares exact lengths up to 2**64 - 1,
-    in the C engine's saturating pass and in the Python loop alike; the
-    body codec runs on the same path."""
-    if engine == "python":
-        monkeypatch.setattr(_kernel, "available", lambda: False)
-    elif not _kernel.available():
-        pytest.skip("C engine unavailable")
+    in the C decoder's saturating pass and in repair.expanded_length, the
+    Python loop deserialize runs for declared lengths past 64 bits."""
     declared, sequence, accepted = DECLARED_EXACTNESS[case]
+    if engine == "python":
+        length = expanded_length(doubling_chain(63),
+                                 np.array(sequence, np.int64), declared)
+        assert (length == declared) is accepted
+        return
     blob = serialize(CompressedArtifact(
         RawPayload(declared), doubling_chain(63), sequence))
     if accepted:
@@ -515,9 +493,10 @@ def test_serialize_deserialize_identity(data, as_image):
         grammar, final = compress(data)
         payload = RawPayload(len(data))
     artifact = CompressedArtifact(payload, grammar, final)
-    blobs = set()
-    for path in both_paths():
-        blob = serialize(artifact)
-        assert deserialize(blob) == artifact, path
-        blobs.add(blob)
-    assert len(blobs) == 1
+    blob = serialize(artifact)
+    assert deserialize(blob) == artifact
+    # the C encoder writes one minimal varint per value, in order
+    header = serialize(CompressedArtifact(payload, Grammar(), []))[:-2]
+    values = [len(grammar), *itertools.chain(*grammar.rules), len(final),
+              *final.tolist()]
+    assert blob == header + b"".join(map(varint, values))
