@@ -3,7 +3,9 @@
 Only the plain 24-bit uncompressed flavour (BITMAPINFOHEADER, BI_RGB) is
 supported; everything else is rejected loudly rather than half-decoded.
 Linearization turns a pixel buffer into the one-dimensional byte sequence
-the compressor consumes, in one of four invertible orders.
+the compressor consumes, in one of four invertible orders.  On the way
+out, delinearize and encode_bmp each write every output byte once, into
+one array whose single tobytes() is the result.
 """
 
 from __future__ import annotations
@@ -59,12 +61,7 @@ class PixelBuffer:
     samples: bytes
 
     def validate(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise InvalidDimensionsError(
-                f"image extent {self.width}x{self.height} is empty"
-            )
-        if self.channels not in (1, 3):
-            raise InvalidDimensionsError(f"unsupported channel count {self.channels}")
+        _check_geometry(self.width, self.height, self.channels)
         expected = self.width * self.height * self.channels
         if len(self.samples) != expected:
             raise InvalidDimensionsError(
@@ -75,6 +72,13 @@ class PixelBuffer:
         return np.frombuffer(self.samples, np.uint8).reshape(
             self.height, self.width, self.channels
         )
+
+
+def _check_geometry(width: int, height: int, channels: int) -> None:
+    if width < 1 or height < 1:
+        raise InvalidDimensionsError(f"image extent {width}x{height} is empty")
+    if channels not in (1, 3):
+        raise InvalidDimensionsError(f"unsupported channel count {channels}")
 
 
 def _row_size(width: int) -> int:
@@ -126,7 +130,7 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
     arr = buf.as_array()
     row = _row_size(buf.width)
     image_size = row * buf.height
-    out = np.zeros(_HEADER_SIZE + image_size, np.uint8)
+    out = np.empty(_HEADER_SIZE + image_size, np.uint8)
     out[:_HEADER_SIZE] = np.frombuffer(struct.pack(
         "<2sIHHIIiiHHIIiiII",
         b"BM",
@@ -146,10 +150,11 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
         0,
         0,
     ), np.uint8)
-    # rows bottom-up, BGR pixels, zero padding: one plane copy per
-    # channel, and a single channel copied to all three
-    raster = out[_HEADER_SIZE:].reshape(buf.height, row)[::-1, : 3 * buf.width]
-    bgr = raster.reshape(buf.height, buf.width, 3)
+    # rows bottom-up, BGR pixels: zero the padding columns only, then one
+    # plane copy per channel, and a single channel copied to all three
+    raster = out[_HEADER_SIZE:].reshape(buf.height, row)
+    raster[:, 3 * buf.width:] = 0
+    bgr = raster[::-1, : 3 * buf.width].reshape(buf.height, buf.width, 3)
     for c in range(3):
         bgr[:, :, c] = arr[:, :, 2 - c if buf.channels == 3 else 0]
     return out.tobytes()
@@ -175,7 +180,12 @@ def linearize(buf: PixelBuffer, mode: LinearizationMode) -> bytes:
 def delinearize(
     seq: bytes, mode: LinearizationMode, width: int, height: int, channels: int
 ) -> PixelBuffer:
-    """Exact inverse of linearize for the given geometry."""
+    """Exact inverse of linearize for the given geometry.
+
+    The geometry is checked first (InvalidDimensionsError), then the
+    length (InvalidGeometryError), and only then is the output allocated.
+    """
+    _check_geometry(width, height, channels)
     data = bytes(seq)
     expected = width * height * channels
     if len(data) != expected:
@@ -185,16 +195,20 @@ def delinearize(
     if mode == LinearizationMode.ROW_MAJOR:
         return PixelBuffer(width, height, channels, data)
     arr = np.frombuffer(data, np.uint8)
-    if mode in (
-        LinearizationMode.CHANNEL_SPLIT_ROW_MAJOR,
-        LinearizationMode.CHANNEL_SPLIT_ZIGZAG,
-    ):
-        arr = arr.reshape(channels, height, width).transpose(1, 2, 0)
+    out = np.empty((height, width, channels), np.uint8)
+    if mode == LinearizationMode.ZIGZAG:
+        pixels = arr.reshape(height, width, channels)
+        out[0::2] = pixels[0::2]
+        # odd rows per channel: whole reversed pixels copy 3 bytes per loop
+        for c in range(channels):
+            out[1::2, :, c] = pixels[1::2, ::-1, c]
     else:
-        arr = arr.reshape(height, width, channels)
-    if mode in (LinearizationMode.ZIGZAG, LinearizationMode.CHANNEL_SPLIT_ZIGZAG):
-        arr = arr.copy()
-        arr[1::2] = arr[1::2, ::-1]
-    buf = PixelBuffer(width, height, channels, arr.tobytes())
-    buf.validate()
-    return buf
+        # each plane into its stride-`channels` slot
+        planes = arr.reshape(channels, height, width)
+        for c in range(channels):
+            if mode == LinearizationMode.CHANNEL_SPLIT_ZIGZAG:
+                out[0::2, :, c] = planes[c, 0::2]
+                out[1::2, :, c] = planes[c, 1::2, ::-1]
+            else:
+                out[:, :, c] = planes[c]
+    return PixelBuffer(width, height, channels, out.tobytes())

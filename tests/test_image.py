@@ -98,6 +98,37 @@ class TestBmpCodec:
         assert decode_bmp(blob) == buf
 
 
+def reference_bmp(buf):
+    """The BMP file for buf, written pixel by pixel with struct alone."""
+    w, h, c = buf.width, buf.height, buf.channels
+    row = (3 * w + 3) // 4 * 4
+    out = bytearray(struct.pack("<2sIHHI", b"BM", 54 + row * h, 0, 0, 54))
+    out += struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0, row * h,
+                       2835, 2835, 0, 0)
+    for y in reversed(range(h)):
+        for x in range(w):
+            pixel = buf.samples[(y * w + x) * c:(y * w + x + 1) * c]
+            r, g, b = pixel if c == 3 else pixel * 3
+            out += struct.pack("<BBB", b, g, r)
+        out += bytes(row - 3 * w)
+    return bytes(out)
+
+
+def test_encode_bmp_matches_struct_writer_with_zero_padding():
+    rng = random.Random(11)
+    for w in range(1, 9):  # 3 * w covers all four padding residues
+        for h in range(1, 4):
+            for c in (1, 3):
+                buf = PixelBuffer(w, h, c, rng.randbytes(w * h * c))
+                blob = encode_bmp(buf)
+                assert blob == reference_bmp(buf), (w, h, c)
+                row = (3 * w + 3) // 4 * 4
+                for y in range(h):
+                    start = 54 + y * row
+                    assert blob[start + 3 * w:start + row] == \
+                        bytes(row - 3 * w), (w, h, c, y)
+
+
 class TestLinearize:
     def test_row_major_is_identity(self):
         buf = PixelBuffer(3, 2, 1, bytes([1, 2, 3, 4, 5, 6]))
@@ -130,14 +161,53 @@ class TestLinearize:
         assert buf.samples == bytes([1, 2, 3, 4, 5, 6])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidGeometryError):
-            delinearize(b"\x00" * 5, LinearizationMode.ROW_MAJOR, 2, 2, 1)
+        for mode in LinearizationMode:
+            with pytest.raises(InvalidGeometryError):
+                delinearize(b"\x00" * 5, mode, 2, 2, 1)
 
     def test_mode_labels(self):
         assert sorted(MODE_BY_LABEL) == \
             ["row", "split-row", "split-zigzag", "zigzag"]
         for label, mode in MODE_BY_LABEL.items():
             assert mode.label == label
+
+
+def stream_index(mode, w, h, c, y, x, k):
+    """Where linearize puts sample k of pixel (x, y)."""
+    zigzag = mode in (LinearizationMode.ZIGZAG,
+                      LinearizationMode.CHANNEL_SPLIT_ZIGZAG)
+    col = w - 1 - x if zigzag and y % 2 else x
+    if mode in (LinearizationMode.CHANNEL_SPLIT_ROW_MAJOR,
+                LinearizationMode.CHANNEL_SPLIT_ZIGZAG):
+        return k * h * w + y * w + col
+    return (y * w + col) * c + k
+
+
+@pytest.mark.parametrize("w,h,c", [(7, 1, 3), (5, 1, 1), (4, 5, 3),
+                                   (3, 3, 1), (6, 7, 3)])
+def test_delinearize_matches_per_index_inverse(w, h, c):
+    stream = random.Random(w * 100 + h * 10 + c).randbytes(w * h * c)
+    for mode in LinearizationMode:
+        expected = bytearray(w * h * c)
+        for y in range(h):
+            for x in range(w):
+                for k in range(c):
+                    expected[(y * w + x) * c + k] = \
+                        stream[stream_index(mode, w, h, c, y, x, k)]
+        want = PixelBuffer(w, h, c, bytes(expected))
+        assert delinearize(stream, mode, w, h, c) == want, mode
+        assert delinearize(bytearray(stream), mode, w, h, c) == want, mode
+        assert linearize(want, mode) == stream, mode
+
+
+@pytest.mark.parametrize("w,h,c", [(1, 2, 2), (-1, -1, 3), (0, 5, 3)])
+def test_delinearize_checks_geometry_in_every_mode(w, h, c):
+    # the first stream has the length w * h * c, so only the geometry
+    # check can reject it; the second misfits as well
+    for mode in LinearizationMode:
+        for stream in (bytes(max(w * h * c, 0)), b"\x00" * 7):
+            with pytest.raises(InvalidDimensionsError):
+                delinearize(stream, mode, w, h, c)
 
 
 def pixel_buffers(max_dim=64):
