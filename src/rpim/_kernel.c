@@ -17,7 +17,7 @@
  * credits are re-filed from the new run head (run-head repair).
  *
  * No pair is ever hashed; every pair record is reached by index.  A
- * threaded slot names its record in rec_of, heap entries and the pending
+ * threaded slot names its record in rec_of, heap entries and the born
  * list carry record indices, and a pair being credited is found through
  * one cell.  That works because a replacement step only ever credits
  * pairs that hold its fresh symbol, or self pairs through run-head
@@ -26,12 +26,25 @@
  * initial count files byte pairs in a 2^16-cell array freed after it.
  * A cell is trusted only when its record is live and holds exactly the
  * pair, so cells left by earlier steps need no reset.  A pair counted
- * once is a record with count 1.  Records of count 2 or more wait in
- * one array heap ordered by (count desc, code asc).  A pair's entry
- * carries the stamp of its record's newest entry, and the record is
- * filed again whenever its count grows, so extraction discards entries
- * whose stamp is stale and re-files those whose count fell; the entry
- * it takes is the pair of highest count, the smallest among equals.
+ * once is a record with count 1.
+ *
+ * A pair's count never rises after the step that creates its record.
+ * A step credits only pairs that hold its fresh symbol, whose records
+ * it creates, and self pairs through run-head repair.  A replacement
+ * that eats the head of a run of length L takes back all floor(L/2) of
+ * the run's self-pair credits before repair re-credits the L - 1
+ * symbols left from the new head, and floor((L-1)/2) <= floor(L/2).
+ * So a count only falls once filed, and each record is filed once, when
+ * it is born: credit lists every record it creates, and before each
+ * pop the records on that list with count 2 or more get one entry each
+ * in an array heap ordered by (count desc, code asc).  An entry is a
+ * hint, an upper bound on its record's count.  At the top, an entry
+ * whose record is released or now holds another pair is dropped, and
+ * one whose record's count fell is lowered in place and sifted down.
+ * An entry that matches its record is the pair of highest count, the
+ * smallest among equals.  A record above its entry's count would break
+ * the bound, and returns RPIM_EBOUND rather than a grammar that is not
+ * greedy.
  *
  * Replaced slots become tombstones, and there are no live links: a
  * block of tombstones [a, b] keeps b + 1 in next_occ[a] and a - 1 in
@@ -48,9 +61,10 @@
  * length; released records are chained through their own head field
  * for reuse.
  *
- * Every capacity is checked before it is written: a violated bound, or
- * a pair no cell files, returns RPIM_EBOUND and a failed allocation
- * RPIM_ENOMEM, with all memory released.  Inputs are limited to
+ * Every capacity is checked before it is written: a violated bound, a
+ * pair no cell files, or a count above its heap entry's returns
+ * RPIM_EBOUND and a failed allocation RPIM_ENOMEM, with all memory
+ * released.  Inputs are limited to
  * 2^31 - 1 symbols, so slot indices, record indices and symbols fit
  * int32 with -1 free to mean "absent", and rule ordinals stay below
  * 2^30.
@@ -92,7 +106,7 @@ enum {
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
 #define MIN_RECORDS 256  /* initial record store */
 #define MIN_SYMBOLS 512  /* initial symbol maps */
-#define MIN_PENDING 256  /* initial pending list */
+#define MIN_BORN 256     /* initial born list */
 
 #define CHECK(expr)                 \
     do {                            \
@@ -101,14 +115,10 @@ enum {
             return err_;            \
     } while (0)
 
-/* pending: the record is queued for the next flush.  A released record
-   has count 0 and stamp -1, and keeps its place on the free chain in
-   head. */
-typedef struct {
-    int64_t stamp;
-    int32_t count, head, tail, pending, left, right;
-} Record;
-typedef struct { uint64_t code; int64_t stamp; int32_t count, idx; } Entry;
+/* A released record has count 0 and keeps its place on the free chain
+   in head. */
+typedef struct { int32_t count, head, tail, left, right; } Record;
+typedef struct { uint64_t code; int32_t count, idx; } Entry;
 
 typedef struct {
     int32_t *sym, *prev_occ, *next_occ;
@@ -121,11 +131,10 @@ typedef struct {
     int32_t *self_rec, *fresh_left, *fresh_right; /* by symbol */
     int64_t map_cap;
     int32_t *byte_pair;   /* by left << 8 | right, initial count only */
-    int32_t *pend;        /* records whose count grew since the last flush */
-    int64_t npend, pend_cap;
+    int32_t *born;        /* records created since the last pop */
+    int64_t nborn, born_cap;
     Entry *heap;
     int64_t hsize, heap_cap;
-    int64_t stamp;        /* last issued heap-entry stamp */
 } State;
 
 static void *alloc(int64_t count, size_t size)
@@ -242,7 +251,6 @@ static void release_record(State *s, int32_t idx)
 {
     Record *r = &s->rec[idx];
     r->count = 0;
-    r->stamp = -1;
     r->head = s->free_head;
     s->free_head = idx;
 }
@@ -271,18 +279,15 @@ static int heap_push(State *s, Entry e)
     return RPIM_OK;
 }
 
-static void heap_pop(State *s)
+/* Put e at the root and sift it down. */
+static void sift_down(State *s, Entry e)
 {
-    int64_t last = --s->hsize;
-    if (last <= 0)
-        return;
-    Entry e = s->heap[last];
     int64_t i = 0;
     for (;;) {
         int64_t c = 2 * i + 1;
-        if (c >= last)
+        if (c >= s->hsize)
             break;
-        if (c + 1 < last && above(&s->heap[c + 1], &s->heap[c]))
+        if (c + 1 < s->hsize && above(&s->heap[c + 1], &s->heap[c]))
             c++;
         if (!above(&s->heap[c], &e))
             break;
@@ -292,28 +297,10 @@ static void heap_pop(State *s)
     s->heap[i] = e;
 }
 
-/* File a fresh heap entry for the record's current count. */
-static int refile(State *s, int32_t idx)
+static void heap_pop(State *s)
 {
-    Record *r = &s->rec[idx];
-    r->stamp = ++s->stamp;
-    Entry e = {pair_code(r->left, r->right), s->stamp, r->count, idx};
-    return heap_push(s, e);
-}
-
-/* Queue the record for the next flush, once per flush. */
-static int push_pending(State *s, int32_t idx)
-{
-    if (s->rec[idx].pending)
-        return RPIM_OK;
-    int32_t *pend = reserve(s->pend, &s->pend_cap, s->npend + 1,
-                            sizeof *pend);
-    if (pend == NULL)
-        return RPIM_ENOMEM;
-    s->pend = pend;
-    s->pend[s->npend++] = idx;
-    s->rec[idx].pending = 1;
-    return RPIM_OK;
+    if (--s->hsize > 0)
+        sift_down(s, s->heap[s->hsize]);
 }
 
 /* Register a counted occurrence of (left, right) at slot.  after places
@@ -331,7 +318,13 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
         || s->rec[idx].right != right) {
         /* first occurrence: a count-1 record tracks just its slot */
         CHECK(take_record(s, &idx));
-        s->rec[idx] = (Record){-1, 1, slot, slot, 0, left, right};
+        int32_t *born = reserve(s->born, &s->born_cap, s->nborn + 1,
+                                sizeof *born);
+        if (born == NULL)
+            return RPIM_ENOMEM;
+        s->born = born;
+        s->born[s->nborn++] = idx;
+        s->rec[idx] = (Record){1, slot, slot, left, right};
         *cell = idx;
         s->rec_of[slot] = idx;
         return RPIM_OK;
@@ -348,7 +341,7 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
         r->count = 2;
         r->head = lo;
         r->tail = hi;
-        return push_pending(s, idx);
+        return RPIM_OK;
     }
     r->count++;
     int32_t a = after == TAIL ? r->tail : after;
@@ -367,7 +360,7 @@ static int credit(State *s, int32_t left, int32_t right, int32_t slot,
         r->tail = slot;
     else
         prev[follower] = slot;
-    return push_pending(s, idx);
+    return RPIM_OK;
 }
 
 /* Drop the counted occurrence of (left, right) at slot.  *anchor gets
@@ -516,12 +509,12 @@ static int setup(State *s, const uint8_t *input, int32_t n)
     s->free_head = -1;
     s->fresh = -1;
     s->byte_pair = alloc(1 << 16, sizeof *s->byte_pair);
-    s->pend_cap = MIN_PENDING;
-    s->pend = alloc(s->pend_cap, sizeof *s->pend);
+    s->born_cap = MIN_BORN;
+    s->born = alloc(s->born_cap, sizeof *s->born);
     s->heap_cap = 1024;
     s->heap = alloc(s->heap_cap, sizeof *s->heap);
     if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->rec
-        || !s->byte_pair || !s->pend || !s->heap)
+        || !s->byte_pair || !s->born || !s->heap)
         return RPIM_ENOMEM;
     CHECK(reserve_maps(s, MIN_SYMBOLS));
     memset(s->byte_pair, 0xFF, (1 << 16) * sizeof *s->byte_pair);
@@ -542,7 +535,7 @@ static void teardown(State *s)
     free(s->fresh_left);
     free(s->fresh_right);
     free(s->byte_pair);
-    free(s->pend);
+    free(s->born);
     free(s->heap);
 }
 
@@ -567,39 +560,36 @@ static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
 
     int64_t nrules = 0;
     while (max_rules < 0 || nrules < max_rules) {
-        /* file fresh heap entries for pairs whose count grew; the floor
-           skips a record queued again after it was released and re-used
-           within one flush */
-        int64_t floor = s->stamp;
-        for (int64_t t = 0; t < s->npend; t++) {
-            int32_t idx = s->pend[t];
-            s->rec[idx].pending = 0;
-            if (s->rec[idx].count < 2 || s->rec[idx].stamp > floor)
-                continue;
-            CHECK(refile(s, idx));
+        /* file each record born since the last pop once, if it repeats */
+        for (int64_t t = 0; t < s->nborn; t++) {
+            const Record *r = &s->rec[s->born[t]];
+            if (r->count >= 2)
+                CHECK(heap_push(s, (Entry){pair_code(r->left, r->right),
+                                           r->count, s->born[t]}));
         }
-        s->npend = 0;
+        s->nborn = 0;
 
-        /* pop the most frequent pair, discarding stale entries and
-           re-filing entries whose count moved since they were pushed */
+        /* pop the most frequent pair: drop entries whose record was
+           released or re-used, and lower those whose count fell */
         int32_t chosen = -1;
         while (s->hsize > 0) {
-            Entry top = s->heap[0];
-            const Record *r = &s->rec[top.idx];
-            if (r->stamp != top.stamp) {
+            Entry *top = &s->heap[0];
+            const Record *r = &s->rec[top->idx];
+            if (r->count < 2 || pair_code(r->left, r->right) != top->code) {
                 heap_pop(s);
                 continue;
             }
-            if (r->count != top.count) {
-                heap_pop(s);
-                if (r->count >= 2)
-                    CHECK(refile(s, top.idx));
+            if (r->count > top->count)
+                return RPIM_EBOUND; /* a count rose after it was filed */
+            if (r->count < top->count) {
+                top->count = r->count;
+                sift_down(s, *top);
                 continue;
             }
-            if (top.count < min_frequency)
+            if (top->count < min_frequency)
                 break;
+            chosen = top->idx;
             heap_pop(s);
-            chosen = top.idx;
             break;
         }
         if (chosen < 0)
@@ -627,7 +617,8 @@ static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
  * (rule_left[k], rule_right[k]), and sizes[1] the length of the final
  * sequence, left in sym[0:sizes[1]].  max_rules < 0 means unbounded.
  * Returns RPIM_OK, RPIM_ENOMEM when an allocation fails, or RPIM_EBOUND
- * when a capacity would be exceeded; an n above 2^31 - 1 is refused
+ * when a capacity would be exceeded or a pair count rose after its heap
+ * entry was filed, an invariant broken; an n above 2^31 - 1 is refused
  * before input or sym is touched.
  */
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,

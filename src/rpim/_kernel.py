@@ -34,7 +34,8 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 SOURCE = Path(__file__).with_name("_kernel.c")
 
 # rpim_compress status for a failed allocation; any other nonzero
-# status is a capacity bound the kernel refused to exceed, except
+# status is a capacity bound the kernel refused to exceed or a broken
+# invariant (a pair count above its heap entry's), except
 # rpim_expanded_length's for a length past its limit
 _ENOMEM = 1
 _ELIMIT = 3
@@ -138,7 +139,8 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     into its int32 working array.  Raises ValueError for more than
     MAX_SYMBOLS symbols, before anything is allocated,
     EngineUnavailableError when the library cannot be built, MemoryError
-    when the kernel's allocations fail.
+    when the kernel's allocations fail, RuntimeError when it refuses a
+    capacity bound or finds a pair count above its heap entry's.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -160,8 +162,8 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:
-        raise RuntimeError(f"C engine exceeded a capacity bound "
-                           f"(status {status}) on {n} symbols")
+        raise RuntimeError(f"C engine exceeded a capacity bound or broke "
+                           f"an invariant (status {status}) on {n} symbols")
     nrules, length = sizes.tolist()
     return rule_left[:nrules], rule_right[:nrules], sym[:length]
 

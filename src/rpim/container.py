@@ -38,7 +38,7 @@ from .errors import (
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import Grammar, expanded_length
+from .repair import Grammar
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -167,7 +167,8 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
     """Parse and fully validate a container.
 
     Raises UnrecognizedContainerError for foreign data, CorruptContainerError
-    for structural damage, MalformedGrammarError for bad rule topology, and
+    for structural damage or an image header of 2**64 samples or more,
+    MalformedGrammarError for bad rule topology, and
     OutputTooLargeError, before decoding the body, when the payload header
     declares more than max_output expanded bytes (math.inf: no limit).
     """
@@ -204,6 +205,11 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
     if declared > max_output:
         raise OutputTooLargeError(
             f"container expands to {declared} bytes, over the limit of {max_output}")
+    if declared >= _LENGTH_LIMIT:
+        # width * height * channels can pass 64 bits; compress takes at
+        # most 2**31 - 1 symbols, so no such container is ever written
+        raise CorruptContainerError(f"image header declares {declared} samples, "
+                                    f"past 64 bits")
 
     grammar, symbols, length = _read_body(data, pos, declared)
     if length != declared:
@@ -216,16 +222,13 @@ def _read_body(data: bytes, pos: int,
     """The grammar and the int64 final sequence of the body at data[pos:],
     checked varint by varint: each rule may reference only terminals and
     earlier rules, and each symbol only a defined one.  Third comes the
-    expanded length, or None when it exceeds declared; the C decoder sums
-    it as it reads, up to a declared length below 2**64."""
+    expanded length, or None when it exceeds declared, which is below
+    2**64; the C decoder sums it as it reads."""
     body = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    status, found = _kernel.decode_body(body, min(declared, _LENGTH_LIMIT - 1))
+    status, found = _kernel.decode_body(body, declared)
     if status == 0:
         left, right, symbols, length = found
-        grammar = Grammar.from_arrays(left, right)
-        if declared >= _LENGTH_LIMIT:
-            length = expanded_length(grammar, symbols, declared)
-        return grammar, symbols, length
+        return Grammar.from_arrays(left, right), symbols, length
     where, value = found
     if status in _VARINT_FAULTS:
         raise _varint_fault(status, pos + where)

@@ -18,7 +18,6 @@ definition alone.
 
 from __future__ import annotations
 
-import operator
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -209,27 +208,6 @@ def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
         raise MalformedGrammarError(
             f"sequence symbol {symbols[undefined[0]]} is undefined")
     return symbols
-
-
-def expanded_length(grammar: Grammar, symbols: np.ndarray,
-                    limit: int) -> int | None:
-    """The exact expanded length of symbols, an int64 array the grammar
-    defines, or None when it exceeds limit, which may be any size.
-
-    The C engine sums the same lengths as it decodes a container body,
-    for limits below 2**64; deserialize runs this loop for an image
-    header that declares 2**64 samples or more.
-    """
-    # lengths saturate just past limit, so doubling chains stay small
-    # integers; any saturated use makes the total exceed limit
-    ceiling = limit + 1
-    sizes = [1] * NONTERMINAL_BASE
-    for left, right in zip(grammar.left.tolist(), grammar.right.tolist()):
-        size = sizes[left] + sizes[right]
-        sizes.append(size if size < ceiling else ceiling)
-    uses = np.bincount(symbols.astype(np.intp), minlength=len(sizes)).tolist()
-    total = sum(map(operator.mul, uses, sizes))
-    return total if total <= limit else None
 
 
 def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:

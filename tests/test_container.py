@@ -33,7 +33,7 @@ from rpim.errors import (
     UnrecognizedContainerError,
 )
 from rpim.image import LinearizationMode, linearize, PixelBuffer
-from rpim.repair import Grammar, Rule, compress, expand, expanded_length
+from rpim.repair import Grammar, Rule, compress, expand
 
 from conftest import BOMB
 
@@ -439,18 +439,12 @@ DECLARED_EXACTNESS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["c", "python"])
+@pytest.mark.parametrize("engine", ["c"])
 @pytest.mark.parametrize("case", DECLARED_EXACTNESS)
 def test_declared_length_check_is_exact(case, engine):
-    """The expanded-length check compares exact lengths up to 2**64 - 1,
-    in the C decoder's saturating pass and in repair.expanded_length, the
-    Python loop deserialize runs for declared lengths past 64 bits."""
+    """The expanded-length check in the C decoder's saturating pass
+    compares exact lengths up to 2**64 - 1."""
     declared, sequence, accepted = DECLARED_EXACTNESS[case]
-    if engine == "python":
-        length = expanded_length(doubling_chain(63),
-                                 np.array(sequence, np.int64), declared)
-        assert (length == declared) is accepted
-        return
     blob = serialize(CompressedArtifact(
         RawPayload(declared), doubling_chain(63), sequence))
     if accepted:
@@ -462,8 +456,10 @@ def test_declared_length_check_is_exact(case, engine):
 
 
 def test_declared_length_past_64_bits():
-    """An image header can declare more than 2**64 - 1 samples; a grammar
-    that expands to exactly that many is accepted, one byte short is not."""
+    """An image header can declare more than 2**64 - 1 samples, which
+    compress never writes: it is rejected as corrupt even when the grammar
+    expands to exactly that many, and on the default limit it is too
+    large first."""
     width = height = 2**32 - 1
     declared = width * height * 3
     assert declared >= 2**64
@@ -471,13 +467,15 @@ def test_declared_length_past_64_bits():
     sequence = [97 if b == 0 else 255 + b for b in reversed(bits)]
     payload = ImagePayload(width, height, 3, LinearizationMode.ROW_MAJOR)
     chain = doubling_chain(declared.bit_length() - 1)
-    blob = serialize(CompressedArtifact(payload, chain, sequence))
-    assert deserialize(blob, max_output=math.inf).expanded_length == declared
     assert bits[0] == 0
+    exact = serialize(CompressedArtifact(payload, chain, sequence))
     short = serialize(CompressedArtifact(payload, chain, sequence[:-1]))
-    with pytest.raises(CorruptContainerError) as caught:
-        deserialize(short, max_output=math.inf)
-    assert type(caught.value) is CorruptContainerError
+    for blob in (exact, short):
+        with pytest.raises(CorruptContainerError) as caught:
+            deserialize(blob, max_output=math.inf)
+        assert type(caught.value) is CorruptContainerError
+        with pytest.raises(OutputTooLargeError):
+            deserialize(blob)
 
 
 @given(st.binary(max_size=600), st.booleans())
