@@ -69,15 +69,16 @@
  * int32 with -1 free to mean "absent", and rule ordinals stay below
  * 2^30.
  *
- * Decompression has two entry points over an int64 grammar and final
- * sequence.  rpim_expanded_length gives the exact expanded length up to
- * a caller's 64-bit limit; a rule longer than the limit is marked as
- * such, so doubling chains cannot overflow.  rpim_expand writes into one buffer
- * of the exact length: it expands each rule by an explicit stack the
- * first time it is used, records where that expansion starts, and
+ * Decompression is one entry point over an int64 grammar and final
+ * sequence.  rpim_expand checks every rule and symbol, measures the
+ * expanded length against a caller's limit (a rule longer than the
+ * limit is marked as such, so doubling chains cannot overflow), and
+ * only then allocates the output, at its exact length, which the caller
+ * releases with rpim_free.  It expands each rule by an explicit stack
+ * the first time it is used, records where that expansion starts, and
  * copies it for every later use.  Rules the sequence does not reach are
- * never expanded.  Both check every symbol they follow and every index
- * they write, and return RPIM_EBOUND rather than pass a bound.
+ * never expanded.  Every index it writes is checked, and it returns
+ * RPIM_EBOUND rather than pass a bound.
  *
  * The container body codec is one sequential pass each way.
  * rpim_decode_body reads the rule count, the rule sides, the sequence
@@ -86,8 +87,8 @@
  * that reader would meet first and reports it by status and offset.
  * It writes into one caller array of one value per body byte at most,
  * so no declared count sizes anything, and sums the expanded length as
- * it reads, as rpim_expanded_length does.  rpim_encode_body writes the
- * minimal unsigned LEB128 varints of the same fields.
+ * it reads, as rpim_expand does.  rpim_encode_body writes the minimal
+ * unsigned LEB128 varints of the same fields.
  */
 
 #include <stdint.h>
@@ -96,7 +97,7 @@
 
 enum {
     RPIM_OK = 0, RPIM_ENOMEM = 1, RPIM_EBOUND = 2, RPIM_ELIMIT = 3,
-    /* rpim_decode_body's faults */
+    /* rpim_decode_body's faults; rpim_expand reports ERULE and ESYMBOL */
     RPIM_ETRUNCATED = 4, RPIM_ENONMINIMAL = 5, RPIM_EOVERFLOW = 6,
     RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9, RPIM_ETRAILING = 10
 };
@@ -670,102 +671,112 @@ static inline uint64_t symbol_length(int64_t s, const uint64_t *len)
 }
 
 /*
- * Expanded length of seq[0:nseq] under the grammar whose rule k is
- * (left[k], right[k]).  len holds nrules elements; on return len[k] is
- * the length of rule k, or 0 when that exceeds limit.  Returns RPIM_OK
- * with the exact length in *total when it is at most limit, RPIM_ELIMIT
- * when it exceeds limit, and RPIM_EBOUND when a rule side or a symbol
- * lies outside what it may reference: [0, 256 + k) for rule k, and
- * [0, 256 + nrules) for seq.
+ * Expand seq[0:nseq] under the grammar whose rule k is (left[k],
+ * right[k]), when that takes at most limit bytes, limit below 2^63.
+ * Returns RPIM_OK with the output in *out, to be released with
+ * rpim_free, and its length in info[0].  Otherwise *out is NULL and the
+ * status is the first fault, rules before symbols: RPIM_ERULE when rule
+ * info[0] references a symbol outside its prefix, [0, 256 + info[0]),
+ * RPIM_ESYMBOL when symbol info[0], of value info[1], is outside
+ * [0, 256 + nrules); else RPIM_ELIMIT past limit, RPIM_ENOMEM for a
+ * failed allocation, and RPIM_EBOUND for a negative count, a limit of
+ * 2^63 or more, or a write that would pass its buffer.
  */
-int rpim_expanded_length(const int64_t *left, const int64_t *right,
-                         int64_t nrules, const int64_t *seq, int64_t nseq,
-                         uint64_t limit, uint64_t *len, uint64_t *total)
+int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
+                const int64_t *seq, int64_t nseq, uint64_t limit,
+                uint8_t **out, int64_t *info)
 {
-    *total = 0;
-    if (nrules < 0 || nseq < 0)
+    *out = NULL;
+    info[0] = info[1] = 0;
+    if (nrules < 0 || nseq < 0 || limit > INT64_MAX)
         return RPIM_EBOUND;
+    /* len and start hold one value per rule.  A path from a sequence
+       symbol down to a terminal passes each rule at most once, and each
+       rule on it leaves one right side on the stack: nrules + 1 entries */
+    uint64_t *len = malloc((size_t)(3 * nrules + 1) * sizeof *len);
+    if (len == NULL)
+        return RPIM_ENOMEM;
+    int64_t *start = (int64_t *)len + nrules, *stack = start + nrules;
+    int64_t out_len = 0, pos = 0;
+    uint64_t total = 0;
+    uint8_t *buf = NULL;
+    int err = RPIM_OK;
     for (int64_t k = 0; k < nrules; k++) {
         int64_t a = left[k], b = right[k];
         if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
-            || b >= NONTERMINAL_BASE + k)
-            return RPIM_EBOUND;
+            || b >= NONTERMINAL_BASE + k) {
+            info[0] = k;
+            err = RPIM_ERULE;
+            goto done;
+        }
         len[k] = add_within(symbol_length(a, len), symbol_length(b, len),
                             limit);
+        start[k] = -1;
     }
-    uint64_t sum = 0;
     for (int64_t i = 0; i < nseq; i++) {
         int64_t s = seq[i];
-        if (s < 0 || s >= NONTERMINAL_BASE + nrules)
-            return RPIM_EBOUND;
+        if (s < 0 || s >= NONTERMINAL_BASE + nrules) {
+            info[0] = i;
+            info[1] = s;
+            err = RPIM_ESYMBOL;
+            goto done;
+        }
         uint64_t n = symbol_length(s, len);
-        if (n == 0 || n > limit - sum)
-            return RPIM_ELIMIT;
-        sum += n;
+        if (n == 0 || n > limit - total)
+            err = RPIM_ELIMIT;
+        else
+            total += n;
     }
-    *total = sum;
-    return RPIM_OK;
-}
-
-/*
- * Expand seq[0:nseq] into out, which must take exactly out_len bytes.
- * Each rule is expanded once, by an explicit stack, the first time it
- * is used; every later use copies that first expansion.  span holds
- * 2 * nrules elements: the start and the length of each rule's first
- * expansion.  stack holds stack_cap elements; 2 * depth + 1 suffice,
- * where the depth is at most nrules.  Returns RPIM_OK, or RPIM_EBOUND,
- * with out possibly part written, when a symbol lies outside what it
- * may reference, the stack would overflow, or the expansion is not
- * exactly out_len bytes long.
- */
-int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
-                const int64_t *seq, int64_t nseq, uint8_t *out,
-                int64_t out_len, int64_t *span, int64_t *stack,
-                int64_t stack_cap)
-{
-    if (nrules < 0 || nseq < 0 || out_len < 0)
-        return RPIM_EBOUND;
-    for (int64_t k = 0; k < nrules; k++)
-        span[2 * k] = -1;
-    int64_t pos = 0;
-    for (int64_t i = 0; i < nseq; i++) {
-        if (seq[i] < 0 || seq[i] >= NONTERMINAL_BASE + nrules
-            || stack_cap < 1)
-            return RPIM_EBOUND;
+    if (err != RPIM_OK)
+        goto done;
+    out_len = (int64_t)total;
+    buf = malloc(out_len ? (size_t)out_len : 1);
+    /* until the expansion fills buf exactly, a fault is a passed bound */
+    err = buf == NULL ? RPIM_ENOMEM : RPIM_EBOUND;
+    for (int64_t i = 0; i < nseq && buf != NULL; i++) {
         int64_t top = 0;
         stack[top++] = seq[i];
         while (top > 0) {
-            int64_t s = stack[--top];
-            if (s < 0) {
-                /* rule ~s is expanded: record its length */
-                int64_t r = ~s;
-                span[2 * r + 1] = pos - span[2 * r];
-            } else if (s < NONTERMINAL_BASE) {
+            int64_t s = stack[--top], r = s - NONTERMINAL_BASE;
+            if (s < NONTERMINAL_BASE) {
                 if (pos >= out_len)
-                    return RPIM_EBOUND;
-                out[pos++] = (uint8_t)s;
-            } else if (span[2 * (s - NONTERMINAL_BASE)] >= 0) {
+                    goto done;
+                buf[pos++] = (uint8_t)s;
+            } else if (start[r] >= 0) {
                 /* a rule never occurs inside its own expansion, so a
-                   recorded start means a finished first expansion */
-                int64_t r = s - NONTERMINAL_BASE;
-                int64_t n = span[2 * r + 1];
+                   recorded start means a finished first expansion, and
+                   a reached rule is exact, at most total bytes long */
+                int64_t n = (int64_t)len[r];
                 if (n > out_len - pos)
-                    return RPIM_EBOUND;
-                memcpy(out + pos, out + span[2 * r], (size_t)n);
+                    goto done;
+                memcpy(buf + pos, buf + start[r], (size_t)n);
                 pos += n;
             } else {
-                int64_t r = s - NONTERMINAL_BASE;
-                if (left[r] < 0 || left[r] >= s || right[r] < 0
-                    || right[r] >= s || stack_cap - top < 3)
-                    return RPIM_EBOUND;
-                span[2 * r] = pos;
-                stack[top++] = ~r;
+                if (top + 2 > nrules + 1)
+                    goto done;
+                start[r] = pos;
                 stack[top++] = right[r];
                 stack[top++] = left[r];
             }
         }
     }
-    return pos == out_len ? RPIM_OK : RPIM_EBOUND;
+    if (buf != NULL && pos == out_len)
+        err = RPIM_OK;
+done:
+    free(len);
+    if (err != RPIM_OK) {
+        free(buf);
+        return err;
+    }
+    *out = buf;
+    info[0] = out_len;
+    return RPIM_OK;
+}
+
+/* Release a buffer rpim_expand returned; NULL is ignored. */
+void rpim_free(void *p)
+{
+    free(p);
 }
 
 #define SYMBOL_MAX 0xFFFFFFFFull /* symbols and rule sides: below 2^32 */
@@ -816,7 +827,7 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  * out[k], its right side at out[nrules + k] and symbol i at
  * out[2 * nrules + i].  len holds cap / 2 elements and receives the
  * expanded length of rule k at len[k], or 0 when that exceeds limit, as
- * in rpim_expanded_length.  info[0] gets the rule count and info[1] the
+ * in rpim_expand.  info[0] gets the rule count and info[1] the
  * sequence length, as a uint64 bit pattern, as soon as each is read.
  * Returns RPIM_OK with the expanded length of the sequence in info[4],
  * as a uint64 bit pattern; or the first fault a varint-by-varint reader

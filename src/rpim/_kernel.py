@@ -20,6 +20,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -33,13 +34,14 @@ COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
 SOURCE = Path(__file__).with_name("_kernel.c")
 
-# rpim_compress status for a failed allocation; any other nonzero
-# status is a capacity bound the kernel refused to exceed or a broken
-# invariant (a pair count above its heap entry's), except
-# rpim_expanded_length's for a length past its limit
+# rpim_compress's and rpim_expand's status for a failed allocation; any
+# other nonzero rpim_compress status is a capacity bound the kernel
+# refused to exceed or a broken invariant (a pair count above its heap
+# entry's)
 _ENOMEM = 1
 _ELIMIT = 3
-# rpim_decode_body's faults, each the first a sequential reader meets
+# rpim_decode_body's faults, each the first a sequential reader meets;
+# rpim_expand reports BAD_RULE and UNDEFINED too
 (TRUNCATED, NON_MINIMAL, OVERFLOW, OUT_OF_RANGE, BAD_RULE, UNDEFINED,
  TRAILING) = range(4, 11)
 
@@ -97,16 +99,14 @@ def load() -> ctypes.CDLL | None:
                 _int32_array, _int32_array, _int32_array, ctypes.c_int64,
                 _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
-            lib.rpim_expanded_length.argtypes = [
-                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
-                ctypes.c_int64, ctypes.c_uint64, _uint64_array,
-                _uint64_array]
-            lib.rpim_expanded_length.restype = ctypes.c_int
             lib.rpim_expand.argtypes = [
                 _int64_input, _int64_input, ctypes.c_int64, _int64_input,
-                ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array,
-                _int64_array, ctypes.c_int64]
+                ctypes.c_int64, ctypes.c_uint64,
+                ctypes.POINTER(ctypes.c_void_p),
+                ctypes.POINTER(ctypes.c_int64)]
             lib.rpim_expand.restype = ctypes.c_int
+            lib.rpim_free.argtypes = [ctypes.c_void_p]
+            lib.rpim_free.restype = None
             lib.rpim_decode_body.argtypes = [
                 _uint8_input, ctypes.c_int64, _int64_array, ctypes.c_int64,
                 ctypes.c_uint64, _uint64_array, _int64_array]
@@ -168,48 +168,34 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     return rule_left[:nrules], rule_right[:nrules], sym[:length]
 
 
-def expanded_length(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
-                    limit: int) -> int | None:
-    """The exact expanded length of symbols under the grammar of int64
-    rule sides left and right, or None when it exceeds limit, which is
-    below 2**64.
+def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray):
+    """Expand symbols under the grammar of int64 rule sides left and right.
 
-    Raises ValueError when a rule side or a symbol references a symbol
-    it may not, EngineUnavailableError when the library cannot be built.
+    Returns (0, data) with the expansion as bytes, or (status, (where,
+    value)) for the first fault: BAD_RULE when rule where references a
+    symbol outside its prefix, or UNDEFINED when symbol number where, of
+    value value, is undefined.  Raises MemoryError when the
+    expansion exceeds sys.maxsize bytes, the most a bytes object holds,
+    or the engine cannot allocate it, EngineUnavailableError when the
+    library cannot be built.
     """
     lib = _loaded()
-    lengths = np.empty(left.size, np.uint64)
-    total = np.zeros(1, np.uint64)
-    status = lib.rpim_expanded_length(left, right, left.size, symbols,
-                                      symbols.size, limit, lengths, total)
-    if status == _ELIMIT:
-        return None
-    if status != 0:
-        raise ValueError("grammar references an undefined symbol")
-    return int(total[0])
-
-
-def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray,
-           length: int) -> bytes:
-    """The bytes symbols expand to under the grammar of int64 rule sides
-    left and right, which must be length bytes.
-
-    Raises ValueError when the grammar references an undefined symbol
-    or the expansion is not length bytes, EngineUnavailableError when
-    the library cannot be built.
-    """
-    lib = _loaded()
-    out = np.empty(length, np.uint8)
-    span = np.empty(2 * left.size, np.int64)
-    # a path from a sequence symbol down to a terminal passes at most
-    # every rule once, and each rule on it holds two stack entries
-    stack = np.empty(2 * left.size + 1, np.int64)
+    out = ctypes.c_void_p()
+    info = (ctypes.c_int64 * 2)()
     status = lib.rpim_expand(left, right, left.size, symbols, symbols.size,
-                             out, length, span, stack, stack.size)
-    if status != 0:
-        raise ValueError(f"grammar does not expand to {length} bytes "
-                         f"(status {status})")
-    return out.tobytes()
+                             sys.maxsize, ctypes.byref(out), info)
+    try:
+        if status == 0:
+            return 0, ctypes.string_at(out, info[0])
+    finally:
+        lib.rpim_free(out)
+    if status == _ELIMIT:
+        raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
+    if status == _ENOMEM:
+        raise MemoryError("C engine could not allocate the expansion")
+    if status in (BAD_RULE, UNDEFINED):
+        return status, (info[0], info[1])
+    raise RuntimeError(f"C engine could not expand (status {status})")
 
 
 def decode_body(body: np.ndarray, limit: int):

@@ -3,9 +3,9 @@
 Only the plain 24-bit uncompressed flavour (BITMAPINFOHEADER, BI_RGB) is
 supported; everything else is rejected loudly rather than half-decoded.
 Linearization turns a pixel buffer into the one-dimensional byte sequence
-the compressor consumes, in one of four invertible orders.  On the way
-out, delinearize and encode_bmp each write every output byte once, into
-one array whose single tobytes() is the result.
+the compressor consumes, in one of four invertible orders.  linearize,
+delinearize and encode_bmp each write every output byte once, into one
+array whose single tobytes() is the result.
 """
 
 from __future__ import annotations
@@ -160,21 +160,34 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
     return out.tobytes()
 
 
+def _layout(mode: LinearizationMode, height: int, width: int, channels: int):
+    """The stream shape of a mode other than ROW_MAJOR, and the (stream
+    index, pixel index) pairs whose copies move every byte once between
+    that stream and the (height, width, channels) pixels."""
+    if mode == LinearizationMode.ZIGZAG:
+        # odd rows per channel: whole reversed pixels copy 3 bytes per loop
+        return (height, width, channels), [(np.s_[0::2], np.s_[0::2])] + [
+            (np.s_[1::2, :, c], np.s_[1::2, ::-1, c]) for c in range(channels)]
+    if mode == LinearizationMode.CHANNEL_SPLIT_ROW_MAJOR:
+        copies = [(np.s_[c], np.s_[:, :, c]) for c in range(channels)]
+    else:
+        copies = [pair for c in range(channels) for pair in (
+            (np.s_[c, 0::2], np.s_[0::2, :, c]),
+            (np.s_[c, 1::2], np.s_[1::2, ::-1, c]))]
+    return (channels, height, width), copies
+
+
 def linearize(buf: PixelBuffer, mode: LinearizationMode) -> bytes:
     """Flatten a pixel buffer into the byte sequence fed to the compressor."""
     buf.validate()
     if mode == LinearizationMode.ROW_MAJOR:
         return buf.samples
-    arr = buf.as_array()
-    if mode in (LinearizationMode.ZIGZAG, LinearizationMode.CHANNEL_SPLIT_ZIGZAG):
-        arr = arr.copy()
-        arr[1::2] = arr[1::2, ::-1]  # odd rows run right-to-left, pixels stay interleaved
-    if mode in (
-        LinearizationMode.CHANNEL_SPLIT_ROW_MAJOR,
-        LinearizationMode.CHANNEL_SPLIT_ZIGZAG,
-    ):
-        arr = arr.transpose(2, 0, 1)
-    return arr.tobytes()
+    shape, copies = _layout(mode, buf.height, buf.width, buf.channels)
+    pixels = buf.as_array()
+    out = np.empty(shape, np.uint8)
+    for stream_at, pixel_at in copies:
+        out[stream_at] = pixels[pixel_at]
+    return out.tobytes()
 
 
 def delinearize(
@@ -194,21 +207,9 @@ def delinearize(
         )
     if mode == LinearizationMode.ROW_MAJOR:
         return PixelBuffer(width, height, channels, data)
-    arr = np.frombuffer(data, np.uint8)
+    shape, copies = _layout(mode, height, width, channels)
+    stream = np.frombuffer(data, np.uint8).reshape(shape)
     out = np.empty((height, width, channels), np.uint8)
-    if mode == LinearizationMode.ZIGZAG:
-        pixels = arr.reshape(height, width, channels)
-        out[0::2] = pixels[0::2]
-        # odd rows per channel: whole reversed pixels copy 3 bytes per loop
-        for c in range(channels):
-            out[1::2, :, c] = pixels[1::2, ::-1, c]
-    else:
-        # each plane into its stride-`channels` slot
-        planes = arr.reshape(channels, height, width)
-        for c in range(channels):
-            if mode == LinearizationMode.CHANNEL_SPLIT_ZIGZAG:
-                out[0::2, :, c] = planes[c, 0::2]
-                out[1::2, :, c] = planes[c, 1::2, ::-1]
-            else:
-                out[:, :, c] = planes[c]
+    for stream_at, pixel_at in copies:
+        out[pixel_at] = stream[stream_at]
     return PixelBuffer(width, height, channels, out.tobytes())

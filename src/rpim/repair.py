@@ -18,7 +18,6 @@ definition alone.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -213,21 +212,22 @@ def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
 def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     """Substitute every nonterminal down to terminals; returns the bytes.
 
-    The C engine expands each rule reachable from seq once and copies
-    that first expansion for every later use, into one buffer of the
-    exact length.  Rules seq does not reach are never expanded.
+    One C engine call checks every rule side and symbol, measures the
+    output, and only then expands each rule seq reaches once, copying it
+    for every later use.  Raises MalformedGrammarError naming the first
+    undefined reference, and MemoryError, before allocating, for an
+    expansion past sys.maxsize bytes.
     """
     symbols = np.ascontiguousarray(seq, dtype=np.int64)
-    try:
-        length = _kernel.expanded_length(grammar.left, grammar.right,
-                                         symbols, sys.maxsize)
-    except ValueError:
-        # the C pass checks every rule side and symbol; name the fault
-        _checked_symbols(grammar, symbols)
-        raise
-    if length is None:
-        raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
-    return _kernel.expand(grammar.left, grammar.right, symbols, length)
+    status, found = _kernel.expand(grammar.left, grammar.right, symbols)
+    if status == 0:
+        return found
+    where, value = found
+    if status == _kernel.BAD_RULE:
+        raise MalformedGrammarError(
+            f"rule {where} references symbol outside "
+            f"[0, {NONTERMINAL_BASE + where})")
+    raise MalformedGrammarError(f"sequence symbol {value} is undefined")
 
 
 def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:

@@ -13,8 +13,13 @@ implementation against slow but obviously-correct derivations:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,31 @@ DOUBLING_CHAIN = Grammar([Rule(97, 97)]
 # a decompression bomb: 174 bytes declaring 2**40 raw bytes; it is well
 # formed, so only an output limit rejects it
 BOMB = serialize(CompressedArtifact(RawPayload(1 << 40), DOUBLING_CHAIN, [295]))
+
+
+def peak_rss_growth(setup: str, work: str) -> float:
+    """How far work raises the peak RSS of a fresh Python process, in
+    KiB, measured after setup; both are Python source, run with rpim
+    importable.
+
+    The peak is the process's VmHWM.  ru_maxrss would not do: a child
+    starts at its parent's peak, carried over fork and exec, so under a
+    large pytest process it hides any growth.
+    """
+    script = "\n".join([
+        "def peak():",
+        "    with open('/proc/self/status') as status:",
+        "        return next(int(line.split()[1]) for line in status",
+        "                    if line.startswith('VmHWM:'))",
+        textwrap.dedent(setup),
+        "before = peak()",
+        textwrap.dedent(work),
+        "print(peak() - before)"])
+    env = {**os.environ, "PYTHONPATH": str(Path(_kernel.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return float(result.stdout)
 
 
 def break_compiler(monkeypatch, tmp_path):

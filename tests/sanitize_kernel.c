@@ -11,11 +11,12 @@
  * links at both edges of the working array are written and followed.
  * Each grammar must reference only earlier symbols and expand back to
  * its input under this program's own stack expander.  The kernel's
- * length pass and expand must agree with it, and must refuse, without
- * writing past a buffer, an output one byte short or one byte long, a
- * stack one entry short of the depth, a length past the limit and an
- * undefined symbol.  An n above the input
- * cap must be refused before the one-byte input is read.
+ * expand must agree with it, on a comb as deep as it has rules too, and
+ * must refuse a limit one short, before it allocates an output, and an
+ * undefined symbol, naming the rule or symbol.  Every buffer expand
+ * returns is released, so LeakSanitizer checks its error paths as well.
+ * An n above the input cap must be refused before the one-byte input is
+ * read.
  *
  * Every grammar's container body is encoded and decoded back into
  * buffers of exactly the body's size; the decoder's expanded length must
@@ -35,13 +36,10 @@
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
                   int64_t max_rules, int32_t *sym, int32_t *rule_left,
                   int32_t *rule_right, int64_t rule_cap, int64_t *sizes);
-int rpim_expanded_length(const int64_t *left, const int64_t *right,
-                         int64_t nrules, const int64_t *seq, int64_t nseq,
-                         uint64_t limit, uint64_t *len, uint64_t *total);
 int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
-                const int64_t *seq, int64_t nseq, uint8_t *out,
-                int64_t out_len, int64_t *span, int64_t *stack,
-                int64_t stack_cap);
+                const int64_t *seq, int64_t nseq, uint64_t limit,
+                uint8_t **out, int64_t *info);
+void rpim_free(void *p);
 
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
                      int64_t cap, uint64_t limit, uint64_t *len,
@@ -53,7 +51,8 @@ int rpim_encode_body(const int64_t *left, const int64_t *right,
 /* FIRST_STEP is the kernel's initial record store, MIN_RECORDS, and
    FIRST_MAP its initial symbol maps, MIN_SYMBOLS */
 enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
-       RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ETRAILING = 10,
+       RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9,
+       RPIM_ETRAILING = 10,
        NONTERMINAL_BASE = 256, FIRST_STEP = 256, FIRST_MAP = 512 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
@@ -118,68 +117,40 @@ static int64_t stack_expand(const int64_t *left, const int64_t *right,
     return w;
 }
 
-/* rpim_expand into a buffer of exactly out_len bytes and a stack of
-   exactly stack_cap entries, so that any write past either is a
-   sanitizer report; returns the status, with the output in *out (the
-   caller frees it). */
-static int kernel_expand(const int64_t *left, const int64_t *right,
-                         int64_t nrules, const int64_t *seq, int64_t nseq,
-                         int64_t out_len, int64_t stack_cap, uint8_t **out)
+/* rpim_expand up to limit: its status, with *out and info[0:2] as it
+   set them; *out must be NULL on a nonzero status.  The caller releases
+   *out with rpim_free. */
+static int kernel_expand(const char *label, const int64_t *left,
+                         const int64_t *right, int64_t nrules,
+                         const int64_t *seq, int64_t nseq, uint64_t limit,
+                         uint8_t **out, int64_t *info)
 {
-    int64_t *span = must_alloc((size_t)(2 * nrules) * sizeof *span);
-    int64_t *stack = must_alloc((size_t)stack_cap * sizeof *stack);
-    *out = must_alloc((size_t)out_len);
-    int status = rpim_expand(left, right, nrules, seq, nseq, *out, out_len,
-                             span, stack, stack_cap);
-    free(span);
-    free(stack);
+    int status = rpim_expand(left, right, nrules, seq, nseq, limit, out,
+                             info);
+    if (status != 0 && *out != NULL)
+        fail(label, nrules, "expand returned a buffer with a fault");
     return status;
 }
 
-/* Expanded length by the kernel's pass, or -1 on a nonzero status. */
-static int64_t kernel_length(const int64_t *left, const int64_t *right,
-                             int64_t nrules, const int64_t *seq,
-                             int64_t nseq, uint64_t limit, int *status)
+/* The kernel's expand on a grammar that expands to expected[0:n]: it
+   must agree, and refuse a limit one short. */
+static void check_expand(const char *label, const int64_t *left,
+                         const int64_t *right, int64_t nrules,
+                         const int64_t *seq, int64_t nseq,
+                         const uint8_t *expected, int64_t n)
 {
-    uint64_t *len = must_alloc((size_t)nrules * sizeof *len);
-    uint64_t total = 0;
-    *status = rpim_expanded_length(left, right, nrules, seq, nseq, limit,
-                                   len, &total);
-    free(len);
-    return *status ? -1 : (int64_t)total;
-}
-
-/* The kernel's length pass and expand on a grammar that expands to
-   expected[0:n]: both must agree with it, and refuse a limit one short,
-   an output one byte short or long and a stack smaller than 2 * nrules
-   + 1 entries wherever that is below what the grammar needs. */
-static void check_entry_points(const char *label, const int64_t *left,
-                               const int64_t *right, int64_t nrules,
-                               const int64_t *seq, int64_t nseq,
-                               const uint8_t *expected, int64_t n)
-{
-    int status;
     uint8_t *out;
-    if (kernel_length(left, right, nrules, seq, nseq, (uint64_t)n,
-                      &status) != n)
-        fail(label, n, "length pass disagrees");
-    if (n > 0 && (kernel_length(left, right, nrules, seq, nseq,
-                                (uint64_t)n - 1, &status) != -1
-                  || status != RPIM_ELIMIT))
-        fail(label, n, "length pass passed its limit");
-    status = kernel_expand(left, right, nrules, seq, nseq, n, 2 * nrules + 1,
-                           &out);
-    if (status != 0 || memcmp(out, expected, (size_t)n) != 0)
+    int64_t info[2];
+    if (kernel_expand(label, left, right, nrules, seq, nseq, (uint64_t)n,
+                      &out, info) != 0
+        || info[0] != n || memcmp(out, expected, (size_t)n) != 0)
         fail(label, n, "expand disagrees with the stack expander");
-    free(out);
-    for (int64_t delta = -1; delta <= 1; delta += 2) {
-        if (n + delta < 0)
-            continue;
-        status = kernel_expand(left, right, nrules, seq, nseq, n + delta,
-                               2 * nrules + 1, &out);
-        if (status != RPIM_EBOUND)
-            fail(label, n, "expand took a forged output length");
-        free(out);
+    rpim_free(out);
+    if (n > 0) {
+        if (kernel_expand(label, left, right, nrules, seq, nseq,
+                          (uint64_t)n - 1, &out, info) != RPIM_ELIMIT)
+            fail(label, n, "expand passed a limit one short");
+        rpim_free(out);
     }
 }
 
@@ -347,8 +318,8 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
                  || memcmp(own, input, (size_t)n) != 0)
             fail(label, n, "expansion differs from the input");
         else {
-            check_entry_points(label, left64, right64, nrules, seq64, length,
-                               own, n);
+            check_expand(label, left64, right64, nrules, seq64, length, own,
+                         n);
             check_codec(label, left64, right64, nrules, seq64, length, n);
         }
         free(left64);
@@ -362,12 +333,12 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
     return nrules;
 }
 
-/* Hand-built grammars: a stack at its bound, lengths at the 64-bit
-   edge, and undefined symbols. */
+/* Hand-built grammars: a stack at its bound, lengths at the 2^63 limit,
+   and undefined symbols. */
 static void check_forged_grammars(void)
 {
     /* a comb: rule k = (rule k - 1, 'c'), as deep as it is long, so its
-       top needs exactly 2 * DEPTH + 1 stack entries */
+       top needs all DEPTH + 1 entries of expand's stack */
     enum { DEPTH = 1000 };
     int64_t left[DEPTH], right[DEPTH];
     left[0] = 'a';
@@ -377,23 +348,15 @@ static void check_forged_grammars(void)
         right[k] = 'c';
     }
     int64_t top = NONTERMINAL_BASE + DEPTH - 1;
-    uint8_t *out;
     uint8_t *expected = must_alloc(DEPTH + 1);
     if (stack_expand(left, right, DEPTH, &top, 1, expected, DEPTH + 1)
         != DEPTH + 1)
         fail("comb", DEPTH, "stack expander failed");
-    if (kernel_expand(left, right, DEPTH, &top, 1, DEPTH + 1, 2 * DEPTH + 1,
-                      &out) != 0
-        || memcmp(out, expected, DEPTH + 1) != 0)
-        fail("comb", DEPTH, "expand failed with the stack at its bound");
-    free(out);
-    if (kernel_expand(left, right, DEPTH, &top, 1, DEPTH + 1, 2 * DEPTH,
-                      &out) != RPIM_EBOUND)
-        fail("comb", DEPTH, "expand overran a stack one entry short");
-    free(out);
+    check_expand("comb", left, right, DEPTH, &top, 1, expected, DEPTH + 1);
     free(expected);
 
-    /* a 63-rule doubling chain: 1 + 2 + ... + 2^63 = 2^64 - 1 */
+    /* a 63-rule doubling chain: rule 62 stands for 2^63 bytes, one past
+       the widest limit, and all rules together for 2^64 - 1 */
     enum { CHAIN = 63 };
     int64_t chain[CHAIN], all[CHAIN + 1], last = NONTERMINAL_BASE + CHAIN - 1;
     chain[0] = 'a';
@@ -402,37 +365,46 @@ static void check_forged_grammars(void)
         chain[k] = NONTERMINAL_BASE + k - 1;
     for (int64_t k = 0; k < CHAIN; k++)
         all[k + 1] = NONTERMINAL_BASE + k;
-    uint64_t *len = must_alloc(CHAIN * sizeof *len);
-    uint64_t total = 0;
-    if (rpim_expanded_length(chain, chain, CHAIN, all, CHAIN + 1, UINT64_MAX,
-                             len, &total) != 0 || total != UINT64_MAX)
-        fail("chain", CHAIN, "2^64 - 1 bytes measured wrongly");
-    if (rpim_expanded_length(chain, chain, CHAIN, all, CHAIN + 1,
-                             UINT64_MAX - 1, len, &total) != RPIM_ELIMIT)
-        fail("chain", CHAIN, "2^64 - 1 bytes passed a limit one short");
-    if (rpim_expanded_length(chain, chain, CHAIN, &last, 1, UINT64_MAX, len,
-                             &total) != 0 || total != (uint64_t)1 << 63)
-        fail("chain", CHAIN, "2^63 bytes measured wrongly");
-    free(len);
+    uint8_t *out;
+    int64_t info[2];
+    if (kernel_expand("chain", chain, chain, CHAIN, &last, 1, INT64_MAX, &out,
+                      info) != RPIM_ELIMIT)
+        fail("chain", CHAIN, "2^63 bytes passed a limit one short");
+    rpim_free(out);
+    if (kernel_expand("chain", chain, chain, CHAIN, all, CHAIN + 1, INT64_MAX,
+                      &out, info) != RPIM_ELIMIT)
+        fail("chain", CHAIN, "2^64 - 1 bytes passed the limit");
+    rpim_free(out);
+    if (kernel_expand("chain", chain, chain, CHAIN, all, 1,
+                      (uint64_t)INT64_MAX + 1, &out, info) != RPIM_EBOUND)
+        fail("chain", CHAIN, "a limit of 2^63 was taken");
+    rpim_free(out);
 
     /* undefined symbols: a rule referencing itself, a sequence symbol
-       one past the rules, and a negative one */
+       one past the rules, and a negative one after a defined one; each
+       must be named by its index, and a symbol by its value too */
     int64_t self[1] = {NONTERMINAL_BASE}, first = NONTERMINAL_BASE;
-    int64_t past = NONTERMINAL_BASE + DEPTH, negative = -1;
-    struct { const int64_t *left; int64_t nrules; const int64_t *seq; }
-        undefined[3] = {{self, 1, &first}, {left, DEPTH, &past},
-                        {left, DEPTH, &negative}};
-    for (int k = 0; k < 3; k++) {
+    int64_t past[2] = {'a', NONTERMINAL_BASE + DEPTH}, negative[2] = {'a', -1};
+    struct {
+        const int64_t *left;
+        int64_t nrules;
+        const int64_t *seq;
+        int64_t nseq;
         int status;
-        const int64_t *l = undefined[k].left, *seq = undefined[k].seq;
-        int64_t nrules = undefined[k].nrules;
-        if (kernel_length(l, l, nrules, seq, 1, UINT64_MAX, &status) != -1
-            || status != RPIM_EBOUND)
-            fail("undefined", k, "length pass took an undefined symbol");
-        if (kernel_expand(l, l, nrules, seq, 1, 2, 2 * nrules + 1, &out)
-            != RPIM_EBOUND)
-            fail("undefined", k, "expand took an undefined symbol");
-        free(out);
+        int64_t where, value;
+    } undefined[3] = {
+        {self, 1, &first, 1, RPIM_ERULE, 0, 0},
+        {left, DEPTH, past, 2, RPIM_ESYMBOL, 1, NONTERMINAL_BASE + DEPTH},
+        {left, DEPTH, negative, 2, RPIM_ESYMBOL, 1, -1}};
+    for (int k = 0; k < 3; k++) {
+        const int64_t *l = undefined[k].left;
+        if (kernel_expand("undefined", l, l, undefined[k].nrules,
+                          undefined[k].seq, undefined[k].nseq, INT64_MAX,
+                          &out, info) != undefined[k].status
+            || info[0] != undefined[k].where
+            || info[1] != undefined[k].value)
+            fail("undefined", k, "expand misreported an undefined symbol");
+        rpim_free(out);
     }
 }
 

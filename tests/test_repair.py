@@ -5,12 +5,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import itertools
-import os
 import random
 import re
 import subprocess
-import sys
-import textwrap
 import time
 import tracemalloc
 from pathlib import Path
@@ -44,6 +41,7 @@ from conftest import (
     DOUBLING_CHAIN,
     break_compiler,
     greedy_pair_counts,
+    peak_rss_growth,
     run_pair_counts,
 )
 
@@ -217,8 +215,8 @@ class TestExpand:
          "rule 1 references symbol outside [0, 257)"),
     ])
     def test_malformed_error_names_the_fault(self, grammar, seq, message):
-        # the C length pass finds the fault; the error and its wording
-        # match the fallback's
+        # the C engine reports the fault by index and value; the error and
+        # its wording match the reference expander's
         for expander in (expand, reference_expand):
             with pytest.raises(MalformedGrammarError) as caught:
                 expander(grammar, seq)
@@ -231,6 +229,36 @@ class TestExpand:
         assert expand(DOUBLING_CHAIN, [97]) == b"a"
         assert expand(DOUBLING_CHAIN, [257, 98]) == b"aaaab"
         assert time.perf_counter() - start < 1.0
+
+    def test_refuses_expansion_past_maxsize_before_allocating(self):
+        # rule k of the chain stands for 2**(k + 1) bytes: rule 62 is one
+        # byte past sys.maxsize, rule 63 past 2**64, and two of rule 61
+        # sum to one byte past sys.maxsize
+        chain = Grammar([Rule(97, 97)]
+                        + [Rule(256 + k, 256 + k) for k in range(63)])
+        tracemalloc.start()
+        try:
+            for seq in ([256 + 62], [256 + 63], [256 + 61, 256 + 61]):
+                with pytest.raises(MemoryError):
+                    expand(chain, seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_engine_buffer_released(self):
+        # 64 expansions of 1 MiB each; one unreleased engine buffer per
+        # call would add about 64 MiB
+        growth = peak_rss_growth("""
+            from rpim.repair import Grammar, Rule, expand
+            chain = Grammar([Rule(97, 98)]
+                            + [Rule(256 + k, 256 + k) for k in range(19)])
+            expand(chain, [97])  # builds or loads the engine first
+        """, """
+            for _ in range(64):
+                assert len(expand(chain, [256 + 19])) == 1 << 20
+        """) / 1024
+        assert growth < 32, f"peak RSS grew by {growth:.1f} MiB"
 
 
 byte_strings = st.binary(max_size=4096)
@@ -446,18 +474,21 @@ def test_engines_agree_across_growth(distinct):
 
 
 def test_every_entry_point_has_a_ctypes_signature():
-    """Every int rpim_*( function defined in _kernel.c gets argtypes, one
-    per C parameter, and an int restype in _kernel.load(); without them
-    ctypes would pass an int64 count as a C int."""
-    entries = re.findall(r"^int (rpim_\w+)\(([^)]*)\)",
+    """Every rpim_* function defined in _kernel.c gets argtypes, one per C
+    parameter, and a restype in _kernel.load(), c_int for an int function
+    and None for a void one; without them ctypes would pass an int64
+    count as a C int."""
+    entries = re.findall(r"^(int|void) (rpim_\w+)\(([^)]*)\)",
                          _kernel.SOURCE.read_text(), re.MULTILINE)
-    assert {"rpim_compress", "rpim_decode_body"} <= {n for n, _ in entries}
+    assert {"rpim_compress", "rpim_decode_body", "rpim_free"} \
+        <= {name for _, name, _ in entries}
     lib = _kernel.load()
-    for name, params in entries:
+    for kind, name, params in entries:
         function = getattr(lib, name)
         assert function.argtypes is not None, name
         assert len(function.argtypes) == params.count(",") + 1, name
-        assert function.restype is ctypes.c_int, name
+        assert function.restype is (ctypes.c_int if kind == "int"
+                                    else None), name
 
 
 def test_kernel_under_sanitizers(tmp_path):
@@ -513,23 +544,16 @@ def test_kernel_refuses_input_above_cap():
 def test_compress_memory_per_symbol():
     """Compressing a 3 MB solid stream grows peak RSS by at most 40 bytes
     per input symbol; a kernel sized by the input length took about 100."""
-    script = textwrap.dedent("""
-        import resource
+    growth = peak_rss_growth("""
         import rpim
         from rpim import _kernel
         assert _kernel.available()
         data = bytes([40, 90, 200]) * 2**20
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """, """
         grammar, final = rpim.compress(data)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert len(final) < 100
-        print((after - before) * 1024 / len(data))
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(_kernel.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    per_symbol = float(result.stdout)
+    per_symbol = growth * 1024 / (3 * 2**20)
     assert per_symbol <= 40, f"{per_symbol:.1f} B per input symbol"
 
 
