@@ -17,7 +17,7 @@
  * credits are re-filed from the new run head (run-head repair).
  *
  * No pair is ever hashed; every pair record is reached by index.  A
- * threaded slot names its record in rec_of, heap entries and the born
+ * threaded slot names its record in rec_of, queue entries and the born
  * list carry record indices, and a pair being credited is found through
  * one cell.  That works because a replacement step only ever credits
  * pairs that hold its fresh symbol, or self pairs through run-head
@@ -25,8 +25,10 @@
  * under fresh_right[x] and (fresh, y) under fresh_left[y], and the
  * initial count files byte pairs in a 2^16-cell array freed after it.
  * A cell is trusted only when its record is live and holds exactly the
- * pair, so cells left by earlier steps need no reset.  A pair counted
- * once is a record with count 1.
+ * pair, so cells left by earlier steps need no reset.  The initial
+ * count makes two passes: a forward one counts each occurrence and
+ * links it to its pair's previous one, a backward one links it to the
+ * next, so no write goes back to an earlier slot.
  *
  * A pair's count never rises after the step that creates its record.
  * A step credits only pairs that hold its fresh symbol, whose records
@@ -34,16 +36,29 @@
  * that eats the head of a run of length L takes back all floor(L/2) of
  * the run's self-pair credits before repair re-credits the L - 1
  * symbols left from the new head, and floor((L-1)/2) <= floor(L/2).
- * So a count only falls once filed, and each record is filed once, when
- * it is born: credit lists every record it creates, and before each
- * pop the records on that list with count 2 or more get one entry each
- * in an array heap ordered by (count desc, code asc).  An entry is a
- * hint, an upper bound on its record's count.  At the top, an entry
- * whose record is released or now holds another pair is dropped, and
- * one whose record's count fell is lowered in place and sifted down.
- * An entry that matches its record is the pair of highest count, the
- * smallest among equals.  A record above its entry's count would break
- * the bound, and returns RPIM_EBOUND rather than a grammar that is not
+ * So the top count never rises either, a count only falls once filed,
+ * and each record is filed once, when its step ends: the initial count
+ * files every record, and credit lists every record it creates for
+ * filing before the next pop.  A record still at count 1 then is
+ * released, and its slot's rec_of reset, since its pair can never be
+ * chosen or credited again; most records end so.  Should run-head
+ * repair meet its pair again, it makes a new record.
+ *
+ * The queue follows Larsson & Moffat's, indexed by count.  A record of
+ * count c from 2 to BUCKETS - 1 gets an entry {code, count, index} in
+ * bucket c, a list; higher counts get theirs in an array heap ordered by
+ * (count desc, code asc).  An entry is a hint, an upper bound on its
+ * record's count.  Where one reaches the top, an entry whose record is
+ * released or now holds another pair is dropped, and one whose record's
+ * count fell is lowered in the heap, or moved to the bucket of its new
+ * count.  Once the heap is used up, level walks the buckets downward.
+ * When bucket c becomes the top, each of its entries is checked once in
+ * this way, and the survivors are sorted by code; each is checked again
+ * when its turn comes.  Records born at count c meanwhile go to the
+ * heap, which then merges them by code with the bucket.  An entry that matches its record
+ * is the pair of highest count, the smallest among equals.  A record
+ * above its entry's count, or born above the level, would break the
+ * bound, and returns RPIM_EBOUND rather than a grammar that is not
  * greedy.
  *
  * Replaced slots become tombstones, and there are no live links: a
@@ -56,13 +71,17 @@
  * Memory: the per-slot arrays (occurrence links, record of each slot)
  * are 32-bit, 16 bytes per input symbol with the caller's 4-byte working
  * array.  The record store starts small and doubles with the number of
- * distinct pairs, and the three symbol maps double with the rule count,
- * so a low-entropy input pays for the few pairs it has, not for its
+ * live pairs, and the three symbol maps double with the rule count, so
+ * a low-entropy input pays for the few pairs it has, not for its
  * length; released records are chained through their own head field
- * for reuse.
+ * for reuse, last released first.  Since singletons go when their step
+ * ends, later steps mostly re-use records, and the store grows little
+ * past what the initial count needs.  The bucket heads are a fixed
+ * BUCKETS lists, and a bucket's entries are freed once the level passes
+ * it.
  *
  * Every capacity is checked before it is written: a violated bound, a
- * pair no cell files, or a count above its heap entry's returns
+ * pair no cell files, or a count above its queue entry's returns
  * RPIM_EBOUND and a failed allocation RPIM_ENOMEM, with all memory
  * released.  Inputs are limited to
  * 2^31 - 1 symbols, so slot indices, record indices and symbols fit
@@ -108,6 +127,7 @@ enum {
 #define MIN_RECORDS 256  /* initial record store */
 #define MIN_SYMBOLS 512  /* initial symbol maps */
 #define MIN_BORN 256     /* initial born list */
+#define BUCKETS 64       /* counts below this are queued by count */
 
 #define CHECK(expr)                 \
     do {                            \
@@ -120,6 +140,7 @@ enum {
    in head. */
 typedef struct { int32_t count, head, tail, left, right; } Record;
 typedef struct { uint64_t code; int32_t count, idx; } Entry;
+typedef struct { Entry *entry; int64_t size, cap; } List;
 
 typedef struct {
     int32_t *sym, *prev_occ, *next_occ;
@@ -134,8 +155,12 @@ typedef struct {
     int32_t *byte_pair;   /* by left << 8 | right, initial count only */
     int32_t *born;        /* records created since the last pop */
     int64_t nborn, born_cap;
-    Entry *heap;
+    int32_t level;        /* BUCKETS while the heap holds the top count,
+                             else the count being taken */
+    Entry *heap;          /* entries of count level and above */
     int64_t hsize, heap_cap;
+    List bucket[BUCKETS]; /* entries of counts 2 .. level - 1, by count */
+    int64_t at;           /* next entry of bucket[level], sorted by code */
 } State;
 
 static void *alloc(int64_t count, size_t size)
@@ -145,13 +170,16 @@ static void *alloc(int64_t count, size_t size)
     return malloc((size_t)count * size);
 }
 
-/* Return buf grown by doubling until it holds need elements, or NULL
-   when that fails; the old block then stays with the caller. */
+/* Return buf grown by doubling, from one element when it has none,
+   until it holds need elements, or NULL when that fails; the old block
+   then stays with the caller. */
 static void *reserve(void *buf, int64_t *cap, int64_t need, size_t size)
 {
     int64_t c = *cap;
     if (need <= c)
         return buf;
+    if (c < 1)
+        c = 1;
     while (c < need) {
         if (c > INT64_MAX / 2)
             return NULL;
@@ -224,8 +252,6 @@ static inline int32_t *cell_of(State *s, int32_t left, int32_t right)
         return &s->fresh_right[left];
     if (left == s->fresh)
         return &s->fresh_left[right];
-    if (s->byte_pair != NULL && left < 256 && right < 256)
-        return &s->byte_pair[left << 8 | right];
     return NULL;
 }
 
@@ -302,6 +328,164 @@ static void heap_pop(State *s)
 {
     if (--s->hsize > 0)
         sift_down(s, s->heap[s->hsize]);
+}
+
+static int bucket_add(State *s, Entry e)
+{
+    List *b = &s->bucket[e.count];
+    Entry *grown = reserve(b->entry, &b->cap, b->size + 1, sizeof *grown);
+    if (grown == NULL)
+        return RPIM_ENOMEM;
+    b->entry = grown;
+    b->entry[b->size++] = e;
+    return RPIM_OK;
+}
+
+/* How an entry stands against its record. */
+enum { MATCH, STALE, FELL, ROSE };
+
+/* MATCH when e's record holds e's pair at e's count; STALE when it was
+   released, re-used for another pair or fell below 2; FELL when its
+   count fell to 2 or more, which e->count then takes; ROSE when its
+   count is above e's, a broken invariant. */
+static inline int recheck(const State *s, Entry *e)
+{
+    const Record *r = &s->rec[e->idx];
+    if (r->count < 2 || pair_code(r->left, r->right) != e->code)
+        return STALE;
+    if (r->count == e->count)
+        return MATCH;
+    if (r->count > e->count)
+        return ROSE;
+    e->count = r->count;
+    return FELL;
+}
+
+/* File record idx, born in the initial count or since the last pop, by
+   its count: from level up in the heap, else in its bucket.  The top
+   count never rises, so at a level below BUCKETS only that count can be
+   born.  A record still at count 1 is released, and its slot forgets
+   it: its pair can never be chosen or credited again. */
+static int file_born(State *s, int32_t idx)
+{
+    const Record *r = &s->rec[idx];
+    Entry e = {pair_code(r->left, r->right), r->count, idx};
+    if (r->count >= s->level) {
+        if (s->level < BUCKETS && r->count > s->level)
+            return RPIM_EBOUND;
+        return heap_push(s, e);
+    }
+    if (r->count >= 2)
+        return bucket_add(s, e);
+    if (r->count == 1) {
+        if (s->rec_of[r->head] != idx)
+            return RPIM_EBOUND;
+        s->rec_of[r->head] = -1;
+        release_record(s, idx);
+    }
+    return RPIM_OK;
+}
+
+/* Point *top at the heap's top entry once it matches its record, or at
+   NULL when the heap empties: stale entries are dropped, and one whose
+   count fell is lowered in place, or moved to its bucket below level. */
+static int heap_top(State *s, Entry **top)
+{
+    *top = NULL;
+    while (s->hsize > 0) {
+        Entry *e = &s->heap[0];
+        switch (recheck(s, e)) {
+        case MATCH:
+            *top = e;
+            return RPIM_OK;
+        case ROSE:
+            return RPIM_EBOUND;
+        case STALE:
+            heap_pop(s);
+            break;
+        case FELL:
+            if (e->count >= s->level) {
+                sift_down(s, *e);
+            } else {
+                Entry moved = *e;
+                heap_pop(s);
+                CHECK(bucket_add(s, moved));
+            }
+        }
+    }
+    return RPIM_OK;
+}
+
+/* Point *first at the next entry of the bucket being taken once it
+   matches its record, or at NULL when the bucket is used up: stale
+   entries are dropped and those whose count fell are moved down. */
+static int bucket_head(State *s, Entry **first)
+{
+    List *b = &s->bucket[s->level];
+    *first = NULL;
+    while (s->at < b->size) {
+        Entry *e = &b->entry[s->at];
+        switch (recheck(s, e)) {
+        case MATCH:
+            *first = e;
+            return RPIM_OK;
+        case ROSE:
+            return RPIM_EBOUND;
+        case FELL:
+            CHECK(bucket_add(s, *e));
+            /* fall through */
+        case STALE:
+            s->at++;
+        }
+    }
+    return RPIM_OK;
+}
+
+static int by_code(const void *a, const void *b)
+{
+    uint64_t x = ((const Entry *)a)->code, y = ((const Entry *)b)->code;
+    return (x > y) - (x < y);
+}
+
+/* Once the heap and the bucket being taken are used up, move level down
+   to the next bucket that holds entries: check each of them once,
+   dropping stale ones and moving down those whose count fell, and sort
+   the rest by code.  *more is 0 when no bucket at lowest or above is
+   left. */
+static int descend(State *s, int64_t lowest, int *more)
+{
+    if (s->level < BUCKETS) {
+        List *done = &s->bucket[s->level];
+        free(done->entry);
+        *done = (List){NULL, 0, 0};
+    }
+    do
+        s->level--;
+    while (s->level >= lowest && s->bucket[s->level].size == 0);
+    *more = s->level >= lowest;
+    if (!*more)
+        return RPIM_OK;
+    List *b = &s->bucket[s->level];
+    int64_t kept = 0;
+    for (int64_t k = 0; k < b->size; k++) {
+        Entry e = b->entry[k];
+        switch (recheck(s, &e)) {
+        case MATCH:
+            b->entry[kept++] = e;
+            break;
+        case ROSE:
+            return RPIM_EBOUND;
+        case FELL:
+            CHECK(bucket_add(s, e));
+            break;
+        case STALE:
+            break;
+        }
+    }
+    b->size = kept;
+    qsort(b->entry, (size_t)kept, sizeof *b->entry, by_code);
+    s->at = 0;
+    return RPIM_OK;
 }
 
 /* Register a counted occurrence of (left, right) at slot.  after places
@@ -512,6 +696,7 @@ static int setup(State *s, const uint8_t *input, int32_t n)
     s->byte_pair = alloc(1 << 16, sizeof *s->byte_pair);
     s->born_cap = MIN_BORN;
     s->born = alloc(s->born_cap, sizeof *s->born);
+    s->level = BUCKETS;
     s->heap_cap = 1024;
     s->heap = alloc(s->heap_cap, sizeof *s->heap);
     if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->rec
@@ -519,10 +704,8 @@ static int setup(State *s, const uint8_t *input, int32_t n)
         return RPIM_ENOMEM;
     CHECK(reserve_maps(s, MIN_SYMBOLS));
     memset(s->byte_pair, 0xFF, (1 << 16) * sizeof *s->byte_pair);
-    for (int32_t i = 0; i < n; i++) {
+    for (int32_t i = 0; i < n; i++)
         s->sym[i] = input[i];
-        s->rec_of[i] = -1;
-    }
     return RPIM_OK;
 }
 
@@ -538,60 +721,95 @@ static void teardown(State *s)
     free(s->byte_pair);
     free(s->born);
     free(s->heap);
+    for (int c = 0; c < BUCKETS; c++)
+        free(s->bucket[c].entry);
 }
 
-static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
-               int32_t *rule_left, int32_t *rule_right, int64_t rule_cap,
-               int64_t *nrules_out)
+/* The initial greedy count, which skips slots overlapping the counted
+   self-pair occurrence that starts one position earlier.  A forward
+   pass counts each occurrence on its record and links it to the pair's
+   previous one through prev_occ; a backward pass links it to the next
+   through next_occ, so no write goes back to an earlier slot.  Every
+   record, 0 .. nrec - 1, is then filed. */
+static int count_initial(State *s)
 {
     const int32_t *sym = s->sym;
-
-    /* initial greedy count: skip slots overlapping the counted self-pair
-       occurrence that starts one position earlier */
-    int32_t run_head = 0;
+    int32_t *prev = s->prev_occ, *next = s->next_occ, *rec_of = s->rec_of;
+    int32_t n = s->n, run_head = 0;
     for (int32_t i = 0; i < n - 1; i++) {
-        if (i > 0 && sym[i] != sym[i - 1])
+        int32_t a = sym[i], b = sym[i + 1];
+        if (i > 0 && a != sym[i - 1])
             run_head = i;
-        if (sym[i] == sym[i + 1] && ((i - run_head) & 1))
+        if (a == b && ((i - run_head) & 1)) {
+            rec_of[i] = -1;
             continue;
-        CHECK(credit(s, sym[i], sym[i + 1], i, TAIL));
+        }
+        int32_t *cell = a == b ? &s->self_rec[a] : &s->byte_pair[a << 8 | b];
+        int32_t idx = *cell;
+        if (idx < 0) {
+            CHECK(take_record(s, &idx));
+            s->rec[idx] = (Record){0, -1, -1, a, b};
+            *cell = idx;
+        }
+        Record *r = &s->rec[idx];
+        r->count++;
+        prev[i] = r->tail;
+        r->tail = i;
+        rec_of[i] = idx;
+    }
+    rec_of[n - 1] = -1;
+    for (int32_t i = n - 2; i >= 0; i--) {
+        int32_t idx = rec_of[i];
+        if (idx >= 0) {
+            next[i] = s->rec[idx].head;
+            s->rec[idx].head = i;
+        }
     }
     free(s->byte_pair);
     s->byte_pair = NULL;
+    for (int64_t idx = 0; idx < s->nrec; idx++)
+        CHECK(file_born(s, (int32_t)idx));
+    return RPIM_OK;
+}
 
+static int run(State *s, int64_t min_frequency, int64_t max_rules,
+               int32_t *rule_left, int32_t *rule_right, int64_t rule_cap,
+               int64_t *nrules_out)
+{
+    int64_t lowest = min_frequency > 2 ? min_frequency : 2;
     int64_t nrules = 0;
+    CHECK(count_initial(s));
     while (max_rules < 0 || nrules < max_rules) {
-        /* file each record born since the last pop once, if it repeats */
-        for (int64_t t = 0; t < s->nborn; t++) {
-            const Record *r = &s->rec[s->born[t]];
-            if (r->count >= 2)
-                CHECK(heap_push(s, (Entry){pair_code(r->left, r->right),
-                                           r->count, s->born[t]}));
-        }
+        for (int64_t t = 0; t < s->nborn; t++)
+            CHECK(file_born(s, s->born[t]));
         s->nborn = 0;
 
-        /* pop the most frequent pair: drop entries whose record was
-           released or re-used, and lower those whose count fell */
+        /* take the most frequent pair, the smallest among equals: the
+           heap's top, or at a level below BUCKETS the smaller of the
+           heap's top and the bucket's next entry, both at that count,
+           which descend keeps at min_frequency or above */
         int32_t chosen = -1;
-        while (s->hsize > 0) {
-            Entry *top = &s->heap[0];
-            const Record *r = &s->rec[top->idx];
-            if (r->count < 2 || pair_code(r->left, r->right) != top->code) {
-                heap_pop(s);
-                continue;
-            }
-            if (r->count > top->count)
-                return RPIM_EBOUND; /* a count rose after it was filed */
-            if (r->count < top->count) {
-                top->count = r->count;
-                sift_down(s, *top);
-                continue;
-            }
-            if (top->count < min_frequency)
+        for (;;) {
+            Entry *top, *first = NULL;
+            CHECK(heap_top(s, &top));
+            if (s->level < BUCKETS)
+                CHECK(bucket_head(s, &first));
+            if (top != NULL && (first == NULL || top->code < first->code)) {
+                if (top->count >= min_frequency) {
+                    chosen = top->idx;
+                    heap_pop(s);
+                }
                 break;
-            chosen = top->idx;
-            heap_pop(s);
-            break;
+            }
+            if (first != NULL) {
+                chosen = first->idx;
+                s->at++;
+                break;
+            }
+            int more;
+            CHECK(descend(s, lowest, &more));
+            if (!more)
+                break;
         }
         if (chosen < 0)
             break;
@@ -618,7 +836,7 @@ static int run(State *s, int32_t n, int64_t min_frequency, int64_t max_rules,
  * (rule_left[k], rule_right[k]), and sizes[1] the length of the final
  * sequence, left in sym[0:sizes[1]].  max_rules < 0 means unbounded.
  * Returns RPIM_OK, RPIM_ENOMEM when an allocation fails, or RPIM_EBOUND
- * when a capacity would be exceeded or a pair count rose after its heap
+ * when a capacity would be exceeded or a pair count rose after its queue
  * entry was filed, an invariant broken; an n above 2^31 - 1 is refused
  * before input or sym is touched.
  */
@@ -641,8 +859,8 @@ int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
     s.sym = sym;
     int err = setup(&s, input, (int32_t)n);
     if (err == RPIM_OK)
-        err = run(&s, (int32_t)n, min_frequency, max_rules, rule_left,
-                  rule_right, rule_cap, &sizes[0]);
+        err = run(&s, min_frequency, max_rules, rule_left, rule_right,
+                  rule_cap, &sizes[0]);
     teardown(&s);
     if (err != RPIM_OK)
         return err;

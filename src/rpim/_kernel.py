@@ -36,8 +36,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 
 # rpim_compress's and rpim_expand's status for a failed allocation; any
 # other nonzero rpim_compress status is a capacity bound the kernel
-# refused to exceed or a broken invariant (a pair count above its heap
-# entry's)
+# refused to exceed or a broken invariant (a pair count above its queue
+# entry's, or born above the count being taken)
 _ENOMEM = 1
 _ELIMIT = 3
 # rpim_decode_body's faults, each the first a sequential reader meets;
@@ -140,7 +140,8 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     MAX_SYMBOLS symbols, before anything is allocated,
     EngineUnavailableError when the library cannot be built, MemoryError
     when the kernel's allocations fail, RuntimeError when it refuses a
-    capacity bound or finds a pair count above its heap entry's.
+    capacity bound or finds a pair count above its queue entry's, an
+    entry in the count-indexed buckets or the heap above them.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -162,8 +163,9 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:
-        raise RuntimeError(f"C engine exceeded a capacity bound or broke "
-                           f"an invariant (status {status}) on {n} symbols")
+        raise RuntimeError(f"C engine exceeded a capacity bound or found a "
+                           f"pair count above its queue entry's (status "
+                           f"{status}) on {n} symbols")
     nrules, length = sizes.tolist()
     return rule_left[:nrules], rule_right[:nrules], sym[:length]
 

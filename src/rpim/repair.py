@@ -28,6 +28,8 @@ from . import _kernel
 from .errors import MalformedGrammarError
 
 NONTERMINAL_BASE = 256
+_INT64 = np.iinfo(np.int64)
+_NOT_A_SEQUENCE = "expand takes a one-dimensional sequence of integers"
 
 
 class Rule(NamedTuple):
@@ -190,8 +192,34 @@ def reference_compress(seq, config: CompressorConfig | None = None
     return Grammar(rules), np.array(symbols, dtype=np.int64)
 
 
-def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
-    """seq as an int64 array, once the grammar and seq are known to
+def _sequence(seq) -> np.ndarray:
+    """seq as a one-dimensional int64 array, for expand and
+    reference_expand.  Raises ValueError unless seq is a one-dimensional
+    sequence of integers, as compress does, and MalformedGrammarError
+    naming a symbol outside int64, which no grammar defines."""
+    values = np.asarray(seq)
+    if not isinstance(seq, np.ndarray) and values.dtype.kind in "fO":
+        # numpy infers objects for Python ints past 64 bits, and floats
+        # for ints past int64 beside negative ones; objects keep them exact
+        values = np.asarray(seq, dtype=object)
+    if values.ndim != 1:
+        raise ValueError(_NOT_A_SEQUENCE)
+    if values.dtype == object:
+        items = values.tolist()
+        if not all(isinstance(v, (int, np.integer)) for v in items):
+            raise ValueError(_NOT_A_SEQUENCE)
+        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
+    elif values.size and values.dtype.kind not in "biu":
+        raise ValueError(_NOT_A_SEQUENCE)
+    else:
+        wide = values[values > _INT64.max] if values.dtype == np.uint64 else []
+    if len(wide):
+        raise MalformedGrammarError(f"sequence symbol {wide[0]} is undefined")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+def _checked_symbols(grammar: Grammar, symbols: np.ndarray) -> np.ndarray:
+    """symbols, an int64 array, once the grammar and it are known to
     reference only defined symbols; raises MalformedGrammarError."""
     bounds = NONTERMINAL_BASE + np.arange(len(grammar))
     bad = np.flatnonzero((grammar.left < 0) | (grammar.left >= bounds)
@@ -200,7 +228,6 @@ def _checked_symbols(grammar: Grammar, seq) -> np.ndarray:
         ordinal = int(bad[0])
         raise MalformedGrammarError(
             f"rule {ordinal} references symbol outside [0, {bounds[ordinal]})")
-    symbols = np.ascontiguousarray(seq, dtype=np.int64)
     undefined = np.flatnonzero((symbols < 0)
                                | (symbols >= NONTERMINAL_BASE + len(grammar)))
     if undefined.size:
@@ -214,11 +241,12 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
 
     One C engine call checks every rule side and symbol, measures the
     output, and only then expands each rule seq reaches once, copying it
-    for every later use.  Raises MalformedGrammarError naming the first
-    undefined reference, and MemoryError, before allocating, for an
-    expansion past sys.maxsize bytes.
+    for every later use.  Raises ValueError unless seq is a
+    one-dimensional sequence of integers, MalformedGrammarError naming
+    the first undefined reference, and MemoryError, before allocating,
+    for an expansion past sys.maxsize bytes.
     """
-    symbols = np.ascontiguousarray(seq, dtype=np.int64)
+    symbols = _sequence(seq)
     status, found = _kernel.expand(grammar.left, grammar.right, symbols)
     if status == 0:
         return found
@@ -236,7 +264,7 @@ def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     Only rules reachable from seq are materialized, so memory stays
     proportional to the output even when the grammar carries unused rules.
     """
-    symbols = _checked_symbols(grammar, seq)
+    symbols = _checked_symbols(grammar, _sequence(seq))
     # a rule references only earlier rules, so one backward pass marks
     # everything reachable from seq; live and table are indexed by symbol
     rules = grammar.rules

@@ -5,10 +5,16 @@
  * It compresses seeded random and run-heavy inputs, n < 2 included,
  * inputs whose distinct-pair counts straddle every growth step of the
  * record store, and rule counts that straddle every doubling of the
- * symbol maps the kernel files fresh and self pairs under.  Long solid
- * inputs and inputs that end or start in a long run make tombstone
- * blocks that start at slot 1 and end at the last slot, so the block
- * links at both edges of the working array are written and followed.
+ * symbol maps the kernel files fresh and self pairs under.  Inputs
+ * whose top count is one below, at and one above the kernel's BUCKETS
+ * take the hand-over from its heap to its count buckets, with many pairs
+ * tied, counts falling across BUCKETS, and pairs born at the count being
+ * taken; a walk prefix repeated BUCKETS - 1 to BUCKETS + 1 times ties
+ * over a thousand pairs, so a bucket list, its sort and the heap grow
+ * past their first allocations.  Long solid inputs and inputs that end
+ * or start in a long run make tombstone blocks that start at slot 1 and
+ * end at the last slot, so the block links at both edges of the working
+ * array are written and followed.
  * Each grammar must reference only earlier symbols and expand back to
  * its input under this program's own stack expander.  The kernel's
  * expand must agree with it, on a comb as deep as it has rules too, and
@@ -48,12 +54,15 @@ int rpim_encode_body(const int64_t *left, const int64_t *right,
                      int64_t nrules, const int64_t *seq, int64_t nseq,
                      uint8_t *out, int64_t cap, int64_t *written);
 
-/* FIRST_STEP is the kernel's initial record store, MIN_RECORDS, and
-   FIRST_MAP its initial symbol maps, MIN_SYMBOLS */
+/* FIRST_STEP is the kernel's initial record store, MIN_RECORDS,
+   FIRST_MAP its initial symbol maps, MIN_SYMBOLS, FIRST_HEAP its initial
+   heap, and BUCKETS the count from which its queue uses the heap, not
+   the buckets */
 enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
        RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9,
        RPIM_ETRAILING = 10,
-       NONTERMINAL_BASE = 256, FIRST_STEP = 256, FIRST_MAP = 512 };
+       NONTERMINAL_BASE = 256, FIRST_STEP = 256, FIRST_MAP = 512,
+       FIRST_HEAP = 1024, BUCKETS = 64 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -477,6 +486,49 @@ static void runs(uint8_t *buf, int64_t n, int alphabet, int longest)
     }
 }
 
+/* Write short words over a small alphabet into buf, the first repeated
+   top times and the others top times or a few less, shuffled, each
+   followed by a spacer symbol of 64 or more; returns the length, at most
+   10 * 5 * top.  Unless shared, no pair occurs in two words or twice in
+   one, so the top count is exactly top. */
+static int64_t bucket_edge(uint8_t *buf, int top, int shared)
+{
+    static const int fewer[] = {0, 0, 0, 1, 2, 5};
+    uint8_t words[10][4], seen[6][6] = {{0}};
+    int length[10], tokens[10 * (BUCKETS + 1)], nwords = 0, ntokens = 0;
+    int alphabet = 2 + below(5);
+    for (int tries = 1 + below(10); tries > 0; tries--) {
+        int len = 2 + below(3), fresh = 1;
+        uint8_t *word = words[nwords];
+        for (int k = 0; k < len; k++)
+            word[k] = (uint8_t)below(alphabet);
+        for (int k = 0; k + 1 < len && fresh; k++) {
+            fresh = !seen[word[k]][word[k + 1]];
+            seen[word[k]][word[k + 1]] = 1;
+        }
+        if (shared || fresh)
+            length[nwords++] = len;
+        else
+            for (int k = 0; k + 1 < len; k++)
+                seen[word[k]][word[k + 1]] = 0;
+    }
+    for (int w = 0; w < nwords; w++)
+        for (int r = top - (w > 0) * fewer[below(6)]; r > 0; r--)
+            tokens[ntokens++] = w;
+    for (int t = ntokens - 1; t > 0; t--) {
+        int u = below(t + 1), swap = tokens[t];
+        tokens[t] = tokens[u];
+        tokens[u] = swap;
+    }
+    int64_t n = 0;
+    for (int t = 0; t < ntokens; t++) {
+        memcpy(buf + n, words[tokens[t]], (size_t)length[tokens[t]]);
+        n += length[tokens[t]];
+        buf[n++] = (uint8_t)(64 + below(192));
+    }
+    return n;
+}
+
 /* A walk over all 256 x 256 byte pairs in which every adjacent pair is
    new: the de Bruijn sequence of order 2 built from Lyndon words. */
 static int64_t de_bruijn(uint8_t *buf)
@@ -567,6 +619,26 @@ int main(void)
              r <= m - NONTERMINAL_BASE + 1; r++)
             if (check("maps", buf, n, 2, r) != r)
                 fail("maps", r, "the input made fewer rules than asked");
+
+    /* top counts one below, at and one above BUCKETS, where the heap
+       hands the top over to the buckets; shared words start near twice
+       the top, so counts fall across BUCKETS and within the buckets */
+    for (int c = 0; c < 120; c++)
+        check("buckets", buf, bucket_edge(buf, BUCKETS + c % 3 - 1, c % 6 >= 3),
+              minf[below(4)], maxr[below(5)]);
+
+    /* a walk prefix with d distinct pairs, repeated k times: d pairs tie
+       at count k, so the bucket list of that count, sorted when taken, or
+       the heap grows past its first allocation; the first rule's pair
+       spawns pairs born at the count being taken */
+    static const int64_t tied[] = {300, FIRST_HEAP + 76};
+    for (int64_t k = BUCKETS - 1; k <= BUCKETS + 1; k++)
+        for (int t = 0; t < 2; t++) {
+            int64_t d = tied[t];
+            for (int64_t r = 0; r < k; r++)
+                memcpy(buf + r * (d + 1), walk, (size_t)d + 1);
+            check("tied", buf, k * (d + 1), 2, -1);
+        }
     free(walk);
 
     /* solid inputs and inputs that end or start in one long run: their

@@ -213,6 +213,7 @@ class TestExpand:
          "rule 0 references symbol outside [0, 256)"),
         (Grammar([Rule(97, 98), Rule(97, -1)]), [97],
          "rule 1 references symbol outside [0, 257)"),
+        (Grammar(), [2**70], f"sequence symbol {2**70} is undefined"),
     ])
     def test_malformed_error_names_the_fault(self, grammar, seq, message):
         # the C engine reports the fault by index and value; the error and
@@ -222,6 +223,14 @@ class TestExpand:
                 expander(grammar, seq)
             assert type(caught.value) is MalformedGrammarError
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("seq", [[[97, 98], [99, 100]], [97.7]],
+                             ids=["2-D", "float"])
+    def test_sequence_of_integers_required(self, seq):
+        # as compress requires of its input
+        for expander in (expand, reference_expand):
+            with pytest.raises(ValueError):
+                expander(Grammar(), seq)
 
     def test_unreachable_rules_not_materialized(self):
         # expand may build only the rules seq reaches
@@ -473,6 +482,64 @@ def test_engines_agree_across_growth(distinct):
         == GROWTH_DIGESTS[distinct]
 
 
+# the kernel queues counts below BUCKETS in buckets by count, higher ones
+# in a heap
+BUCKETS = int(re.search(r"^#define BUCKETS (\d+)",
+                        _kernel.SOURCE.read_text(), re.MULTILINE).group(1))
+
+
+def _bucket_edge_input(rng, top, shared):
+    """Short words over a small alphabet, the first repeated top times and
+    the others top times or a few less, shuffled, each followed by a
+    spacer symbol of 64 or more.  Unless shared, no pair occurs in two
+    words or twice in one, so the top count is exactly top."""
+    alphabet = rng.randint(2, 6)
+    words, seen = [], set()
+    for _ in range(rng.randint(3, 10)):
+        word = tuple(rng.randrange(alphabet) for _ in range(rng.randint(2, 4)))
+        pairs = set(zip(word, word[1:]))
+        if shared or (not pairs & seen and len(pairs) == len(word) - 1):
+            words.append(word)
+            seen |= pairs
+    tokens = [word for k, word in enumerate(words)
+              for _ in range(top - (k > 0) * rng.choice([0, 0, 0, 1, 2, 5]))]
+    rng.shuffle(tokens)
+    return [s for word in tokens for s in (*word, rng.randrange(64, 256))]
+
+
+def test_engines_agree_at_bucket_edges():
+    """Top counts one below, at and one above BUCKETS, where the kernel's
+    heap hands the top over to its count buckets.  Many pairs tie at one
+    count, so a bucket is taken in code order, and a word of three
+    symbols or more makes a pair born at the count being taken.  Words
+    that share pairs start at about twice the top, so their counts fall
+    across BUCKETS and within the buckets as rules eat shared symbols.
+    min_frequency 3, and a max_rules that stops inside a bucket of tied
+    pairs, are among the configurations.  A walk prefix repeated top
+    times ties 100 pairs."""
+    rng = random.Random(0xB0C7)
+    cases, tops = [], set()
+    for case in range(240):
+        top = BUCKETS + case % 3 - 1
+        shared = case % 6 >= 3
+        seq = _bucket_edge_input(rng, top, shared)
+        if not shared:
+            assert max(count_pairs(seq).values()) == top, case
+            tops.add(top)
+        cases.append((seq, CompressorConfig(
+            min_frequency=rng.choice([2, 2, 3]),
+            max_rules=rng.choice([None, None, 1, 3, 5]))))
+    assert tops == {BUCKETS - 1, BUCKETS, BUCKETS + 1}
+    walk = _de_bruijn_walk()[:101]
+    cases += [(walk * top, CompressorConfig())
+              for top in (BUCKETS - 1, BUCKETS, BUCKETS + 1)]
+    for case, (seq, config) in enumerate(cases):
+        py_grammar, py_final = reference_compress(seq, config)
+        c_grammar, c_final = compress(seq, config)
+        assert py_grammar.rules == c_grammar.rules, (case, config)
+        assert py_final.tolist() == c_final.tolist(), (case, config)
+
+
 def test_every_entry_point_has_a_ctypes_signature():
     """Every rpim_* function defined in _kernel.c gets argtypes, one per C
     parameter, and a restype in _kernel.load(), c_int for an int function
@@ -543,18 +610,31 @@ def test_kernel_refuses_input_above_cap():
 
 def test_compress_memory_per_symbol():
     """Compressing a 3 MB solid stream grows peak RSS by at most 40 bytes
-    per input symbol; a kernel sized by the input length took about 100."""
-    growth = peak_rss_growth("""
+    per input symbol; a kernel sized by the input length took about 100.
+    1 MiB of random bytes, whose distinct pairs grow with the input,
+    grows it by at most 25, the grammar and final sequence included; it
+    took 30 while records of count 1 stayed live until a replacement
+    next to them took them back, where the kernel now releases them when
+    their step ends."""
+    setup = """
+        import random
         import rpim
         from rpim import _kernel
         assert _kernel.available()
-        data = bytes([40, 90, 200]) * 2**20
-    """, """
-        grammar, final = rpim.compress(data)
+        solid = bytes([40, 90, 200]) * 2**20
+        noise = random.Random(1).randbytes(2**20)
+    """
+    growth = peak_rss_growth(setup, """
+        grammar, final = rpim.compress(solid)
         assert len(final) < 100
     """)
     per_symbol = growth * 1024 / (3 * 2**20)
-    assert per_symbol <= 40, f"{per_symbol:.1f} B per input symbol"
+    assert per_symbol <= 40, f"{per_symbol:.1f} B per solid symbol"
+    growth = peak_rss_growth(setup, """
+        grammar, final = rpim.compress(noise)
+    """)
+    per_symbol = growth * 1024 / 2**20
+    assert per_symbol <= 25, f"{per_symbol:.1f} B per random symbol"
 
 
 def test_engine_unavailable_without_compiler(monkeypatch, tmp_path):
