@@ -540,6 +540,61 @@ def test_engines_agree_at_bucket_edges():
         assert py_final.tolist() == c_final.tolist(), (case, config)
 
 
+# the kernel reads ahead along the pair thread from this input length on
+READ_AHEAD_MIN = 1 << int(re.search(r"^#define READ_AHEAD_MIN \(1 << (\d+)\)",
+                                     _kernel.SOURCE.read_text(),
+                                     re.MULTILINE).group(1))
+
+
+def _gate_input(kind, n):
+    """n seeded symbols of one kind: random bytes, a photo-like field (a
+    smooth 512-wide gradient, wrapped to bytes, plus noise of -2 to 2),
+    or runs of 1 to 32 of eight symbols."""
+    noise = np.frombuffer(random.Random(n).randbytes(n), np.uint8)
+    if kind == "random":
+        return noise
+    if kind == "photo":
+        x, y = np.arange(n) % 512, np.arange(n) // 512
+        field = (x + 2 * y + (x * y >> 9)) // 4 + noise.astype(np.int64) % 5
+        return ((field - 2) % 256).astype(np.uint8)
+    return np.repeat(noise % 8, 1 + noise // 8)[:n]
+
+
+# compress's output on each (kind, n) at the commit before the kernel read
+# ahead, in _digest's form; reference_compress takes minutes at these sizes
+GATE_DIGESTS = {
+    ("random", 2**17 - 1): (14624, 85868,
+        "8432dcd16219bc4a88ffacff37ce766575cba48b44d8a6848ab74b502aa57817"),
+    ("random", 2**17): (14639, 85846,
+        "80fc119ee6bc5e8677de71f3c02e3b5af26d3592032ae628615ea3426131af26"),
+    ("random", 3 * 2**17 + 5): (32818, 234845,
+        "8bfdda982572ab5246a8ed23fe07c8b21ab22741354e60b7a9b8b5287d07b263"),
+    ("photo", 2**17 - 1): (9369, 49270,
+        "29b6a8ab31b24618b46813467b004b11e226b3bc89d722332aad60c9a41f09ae"),
+    ("photo", 2**17): (9456, 49181,
+        "b5ed529a5eeff289ecb2e3102d0c48b4cda07096ec4fa369c3a8d89c88d3c8ff"),
+    ("photo", 3 * 2**17 + 5): (22310, 131321,
+        "8e8ff725de219d3abe649091139e9720df30e1ce9a0db0cb50c32764b94e8ba8"),
+    ("runs", 2**17 - 1): (629, 6482,
+        "5f4309671f9a56a8ddfd5ae95bc991bd17d55c44e0b9d3079c8233eed265bd93"),
+    ("runs", 2**17): (641, 6464,
+        "37dbcba1c63177bebbf28452e8ebcebd0d7f2f60c0d6131506393831dbecb252"),
+    ("runs", 3 * 2**17 + 5): (1949, 17657,
+        "17074c04814bb1c87f4e667c2ed794766e628714c511f71fe36e11256b88afae"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(GATE_DIGESTS))
+def test_output_unchanged_across_read_ahead_gate(kind, n):
+    """One symbol below READ_AHEAD_MIN the walk takes no hints, from it on
+    it does; hints only read and prefetch, so compress must give the
+    output pinned before they existed, on either side of the gate."""
+    assert READ_AHEAD_MIN == 2**17
+    seq = _gate_input(kind, n)
+    assert len(seq) == n
+    assert _digest(*compress(seq)) == GATE_DIGESTS[kind, n]
+
+
 def test_every_entry_point_has_a_ctypes_signature():
     """Every rpim_* function defined in _kernel.c gets argtypes, one per C
     parameter, and a restype in _kernel.load(), c_int for an int function
