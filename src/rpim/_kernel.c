@@ -50,16 +50,16 @@
  * (count desc, code asc).  An entry is a hint, an upper bound on its
  * record's count.  Where one reaches the top, an entry whose record is
  * released or now holds another pair is dropped, and one whose record's
- * count fell is lowered in the heap, or moved to the bucket of its new
- * count.  Once the heap is used up, level walks the buckets downward.
- * When bucket c becomes the top, each of its entries is checked once in
- * this way, and the survivors are sorted by code; each is checked again
- * when its turn comes.  Records born at count c meanwhile go to the
- * heap, which then merges them by code with the bucket.  An entry that matches its record
- * is the pair of highest count, the smallest among equals.  A record
- * above its entry's count, or born above the level, would break the
- * bound, and returns RPIM_EBOUND rather than a grammar that is not
- * greedy.
+ * count fell is filed again at its new count, by the rule that files a
+ * record at its birth.  Once the heap is used up, level walks the
+ * buckets downward.  When bucket c becomes the top, each of its entries
+ * is checked once in this way, and the survivors are sorted by code;
+ * each is checked again when its turn comes.  Records born at count c
+ * meanwhile go to the heap, which then merges them by code with the
+ * bucket.  An entry that matches its record is the pair of highest
+ * count, the smallest among equals.  A record above its entry's count,
+ * or born above the level, would break the bound, and returns
+ * RPIM_EBOUND rather than a grammar that is not greedy.
  *
  * Replaced slots become tombstones, and there are no live links: a
  * block of tombstones [a, b] keeps b + 1 in next_occ[a] and a - 1 in
@@ -87,15 +87,16 @@
  *
  * Memory: the per-slot arrays (occurrence links, record of each slot)
  * are 32-bit, 16 bytes per input symbol with the caller's 4-byte working
- * array.  The record store starts small and doubles with the number of
- * live pairs, and the three symbol maps double with the rule count, so
- * a low-entropy input pays for the few pairs it has, not for its
- * length; released records are chained through their own head field
- * for reuse, last released first.  Since singletons go when their step
- * ends, later steps mostly re-use records, and the store grows little
- * past what the initial count needs.  The bucket heads are a fixed
- * BUCKETS lists, and a bucket's entries are freed once the level passes
- * it.
+ * array.  Every other buffer starts empty and grows through reserve, by
+ * doubling: the record store with the number of live pairs, the born
+ * list and the heap with what they hold, and the three symbol maps, from
+ * 256 cells, with the rule count.  So a low-entropy input pays for the
+ * few pairs it has, not for its length; released records are chained
+ * through their own head field for reuse, last released first.  Since
+ * singletons go when their step ends, later steps mostly re-use
+ * records, and the store grows little past what the initial count
+ * needs.  The bucket heads are a fixed BUCKETS lists, and a bucket's
+ * entries are freed once the level passes it.
  *
  * Every capacity is checked before it is written: a violated bound, a
  * pair no cell files, or a count above its queue entry's returns
@@ -141,9 +142,6 @@ enum {
 #define NONTERMINAL_BASE 256
 #define TOMBSTONE (-1)
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
-#define MIN_RECORDS 256  /* initial record store */
-#define MIN_SYMBOLS 512  /* initial symbol maps */
-#define MIN_BORN 256     /* initial born list */
 #define BUCKETS 64       /* counts below this are queued by count */
 /* inputs from this length on read ahead along the pair thread: at 16 B
    per symbol the slot arrays then pass 2 MiB, a common per-core L2, and
@@ -220,24 +218,20 @@ static void *reserve(void *buf, int64_t *cap, int64_t need, size_t size)
     return grown;
 }
 
-/* Grow the symbol maps by doubling until they hold need cells, the new
+/* Grow the symbol maps with reserve until they hold need cells, the new
    ones -1. */
 static int reserve_maps(State *s, int64_t need)
 {
     int32_t **maps[] = {&s->self_rec, &s->fresh_left, &s->fresh_right};
-    int64_t cap = s->map_cap > 0 ? s->map_cap : MIN_SYMBOLS;
-    while (cap < need)
-        cap *= 2;
-    if (cap == s->map_cap)
+    int64_t old = s->map_cap, cap = old;
+    if (need <= old)
         return RPIM_OK;
-    if ((uint64_t)cap > SIZE_MAX / sizeof(int32_t))
-        return RPIM_ENOMEM;
     for (int k = 0; k < 3; k++) {
-        int32_t *grown = realloc(*maps[k], (size_t)cap * sizeof *grown);
+        cap = old;
+        int32_t *grown = reserve(*maps[k], &cap, need, sizeof *grown);
         if (grown == NULL)
             return RPIM_ENOMEM;
-        memset(grown + s->map_cap, 0xFF,
-               (size_t)(cap - s->map_cap) * sizeof *grown);
+        memset(grown + old, 0xFF, (size_t)(cap - old) * sizeof *grown);
         *maps[k] = grown;
     }
     s->map_cap = cap;
@@ -333,9 +327,12 @@ static int heap_push(State *s, Entry e)
     return RPIM_OK;
 }
 
-/* Put e at the root and sift it down. */
-static void sift_down(State *s, Entry e)
+/* Drop the root: the last entry takes its place and sifts down. */
+static void heap_pop(State *s)
 {
+    if (--s->hsize == 0)
+        return;
+    Entry e = s->heap[s->hsize];
     int64_t i = 0;
     for (;;) {
         int64_t c = 2 * i + 1;
@@ -351,12 +348,6 @@ static void sift_down(State *s, Entry e)
     s->heap[i] = e;
 }
 
-static void heap_pop(State *s)
-{
-    if (--s->hsize > 0)
-        sift_down(s, s->heap[s->hsize]);
-}
-
 static int bucket_add(State *s, Entry e)
 {
     List *b = &s->bucket[e.count];
@@ -366,6 +357,12 @@ static int bucket_add(State *s, Entry e)
     b->entry = grown;
     b->entry[b->size++] = e;
     return RPIM_OK;
+}
+
+/* Queue e by its count: from level up in the heap, else in its bucket. */
+static int file_entry(State *s, Entry e)
+{
+    return e.count >= s->level ? heap_push(s, e) : bucket_add(s, e);
 }
 
 /* How an entry stands against its record. */
@@ -389,21 +386,19 @@ static inline int recheck(const State *s, Entry *e)
 }
 
 /* File record idx, born in the initial count or since the last pop, by
-   its count: from level up in the heap, else in its bucket.  The top
-   count never rises, so at a level below BUCKETS only that count can be
-   born.  A record still at count 1 is released, and its slot forgets
-   it: its pair can never be chosen or credited again. */
+   its count.  The top count never rises, so at a level below BUCKETS
+   only that count can be born.  A record still at count 1 is released,
+   and its slot forgets it: its pair can never be chosen or credited
+   again. */
 static int file_born(State *s, int32_t idx)
 {
     const Record *r = &s->rec[idx];
-    Entry e = {pair_code(r->left, r->right), r->count, idx};
-    if (r->count >= s->level) {
+    if (r->count >= 2) {
         if (s->level < BUCKETS && r->count > s->level)
             return RPIM_EBOUND;
-        return heap_push(s, e);
+        return file_entry(s, (Entry){pair_code(r->left, r->right), r->count,
+                                     idx});
     }
-    if (r->count >= 2)
-        return bucket_add(s, e);
     if (r->count == 1) {
         if (s->rec_of[r->head] != idx)
             return RPIM_EBOUND;
@@ -414,56 +409,46 @@ static int file_born(State *s, int32_t idx)
 }
 
 /* Point *top at the heap's top entry once it matches its record, or at
-   NULL when the heap empties: stale entries are dropped, and one whose
-   count fell is lowered in place, or moved to its bucket below level. */
+   NULL when the heap empties: other entries are popped, and those whose
+   count fell filed again. */
 static int heap_top(State *s, Entry **top)
 {
     *top = NULL;
     while (s->hsize > 0) {
-        Entry *e = &s->heap[0];
-        switch (recheck(s, e)) {
-        case MATCH:
-            *top = e;
+        Entry e = s->heap[0];
+        int how = recheck(s, &e);
+        if (how == MATCH) {
+            *top = &s->heap[0];
             return RPIM_OK;
-        case ROSE:
-            return RPIM_EBOUND;
-        case STALE:
-            heap_pop(s);
-            break;
-        case FELL:
-            if (e->count >= s->level) {
-                sift_down(s, *e);
-            } else {
-                Entry moved = *e;
-                heap_pop(s);
-                CHECK(bucket_add(s, moved));
-            }
         }
+        if (how == ROSE)
+            return RPIM_EBOUND;
+        heap_pop(s);
+        if (how == FELL)
+            CHECK(file_entry(s, e));
     }
     return RPIM_OK;
 }
 
 /* Point *first at the next entry of the bucket being taken once it
-   matches its record, or at NULL when the bucket is used up: stale
-   entries are dropped and those whose count fell are moved down. */
+   matches its record, or at NULL when the bucket is used up: other
+   entries are passed, and those whose count fell filed again. */
 static int bucket_head(State *s, Entry **first)
 {
     List *b = &s->bucket[s->level];
     *first = NULL;
     while (s->at < b->size) {
-        Entry *e = &b->entry[s->at];
-        switch (recheck(s, e)) {
-        case MATCH:
-            *first = e;
+        Entry e = b->entry[s->at];
+        int how = recheck(s, &e);
+        if (how == MATCH) {
+            *first = &b->entry[s->at];
             return RPIM_OK;
-        case ROSE:
-            return RPIM_EBOUND;
-        case FELL:
-            CHECK(bucket_add(s, *e));
-            /* fall through */
-        case STALE:
-            s->at++;
         }
+        if (how == ROSE)
+            return RPIM_EBOUND;
+        s->at++;
+        if (how == FELL)
+            CHECK(file_entry(s, e));
     }
     return RPIM_OK;
 }
@@ -476,7 +461,7 @@ static int by_code(const void *a, const void *b)
 
 /* Once the heap and the bucket being taken are used up, move level down
    to the next bucket that holds entries: check each of them once,
-   dropping stale ones and moving down those whose count fell, and sort
+   dropping stale ones and filing again those whose count fell, and sort
    the rest by code.  *more is 0 when no bucket at lowest or above is
    left. */
 static int descend(State *s, int64_t lowest, int *more)
@@ -496,18 +481,15 @@ static int descend(State *s, int64_t lowest, int *more)
     int64_t kept = 0;
     for (int64_t k = 0; k < b->size; k++) {
         Entry e = b->entry[k];
-        switch (recheck(s, &e)) {
-        case MATCH:
+        int how = recheck(s, &e);
+        if (how == MATCH) {
             b->entry[kept++] = e;
-            break;
-        case ROSE:
-            return RPIM_EBOUND;
-        case FELL:
-            CHECK(bucket_add(s, e));
-            break;
-        case STALE:
-            break;
+            continue;
         }
+        if (how == ROSE)
+            return RPIM_EBOUND;
+        if (how == FELL)
+            CHECK(file_entry(s, e));
     }
     b->size = kept;
     qsort(b->entry, (size_t)kept, sizeof *b->entry, by_code);
@@ -744,20 +726,13 @@ static int setup(State *s, const uint8_t *input, int32_t n)
     /* distinct records never exceed the threaded-slot count, so n + 2
        bounds the store even mid-step; int32 indices cap it as well */
     s->rec_limit = n < INT32_MAX - 2 ? (int64_t)n + 2 : INT32_MAX;
-    s->rec_cap = MIN_RECORDS;
-    s->rec = alloc(s->rec_cap, sizeof *s->rec);
     s->free_head = -1;
     s->fresh = -1;
     s->byte_pair = alloc(1 << 16, sizeof *s->byte_pair);
-    s->born_cap = MIN_BORN;
-    s->born = alloc(s->born_cap, sizeof *s->born);
     s->level = BUCKETS;
-    s->heap_cap = 1024;
-    s->heap = alloc(s->heap_cap, sizeof *s->heap);
-    if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->rec
-        || !s->byte_pair || !s->born || !s->heap)
+    if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->byte_pair)
         return RPIM_ENOMEM;
-    CHECK(reserve_maps(s, MIN_SYMBOLS));
+    CHECK(reserve_maps(s, NONTERMINAL_BASE));
     memset(s->byte_pair, 0xFF, (1 << 16) * sizeof *s->byte_pair);
     for (int32_t i = 0; i < n; i++)
         s->sym[i] = input[i];

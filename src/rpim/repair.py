@@ -18,6 +18,7 @@ definition alone.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -43,13 +44,18 @@ class Grammar:
     """Rules as two int64 arrays: rule k defines nonterminal
     NONTERMINAL_BASE + k as the pair (left[k], right[k]).
 
-    Length, iteration, indexing and rules give Rule values.
+    Length, iteration, indexing and rules give Rule values.  rules must
+    be a sequence of (left, right) pairs; anything else raises ValueError.
     """
 
     __slots__ = ("left", "right")
 
     def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = np.array(list(rules), dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(list(rules), dtype=np.int64)
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("rules must be a sequence of (left, right) pairs")
         self.left = np.ascontiguousarray(pairs[:, 0])
         self.right = np.ascontiguousarray(pairs[:, 1])
 
@@ -96,6 +102,14 @@ class CompressorConfig:
     max_rules: int | None = None
 
     def __post_init__(self) -> None:
+        fields = {"min_frequency": self.min_frequency}
+        if self.max_rules is not None:
+            fields["max_rules"] = self.max_rules
+        for name, value in fields.items():
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.min_frequency < 2:
             raise ValueError("min_frequency must be at least 2")
         if self.max_rules is not None and self.max_rules < 0:

@@ -11,7 +11,7 @@
  * tied, counts falling across BUCKETS, and pairs born at the count being
  * taken; a walk prefix repeated BUCKETS - 1 to BUCKETS + 1 times ties
  * over a thousand pairs, so a bucket list, its sort and the heap grow
- * past their first allocations.  Long solid inputs and inputs that end
+ * through many doublings.  Long solid inputs and inputs that end
  * or start in a long run make tombstone blocks that start at slot 1 and
  * end at the last slot, so the block links at both edges of the working
  * array are written and followed.  Inputs past the kernel's read-ahead
@@ -57,16 +57,18 @@ int rpim_encode_body(const int64_t *left, const int64_t *right,
                      int64_t nrules, const int64_t *seq, int64_t nseq,
                      uint8_t *out, int64_t cap, int64_t *written);
 
-/* FIRST_STEP is the kernel's initial record store, MIN_RECORDS,
-   FIRST_MAP its initial symbol maps, MIN_SYMBOLS, FIRST_HEAP its initial
-   heap, BUCKETS the count from which its queue uses the heap, not the
+/* The kernel's record store, born list and heap start empty and grow
+   from one element by doubling, and its symbol maps grow from FIRST_MAP
+   cells.  FIRST_STEP is the smallest record-store size whose pair
+   counts one below and one above both have a walk prefix.  BUCKETS is
+   the count from which the kernel's queue uses the heap, not the
    buckets, and READ_AHEAD the input length, READ_AHEAD_MIN, from which
    its walk reads ahead along the pair thread */
 enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
        RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9,
        RPIM_ETRAILING = 10,
-       NONTERMINAL_BASE = 256, FIRST_STEP = 256, FIRST_MAP = 512,
-       FIRST_HEAP = 1024, BUCKETS = 64, READ_AHEAD = 1 << 17 };
+       NONTERMINAL_BASE = 256, FIRST_STEP = 2, FIRST_MAP = 256,
+       BUCKETS = 64, READ_AHEAD = 1 << 17 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -601,8 +603,8 @@ int main(void)
     }
 
     /* distinct-pair counts just below and just past each doubling of
-       the record store, each walk twice so that rules release and reuse
-       records after the store last grew */
+       the record store, from its first, each walk twice so that rules
+       release and reuse records after the store last grew */
     uint8_t *walk = must_alloc(65537);
     de_bruijn(walk);
     for (int64_t step = FIRST_STEP; step <= 65536; step *= 2)
@@ -615,11 +617,11 @@ int main(void)
         }
 
     /* rule counts one below, at and one past what each size of the
-       symbol maps holds, m cells taking rules up to m - 256; a walk with
-       16385 distinct pairs makes 16383 rules */
+       symbol maps holds, m cells taking rules up to m - 256, none below
+       0; a walk with 16385 distinct pairs makes 16383 rules */
     int64_t n = repeated_walk(buf, walk, 16385);
     for (int64_t m = FIRST_MAP; m <= 16384; m *= 2)
-        for (int64_t r = m - NONTERMINAL_BASE - 1;
+        for (int64_t r = m > NONTERMINAL_BASE ? m - NONTERMINAL_BASE - 1 : 0;
              r <= m - NONTERMINAL_BASE + 1; r++)
             if (check("maps", buf, n, 2, r) != r)
                 fail("maps", r, "the input made fewer rules than asked");
@@ -633,9 +635,9 @@ int main(void)
 
     /* a walk prefix with d distinct pairs, repeated k times: d pairs tie
        at count k, so the bucket list of that count, sorted when taken, or
-       the heap grows past its first allocation; the first rule's pair
+       the heap grows through many doublings; the first rule's pair
        spawns pairs born at the count being taken */
-    static const int64_t tied[] = {300, FIRST_HEAP + 76};
+    static const int64_t tied[] = {300, 1100};
     for (int64_t k = BUCKETS - 1; k <= BUCKETS + 1; k++)
         for (int t = 0; t < 2; t++) {
             int64_t d = tied[t];

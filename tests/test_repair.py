@@ -173,6 +173,34 @@ class TestCompress:
             CompressorConfig(min_frequency=1)
         with pytest.raises(ValueError):
             CompressorConfig(max_rules=-1)
+        for fields in ({"min_frequency": 2.5}, {"min_frequency": None},
+                       {"max_rules": 1.5}, {"max_rules": "3"}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                CompressorConfig(**fields)
+        config = CompressorConfig(min_frequency=np.int32(3),
+                                  max_rules=np.int64(1))
+        assert len(compress(b"abcabcabc", config)[0]) == 1
+
+
+class TestGrammar:
+    def test_accepts_pairs(self):
+        for grammar in (Grammar(), Grammar([]), Grammar.from_arrays([], [])):
+            assert grammar.rules == []
+        assert (Grammar([(97, 98), Rule(256, 99)])
+                == Grammar.from_arrays([97, 256], [98, 99]))
+
+    @pytest.mark.parametrize("rules", [
+        [(1, 2, 3), (4, 5, 6)], [1, 2, 3, 4], [(1, 2), (3,)], [(), ()],
+        [[[1, 2]]]])
+    def test_rules_must_be_pairs(self, rules):
+        with pytest.raises(ValueError):
+            Grammar(rules)
+
+    @pytest.mark.parametrize("left, right", [
+        ([1, 2], [3]), ([[1, 2]], [[3, 4]]), ([1, 2], [[3, 4]])])
+    def test_from_arrays_shape_checked(self, left, right):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Grammar.from_arrays(left, right)
 
 
 class TestExpand:
