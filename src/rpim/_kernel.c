@@ -52,13 +52,12 @@
  * released or now holds another pair is dropped, and one whose record's
  * count fell is filed again at its new count, by the rule that files a
  * record at its birth.  Once the heap is used up, level walks the
- * buckets downward.  When bucket c becomes the top, each of its entries
- * is checked once in this way, and the survivors are sorted by code;
- * each is checked again when its turn comes.  Records born at count c
- * meanwhile go to the heap, which then merges them by code with the
- * bucket.  An entry that matches its record is the pair of highest
- * count, the smallest among equals.  A record above its entry's count,
- * or born above the level, would break the bound, and returns
+ * buckets downward, and when bucket c becomes the top its entries are
+ * handed to the heap: each is checked once in this way, and those still
+ * at count c join the records born at count c in the heap, which orders
+ * them all by code.  An entry that matches its record is the pair of
+ * highest count, the smallest among equals.  A record above its entry's
+ * count, or born above the level, would break the bound, and returns
  * RPIM_EBOUND rather than a grammar that is not greedy.
  *
  * Replaced slots become tombstones, and there are no live links: a
@@ -96,7 +95,7 @@
  * singletons go when their step ends, later steps mostly re-use
  * records, and the store grows little past what the initial count
  * needs.  The bucket heads are a fixed BUCKETS lists, and a bucket's
- * entries are freed once the level passes it.
+ * entries are freed once the heap takes them.
  *
  * Every capacity is checked before it is written: a violated bound, a
  * pair no cell files, or a count above its queue entry's returns
@@ -185,7 +184,6 @@ typedef struct {
     Entry *heap;          /* entries of count level and above */
     int64_t hsize, heap_cap;
     List bucket[BUCKETS]; /* entries of counts 2 .. level - 1, by count */
-    int64_t at;           /* next entry of bucket[level], sorted by code */
 } State;
 
 static void *alloc(int64_t count, size_t size)
@@ -430,47 +428,14 @@ static int heap_top(State *s, Entry **top)
     return RPIM_OK;
 }
 
-/* Point *first at the next entry of the bucket being taken once it
-   matches its record, or at NULL when the bucket is used up: other
-   entries are passed, and those whose count fell filed again. */
-static int bucket_head(State *s, Entry **first)
-{
-    List *b = &s->bucket[s->level];
-    *first = NULL;
-    while (s->at < b->size) {
-        Entry e = b->entry[s->at];
-        int how = recheck(s, &e);
-        if (how == MATCH) {
-            *first = &b->entry[s->at];
-            return RPIM_OK;
-        }
-        if (how == ROSE)
-            return RPIM_EBOUND;
-        s->at++;
-        if (how == FELL)
-            CHECK(file_entry(s, e));
-    }
-    return RPIM_OK;
-}
-
-static int by_code(const void *a, const void *b)
-{
-    uint64_t x = ((const Entry *)a)->code, y = ((const Entry *)b)->code;
-    return (x > y) - (x < y);
-}
-
-/* Once the heap and the bucket being taken are used up, move level down
-   to the next bucket that holds entries: check each of them once,
-   dropping stale ones and filing again those whose count fell, and sort
-   the rest by code.  *more is 0 when no bucket at lowest or above is
-   left. */
+/* Once the heap is used up, move level down to the next bucket that
+   holds entries and hand them to the heap: each is checked once and
+   filed again, so one still at the level goes to the heap and one whose
+   count fell to its lower bucket, while a stale one is dropped.  The
+   bucket is then freed.  *more is 0 when no bucket at lowest or above
+   is left. */
 static int descend(State *s, int64_t lowest, int *more)
 {
-    if (s->level < BUCKETS) {
-        List *done = &s->bucket[s->level];
-        free(done->entry);
-        *done = (List){NULL, 0, 0};
-    }
     do
         s->level--;
     while (s->level >= lowest && s->bucket[s->level].size == 0);
@@ -478,22 +443,16 @@ static int descend(State *s, int64_t lowest, int *more)
     if (!*more)
         return RPIM_OK;
     List *b = &s->bucket[s->level];
-    int64_t kept = 0;
     for (int64_t k = 0; k < b->size; k++) {
         Entry e = b->entry[k];
         int how = recheck(s, &e);
-        if (how == MATCH) {
-            b->entry[kept++] = e;
-            continue;
-        }
         if (how == ROSE)
             return RPIM_EBOUND;
-        if (how == FELL)
+        if (how != STALE)
             CHECK(file_entry(s, e));
     }
-    b->size = kept;
-    qsort(b->entry, (size_t)kept, sizeof *b->entry, by_code);
-    s->at = 0;
+    free(b->entry);
+    *b = (List){NULL, 0, 0};
     return RPIM_OK;
 }
 
@@ -815,25 +774,17 @@ static int run(State *s, int64_t min_frequency, int64_t max_rules,
         s->nborn = 0;
 
         /* take the most frequent pair, the smallest among equals: the
-           heap's top, or at a level below BUCKETS the smaller of the
-           heap's top and the bucket's next entry, both at that count,
-           which descend keeps at min_frequency or above */
+           heap's top; once the heap is used up, descend hands it the next
+           bucket at min_frequency or above */
         int32_t chosen = -1;
         for (;;) {
-            Entry *top, *first = NULL;
+            Entry *top;
             CHECK(heap_top(s, &top));
-            if (s->level < BUCKETS)
-                CHECK(bucket_head(s, &first));
-            if (top != NULL && (first == NULL || top->code < first->code)) {
+            if (top != NULL) {
                 if (top->count >= min_frequency) {
                     chosen = top->idx;
                     heap_pop(s);
                 }
-                break;
-            }
-            if (first != NULL) {
-                chosen = first->idx;
-                s->at++;
                 break;
             }
             int more;

@@ -141,7 +141,7 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     EngineUnavailableError when the library cannot be built, MemoryError
     when the kernel's allocations fail, RuntimeError when it refuses a
     capacity bound or finds a pair count above its queue entry's, an
-    entry in the count-indexed buckets or the heap above them.
+    entry in a count-indexed bucket or in the heap that takes the top.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:

@@ -54,6 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _byte_limit(text: str) -> int:
+    """--max-output's value: an integer of 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of 0 or more, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rpim",
                      description="grammar-based image compressor")
@@ -75,7 +87,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompress", help="restore a compressed container")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--max-output", type=int, default=MAX_OUTPUT,
+    p.add_argument("--max-output", type=_byte_limit, default=MAX_OUTPUT,
                    metavar="BYTES",
                    help="refuse containers that expand to more than BYTES "
                         f"(default: {MAX_OUTPUT}, 1 GiB)")

@@ -40,34 +40,50 @@ class Rule(NamedTuple):
     right: int
 
 
+_NOT_PAIRS = "rules must be a sequence of (left, right) pairs of integers"
+_NOT_SIDES = ("rule sides must be two one-dimensional integer arrays of one "
+              "length")
+
+
+def _rule_sides(values, message: str) -> np.ndarray:
+    """values as a contiguous int64 array of their own shape.  Raises
+    ValueError with message unless they are integers; empty ones pass."""
+    inferred = np.asarray(values)
+    if inferred.size and inferred.dtype.kind not in "biu":
+        raise ValueError(message)
+    return np.require(values, np.int64, "C")
+
+
 class Grammar:
     """Rules as two int64 arrays: rule k defines nonterminal
     NONTERMINAL_BASE + k as the pair (left[k], right[k]).
 
     Length, iteration, indexing and rules give Rule values.  rules must
-    be a sequence of (left, right) pairs; anything else raises ValueError.
+    be a sequence of (left, right) pairs of integers; anything else
+    raises ValueError.
     """
 
     __slots__ = ("left", "right")
 
     def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = np.array(list(rules), dtype=np.int64)
+        pairs = _rule_sides(list(rules), _NOT_PAIRS)
         if pairs.shape == (0,):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("rules must be a sequence of (left, right) pairs")
+            raise ValueError(_NOT_PAIRS)
         self.left = np.ascontiguousarray(pairs[:, 0])
         self.right = np.ascontiguousarray(pairs[:, 1])
 
     @classmethod
     def from_arrays(cls, left, right) -> Grammar:
-        """The grammar whose rule k is (left[k], right[k]); int64 arrays
-        are wrapped, not copied."""
-        left = np.ascontiguousarray(left, dtype=np.int64)
-        right = np.ascontiguousarray(right, dtype=np.int64)
+        """The grammar whose rule k is (left[k], right[k]); contiguous
+        int64 arrays are wrapped, not copied.  left and right must be
+        one-dimensional integer arrays of one length; anything else
+        raises ValueError."""
+        left = _rule_sides(left, _NOT_SIDES)
+        right = _rule_sides(right, _NOT_SIDES)
         if left.ndim != 1 or left.shape != right.shape:
-            raise ValueError("rule sides must be two one-dimensional arrays "
-                             "of one length")
+            raise ValueError(_NOT_SIDES)
         grammar = cls.__new__(cls)
         grammar.left = left
         grammar.right = right

@@ -7,11 +7,12 @@
  * record store, and rule counts that straddle every doubling of the
  * symbol maps the kernel files fresh and self pairs under.  Inputs
  * whose top count is one below, at and one above the kernel's BUCKETS
- * take the hand-over from its heap to its count buckets, with many pairs
- * tied, counts falling across BUCKETS, and pairs born at the count being
- * taken; a walk prefix repeated BUCKETS - 1 to BUCKETS + 1 times ties
- * over a thousand pairs, so a bucket list, its sort and the heap grow
- * through many doublings.  Long solid inputs and inputs that end
+ * pass the top from its heap down to its count buckets, each handed
+ * back to the heap when taken, with many pairs tied, counts falling
+ * across BUCKETS, and pairs born at the count being taken; a walk prefix
+ * repeated BUCKETS - 1 to BUCKETS + 1 times ties over a thousand pairs,
+ * so a bucket list and the heap it is handed to grow through many
+ * doublings.  Long solid inputs and inputs that end
  * or start in a long run make tombstone blocks that start at slot 1 and
  * end at the last slot, so the block links at both edges of the working
  * array are written and followed.  Inputs past the kernel's read-ahead
@@ -634,9 +635,10 @@ int main(void)
               minf[below(4)], maxr[below(5)]);
 
     /* a walk prefix with d distinct pairs, repeated k times: d pairs tie
-       at count k, so the bucket list of that count, sorted when taken, or
-       the heap grows through many doublings; the first rule's pair
-       spawns pairs born at the count being taken */
+       at count k, so the bucket list of that count and the heap it is
+       handed to when taken, or the heap alone, grow through many
+       doublings; the first rule's pair spawns pairs born at the count
+       being taken */
     static const int64_t tied[] = {300, 1100};
     for (int64_t k = BUCKETS - 1; k <= BUCKETS + 1; k++)
         for (int t = 0; t < 2; t++) {

@@ -132,6 +132,19 @@ class TestDecompress:
                      "--max-output", "100"]) == 0
         assert out.read_bytes() == blob.read_bytes()
 
+    def test_negative_max_output_is_a_usage_error(self, tmp_path, capsys):
+        # the mistake is in the command line, not in the container
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(b"0123456789" * 10)
+        packed = tmp_path / "data.rpim"
+        out = tmp_path / "out.bin"
+        assert main(["compress", str(blob), str(packed), "--raw"]) == 0
+        capsys.readouterr()
+        assert main(["decompress", str(packed), str(out),
+                     "--max-output", "-5"]) == 1
+        assert "--max-output" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compress", "decompress"])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch,
                                                   command):

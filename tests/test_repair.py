@@ -191,13 +191,14 @@ class TestGrammar:
 
     @pytest.mark.parametrize("rules", [
         [(1, 2, 3), (4, 5, 6)], [1, 2, 3, 4], [(1, 2), (3,)], [(), ()],
-        [[[1, 2]]]])
+        [[[1, 2]]], [(97.9, 98)], [(97, 98.0)]])
     def test_rules_must_be_pairs(self, rules):
         with pytest.raises(ValueError):
             Grammar(rules)
 
     @pytest.mark.parametrize("left, right", [
-        ([1, 2], [3]), ([[1, 2]], [[3, 4]]), ([1, 2], [[3, 4]])])
+        ([1, 2], [3]), ([[1, 2]], [[3, 4]]), ([1, 2], [[3, 4]]),
+        ([97.5], [98.2]), ([97], np.array([98.0])), (97, 98)])
     def test_from_arrays_shape_checked(self, left, right):
         with pytest.raises(ValueError, match="one-dimensional"):
             Grammar.from_arrays(left, right)
