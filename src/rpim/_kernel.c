@@ -109,12 +109,23 @@
  * sequence.  rpim_expand checks every rule and symbol, measures the
  * expanded length against a caller's limit (a rule longer than the
  * limit is marked as such, so doubling chains cannot overflow), and
- * only then allocates the output, at its exact length, which the caller
- * releases with rpim_free.  It expands each rule by an explicit stack
- * the first time it is used, records where that expansion starts, and
- * copies it for every later use.  Rules the sequence does not reach are
- * never expanded.  Every index it writes is checked, and it returns
- * RPIM_EBOUND rather than pass a bound.
+ * only then allocates the output, at its exact length, which the
+ * caller releases with rpim_free.  Two tables indexed by symbol,
+ * terminals and rules alike, hold each symbol's expanded length and
+ * where its expansion can be copied from: a terminal's is its byte in a
+ * static table of the 256 byte values, and a rule's is unset until its
+ * first expansion starts, by an explicit stack, and then its place in
+ * the output.  So every later use of a symbol is one copy, whatever its
+ * kind, as Larsson & Moffat write a rule's expansion once and copy it.
+ * An expansion of COPY (16) bytes or less moves as one block of COPY
+ * bytes through a temporary, so a block may overlap its source, and may
+ * read and write up to COPY - 1 bytes past the expansion's end.  The
+ * byte table carries that slack.  The output does not: a block that
+ * would end past it is copied at its exact length instead, so that the
+ * output's allocation stays the size of the bytes it returns.  Rules
+ * the sequence does not reach are never expanded.  Every index it
+ * writes is checked, and it returns RPIM_EBOUND rather than pass a
+ * bound.
  *
  * The container body codec is one sequential pass each way.
  * rpim_decode_body reads the rule count, the rule sides, the sequence
@@ -869,6 +880,21 @@ static inline uint64_t symbol_length(int64_t s, const uint64_t *len)
     return s < NONTERMINAL_BASE ? 1 : len[s - NONTERMINAL_BASE];
 }
 
+/* an expansion of at most COPY bytes moves as one block of COPY bytes,
+   which reads up to COPY - 1 bytes past the expansion's end */
+#define COPY 16
+
+#define BYTES4(b) (b), (b) + 1, (b) + 2, (b) + 3
+#define BYTES16(b) BYTES4(b), BYTES4((b) + 4), BYTES4((b) + 8), \
+    BYTES4((b) + 12)
+#define BYTES64(b) BYTES16(b), BYTES16((b) + 16), BYTES16((b) + 32), \
+    BYTES16((b) + 48)
+
+/* terminal t's expansion, at TERMINAL + t, then COPY - 1 bytes for
+   the block that reads terminal 255 */
+static const uint8_t TERMINAL[NONTERMINAL_BASE + COPY - 1] = {
+    BYTES64(0), BYTES64(64), BYTES64(128), BYTES64(192)};
+
 /*
  * Expand seq[0:nseq] under the grammar whose rule k is (left[k],
  * right[k]), when that takes at most limit bytes, limit below 2^63.
@@ -889,17 +915,23 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
     info[0] = info[1] = 0;
     if (nrules < 0 || nseq < 0 || limit > INT64_MAX)
         return RPIM_EBOUND;
-    /* len and start hold one value per rule.  A path from a sequence
+    /* len and src hold one value per symbol.  A path from a sequence
        symbol down to a terminal passes each rule at most once, and each
        rule on it leaves one right side on the stack: nrules + 1 entries */
-    uint64_t *len = malloc((size_t)(3 * nrules + 1) * sizeof *len);
+    int64_t nsym = NONTERMINAL_BASE + nrules;
+    uint64_t *len = malloc((size_t)(2 * nsym + nrules + 1) * sizeof *len);
     if (len == NULL)
         return RPIM_ENOMEM;
-    int64_t *start = (int64_t *)len + nrules, *stack = start + nrules;
+    int64_t *stack = (int64_t *)len + nsym;
+    const uint8_t **src = (const uint8_t **)(stack + nrules + 1);
     int64_t out_len = 0, pos = 0;
     uint64_t total = 0;
     uint8_t *buf = NULL;
     int err = RPIM_OK;
+    for (int64_t t = 0; t < NONTERMINAL_BASE; t++) {
+        len[t] = 1;
+        src[t] = TERMINAL + t;
+    }
     for (int64_t k = 0; k < nrules; k++) {
         int64_t a = left[k], b = right[k];
         if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
@@ -908,54 +940,59 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
             err = RPIM_ERULE;
             goto done;
         }
-        len[k] = add_within(symbol_length(a, len), symbol_length(b, len),
-                            limit);
-        start[k] = -1;
+        len[NONTERMINAL_BASE + k] = add_within(len[a], len[b], limit);
+        src[NONTERMINAL_BASE + k] = NULL;
     }
     for (int64_t i = 0; i < nseq; i++) {
         int64_t s = seq[i];
-        if (s < 0 || s >= NONTERMINAL_BASE + nrules) {
+        if (s < 0 || s >= nsym) {
             info[0] = i;
             info[1] = s;
             err = RPIM_ESYMBOL;
             goto done;
         }
-        uint64_t n = symbol_length(s, len);
-        if (n == 0 || n > limit - total)
+        if (len[s] == 0 || len[s] > limit - total)
             err = RPIM_ELIMIT;
         else
-            total += n;
+            total += len[s];
     }
     if (err != RPIM_OK)
         goto done;
     out_len = (int64_t)total;
     buf = malloc(out_len ? (size_t)out_len : 1);
+    /* the last position where a block still ends within buf */
+    int64_t last_block = out_len - COPY;
     /* until the expansion fills buf exactly, a fault is a passed bound */
     err = buf == NULL ? RPIM_ENOMEM : RPIM_EBOUND;
     for (int64_t i = 0; i < nseq && buf != NULL; i++) {
         int64_t top = 0;
         stack[top++] = seq[i];
         while (top > 0) {
-            int64_t s = stack[--top], r = s - NONTERMINAL_BASE;
-            if (s < NONTERMINAL_BASE) {
-                if (pos >= out_len)
-                    goto done;
-                buf[pos++] = (uint8_t)s;
-            } else if (start[r] >= 0) {
+            int64_t s = stack[--top];
+            const uint8_t *from = src[s];
+            if (from != NULL) {
                 /* a rule never occurs inside its own expansion, so a
-                   recorded start means a finished first expansion, and
-                   a reached rule is exact, at most total bytes long */
-                int64_t n = (int64_t)len[r];
+                   source means a finished first expansion, ending at or
+                   before pos, and a reached symbol is exact, at most
+                   total bytes long.  A block read through a temporary
+                   may overlap the bytes it writes */
+                int64_t n = (int64_t)len[s];
                 if (n > out_len - pos)
                     goto done;
-                memcpy(buf + pos, buf + start[r], (size_t)n);
+                if (n <= COPY && pos <= last_block) {
+                    uint8_t block[COPY];
+                    memcpy(block, from, COPY);
+                    memcpy(buf + pos, block, COPY);
+                } else {
+                    memcpy(buf + pos, from, (size_t)n);
+                }
                 pos += n;
             } else {
                 if (top + 2 > nrules + 1)
                     goto done;
-                start[r] = pos;
-                stack[top++] = right[r];
-                stack[top++] = left[r];
+                src[s] = buf + pos;
+                stack[top++] = right[s - NONTERMINAL_BASE];
+                stack[top++] = left[s - NONTERMINAL_BASE];
             }
         }
     }

@@ -45,13 +45,31 @@ _NOT_SIDES = ("rule sides must be two one-dimensional integer arrays of one "
               "length")
 
 
-def _rule_sides(values, message: str) -> np.ndarray:
-    """values as a contiguous int64 array of their own shape.  Raises
-    ValueError with message unless they are integers; empty ones pass."""
+def _int64_array(values, message: str, what: str) -> np.ndarray:
+    """values as a contiguous int64 array of their own shape, wrapped
+    without a copy when they are one.  Raises ValueError with message
+    unless they are integers, empty ones passing, and
+    MalformedGrammarError naming the first value outside int64, which no
+    grammar defines, as what."""
     inferred = np.asarray(values)
-    if inferred.size and inferred.dtype.kind not in "biu":
+    if not isinstance(values, np.ndarray) and inferred.dtype.kind in "fO":
+        # numpy infers objects for Python ints past 64 bits, and floats
+        # for ints past int64 beside negative ones; objects keep them exact
+        inferred = np.asarray(values, dtype=object)
+    if inferred.dtype == object:
+        items = inferred.ravel().tolist()
+        if not all(isinstance(v, (int, np.integer)) for v in items):
+            raise ValueError(message)
+        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
+    elif inferred.size and inferred.dtype.kind not in "biu":
         raise ValueError(message)
-    return np.require(values, np.int64, "C")
+    elif inferred.dtype == np.uint64:
+        wide = inferred[inferred > _INT64.max]
+    else:
+        wide = []
+    if len(wide):
+        raise MalformedGrammarError(f"{what} {wide[0]} is undefined")
+    return np.require(inferred, np.int64, "C")
 
 
 class Grammar:
@@ -60,13 +78,14 @@ class Grammar:
 
     Length, iteration, indexing and rules give Rule values.  rules must
     be a sequence of (left, right) pairs of integers; anything else
-    raises ValueError.
+    raises ValueError, and a side outside int64 MalformedGrammarError
+    naming it.
     """
 
     __slots__ = ("left", "right")
 
     def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = _rule_sides(list(rules), _NOT_PAIRS)
+        pairs = _int64_array(list(rules), _NOT_PAIRS, "rule side")
         if pairs.shape == (0,):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -79,9 +98,10 @@ class Grammar:
         """The grammar whose rule k is (left[k], right[k]); contiguous
         int64 arrays are wrapped, not copied.  left and right must be
         one-dimensional integer arrays of one length; anything else
-        raises ValueError."""
-        left = _rule_sides(left, _NOT_SIDES)
-        right = _rule_sides(right, _NOT_SIDES)
+        raises ValueError, and a side outside int64
+        MalformedGrammarError naming it."""
+        left = _int64_array(left, _NOT_SIDES, "rule side")
+        right = _int64_array(right, _NOT_SIDES, "rule side")
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError(_NOT_SIDES)
         grammar = cls.__new__(cls)
@@ -227,25 +247,10 @@ def _sequence(seq) -> np.ndarray:
     reference_expand.  Raises ValueError unless seq is a one-dimensional
     sequence of integers, as compress does, and MalformedGrammarError
     naming a symbol outside int64, which no grammar defines."""
-    values = np.asarray(seq)
-    if not isinstance(seq, np.ndarray) and values.dtype.kind in "fO":
-        # numpy infers objects for Python ints past 64 bits, and floats
-        # for ints past int64 beside negative ones; objects keep them exact
-        values = np.asarray(seq, dtype=object)
+    values = _int64_array(seq, _NOT_A_SEQUENCE, "sequence symbol")
     if values.ndim != 1:
         raise ValueError(_NOT_A_SEQUENCE)
-    if values.dtype == object:
-        items = values.tolist()
-        if not all(isinstance(v, (int, np.integer)) for v in items):
-            raise ValueError(_NOT_A_SEQUENCE)
-        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
-    elif values.size and values.dtype.kind not in "biu":
-        raise ValueError(_NOT_A_SEQUENCE)
-    else:
-        wide = values[values > _INT64.max] if values.dtype == np.uint64 else []
-    if len(wide):
-        raise MalformedGrammarError(f"sequence symbol {wide[0]} is undefined")
-    return np.ascontiguousarray(values, dtype=np.int64)
+    return values
 
 
 def _checked_symbols(grammar: Grammar, symbols: np.ndarray) -> np.ndarray:

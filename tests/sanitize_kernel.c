@@ -23,7 +23,10 @@
  * its input under this program's own stack expander.  The kernel's
  * expand must agree with it, on a comb as deep as it has rules too, and
  * must refuse a limit one short, before it allocates an output, and an
- * undefined symbol, naming the rule or symbol.  Every buffer expand
+ * undefined symbol, naming the rule or symbol.  Symbols of 1 to 33
+ * bytes, around expand's 16-byte block copy, each copied twice and
+ * last, and terminal 255 last, take that copy to the end of its exact
+ * output and of the slack after its byte table.  Every buffer expand
  * returns is released, so LeakSanitizer checks its error paths as well.
  * An n above the input cap must be refused before the one-byte input is
  * read.
@@ -424,6 +427,48 @@ static void check_forged_grammars(void)
     }
 }
 
+/* Expansions around the kernel's 16-byte block copy.  A symbol of
+   each length is used twice, last, so that its second copy reads from
+   bytes just written, which its block overlaps, and ends at the
+   output's end, which a block would pass; and terminal 255 goes last,
+   read from the end of the kernel's byte table into the table's slack.
+   The empty sequence gives no bytes. */
+static void check_copy_edges(void)
+{
+    /* rule k = (rule k - 1, a letter), rule 0 = ('y', 'z'): k + 2 bytes;
+       a length of 1 is the terminal 'x' */
+    enum { RULES = 32, LONGEST = RULES + 1 };
+    static const int64_t lengths[] = {1, 2, 15, 16, 17, 31, 32, LONGEST};
+    int64_t left[RULES], right[RULES];
+    left[0] = 'y';
+    right[0] = 'z';
+    for (int64_t k = 1; k < RULES; k++) {
+        left[k] = NONTERMINAL_BASE + k - 1;
+        right[k] = 'a' + k % 26;
+    }
+    uint8_t expected[3 * LONGEST];
+    for (size_t k = 0; k < sizeof lengths / sizeof lengths[0]; k++) {
+        int64_t s = lengths[k] == 1 ? 'x' : NONTERMINAL_BASE + lengths[k] - 2;
+        int64_t twice[2] = {s, s}, between[4] = {'q', s, 255, s};
+        int64_t last[2] = {s, 255};
+        const int64_t *seqs[3] = {twice, between, last};
+        static const int64_t nseq[3] = {2, 4, 2};
+        for (int c = 0; c < 3; c++) {
+            int64_t n = stack_expand(left, right, RULES, seqs[c], nseq[c],
+                                     expected, sizeof expected);
+            if (n < 0)
+                fail("copy edges", lengths[k], "stack expander failed");
+            else
+                check_expand("copy edges", left, right, RULES, seqs[c],
+                             nseq[c], expected, n);
+        }
+    }
+    int64_t terminal = 255;
+    expected[0] = 255;
+    check_expand("copy edges", left, right, RULES, &terminal, 1, expected, 1);
+    check_expand("copy edges", left, right, RULES, &terminal, 0, expected, 0);
+}
+
 /* Hand-built bodies: varints at the 64-bit edge and counts far past
    the data, each decoded into an array of exactly the body's size. */
 static void check_forged_bodies(void)
@@ -707,6 +752,7 @@ int main(void)
             fail("forged", forged[k], "an n above the cap was not refused");
 
     check_forged_grammars();
+    check_copy_edges();
     check_forged_bodies();
 
     free(buf);

@@ -203,10 +203,37 @@ class TestGrammar:
         with pytest.raises(ValueError, match="one-dimensional"):
             Grammar.from_arrays(left, right)
 
+    @pytest.mark.parametrize("wide", [
+        np.uint64(2**63), np.uint64(2**64 - 1), 2**63, 2**70, -2**63 - 1,
+        -2**80], ids=["uint64-2^63", "uint64-max", "2^63", "2^70",
+                      "-2^63-1", "-2^80"])
+    def test_sides_outside_int64_refused(self, wide):
+        # as expand names a sequence symbol outside int64
+        message = f"rule side {int(wide)} is undefined"
+        sides = (np.array([wide], np.uint64) if isinstance(wide, np.uint64)
+                 else [wide])
+        for left, right in [(sides, [98]), ([97], sides),
+                            ([97, 97], [98, wide])]:
+            with pytest.raises(MalformedGrammarError) as caught:
+                Grammar.from_arrays(left, right)
+            assert str(caught.value) == message
+        for rules in [[(wide, 98)], [(97, 98), (97, wide)]]:
+            with pytest.raises(MalformedGrammarError) as caught:
+                Grammar(rules)
+            assert str(caught.value) == message
+
+    def test_int64_edges_kept(self):
+        edges = [(2**63 - 1, -2**63)]
+        assert Grammar(edges).rules == edges
+        grammar = Grammar.from_arrays(np.array([2**63 - 1], np.uint64),
+                                      np.array([0], np.uint64))
+        assert grammar.rules == [(2**63 - 1, 0)]
+
 
 class TestExpand:
     def test_identity_on_terminals(self):
         assert expand(Grammar(), [4, 9]) == bytes([4, 9])
+        assert expand(Grammar(), []) == reference_expand(Grammar(), []) == b""
 
     def test_single_rule(self):
         assert expand(Grammar([Rule(97, 98)]), [256, 256]) == \
@@ -215,6 +242,30 @@ class TestExpand:
     def test_two_levels(self):
         grammar = Grammar([Rule(97, 98), Rule(256, 256)])
         assert expand(grammar, [257]) == bytes([97, 98, 97, 98])
+
+    @pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 31, 32, 33])
+    def test_block_copy_edges(self, length):
+        # the engine moves an expansion of up to 16 bytes as one 16-byte
+        # block.  A symbol of each length around that is used twice, so
+        # that its block overlaps the bytes it reads, and last, where a
+        # block would pass the output's end; terminal 255 goes last too.
+        # Rule k is (rule k - 1, a letter), rule 0 ('y', 'z'): k + 2 bytes
+        grammar = Grammar([Rule(ord("y"), ord("z"))]
+                          + [Rule(NONTERMINAL_BASE + k - 1, ord("a") + k % 26)
+                             for k in range(1, 32)])
+        if length == 1:
+            symbol, text = ord("x"), b"x"
+        else:
+            symbol = NONTERMINAL_BASE + length - 2
+            text = b"yz" + bytes(ord("a") + k % 26
+                                 for k in range(1, length - 1))
+        assert len(text) == length
+        for seq, expected in [([symbol, symbol], text * 2),
+                              ([ord("q"), symbol, 255, symbol],
+                               b"q" + text + b"\xff" + text),
+                              ([symbol, 255], text + b"\xff")]:
+            assert expand(grammar, seq) == reference_expand(grammar, seq) \
+                == expected
 
     def test_undefined_symbol_rejected(self):
         with pytest.raises(MalformedGrammarError):
