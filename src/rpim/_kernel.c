@@ -881,7 +881,10 @@ static inline uint64_t symbol_length(int64_t s, const uint64_t *len)
 }
 
 /* an expansion of at most COPY bytes moves as one block of COPY bytes,
-   which reads up to COPY - 1 bytes past the expansion's end */
+   which reads up to COPY - 1 bytes past the expansion's end.  On
+   high-entropy input nearly every copy is that short, and there an
+   exact-length memcpy of each costs about as much as the branch on the
+   symbol's kind that the tables remove */
 #define COPY 16
 
 #define BYTES4(b) (b), (b) + 1, (b) + 2, (b) + 3

@@ -45,31 +45,39 @@ _NOT_SIDES = ("rule sides must be two one-dimensional integer arrays of one "
               "length")
 
 
-def _int64_array(values, message: str, what: str) -> np.ndarray:
-    """values as a contiguous int64 array of their own shape, wrapped
-    without a copy when they are one.  Raises ValueError with message
-    unless they are integers, empty ones passing, and
-    MalformedGrammarError naming the first value outside int64, which no
-    grammar defines, as what."""
+def _integers(values, message: str) -> np.ndarray:
+    """values as an array of their own shape, wrapped without a copy when
+    they are one.  Raises ValueError with message unless they are
+    integers; empty ones pass."""
     inferred = np.asarray(values)
     if not isinstance(values, np.ndarray) and inferred.dtype.kind in "fO":
         # numpy infers objects for Python ints past 64 bits, and floats
         # for ints past int64 beside negative ones; objects keep them exact
         inferred = np.asarray(values, dtype=object)
     if inferred.dtype == object:
-        items = inferred.ravel().tolist()
-        if not all(isinstance(v, (int, np.integer)) for v in items):
+        if not all(isinstance(v, (int, np.integer))
+                   for v in inferred.ravel().tolist()):
             raise ValueError(message)
-        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
     elif inferred.size and inferred.dtype.kind not in "biu":
         raise ValueError(message)
-    elif inferred.dtype == np.uint64:
-        wide = inferred[inferred > _INT64.max]
+    return inferred
+
+
+def _int64(values: np.ndarray, what: str) -> np.ndarray:
+    """values, integers of a shape already checked, as a contiguous int64
+    array, wrapped without a copy when they are one.  Raises
+    MalformedGrammarError naming the first value outside int64, which no
+    grammar defines, as what."""
+    if values.dtype == object:
+        wide = [v for v in values.ravel().tolist()
+                if not _INT64.min <= v <= _INT64.max]
+    elif values.dtype == np.uint64:
+        wide = values[values > _INT64.max]
     else:
         wide = []
     if len(wide):
         raise MalformedGrammarError(f"{what} {wide[0]} is undefined")
-    return np.require(inferred, np.int64, "C")
+    return np.require(values, np.int64, "C")
 
 
 class Grammar:
@@ -85,11 +93,12 @@ class Grammar:
     __slots__ = ("left", "right")
 
     def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = _int64_array(list(rules), _NOT_PAIRS, "rule side")
+        pairs = _integers(list(rules), _NOT_PAIRS)
         if pairs.shape == (0,):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(_NOT_PAIRS)
+        pairs = _int64(pairs, "rule side")
         self.left = np.ascontiguousarray(pairs[:, 0])
         self.right = np.ascontiguousarray(pairs[:, 1])
 
@@ -100,13 +109,13 @@ class Grammar:
         one-dimensional integer arrays of one length; anything else
         raises ValueError, and a side outside int64
         MalformedGrammarError naming it."""
-        left = _int64_array(left, _NOT_SIDES, "rule side")
-        right = _int64_array(right, _NOT_SIDES, "rule side")
+        left = _integers(left, _NOT_SIDES)
+        right = _integers(right, _NOT_SIDES)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError(_NOT_SIDES)
         grammar = cls.__new__(cls)
-        grammar.left = left
-        grammar.right = right
+        grammar.left = _int64(left, "rule side")
+        grammar.right = _int64(right, "rule side")
         return grammar
 
     @property
@@ -247,10 +256,10 @@ def _sequence(seq) -> np.ndarray:
     reference_expand.  Raises ValueError unless seq is a one-dimensional
     sequence of integers, as compress does, and MalformedGrammarError
     naming a symbol outside int64, which no grammar defines."""
-    values = _int64_array(seq, _NOT_A_SEQUENCE, "sequence symbol")
+    values = _integers(seq, _NOT_A_SEQUENCE)
     if values.ndim != 1:
         raise ValueError(_NOT_A_SEQUENCE)
-    return values
+    return _int64(values, "sequence symbol")
 
 
 def _checked_symbols(grammar: Grammar, symbols: np.ndarray) -> np.ndarray:

@@ -191,14 +191,18 @@ class TestGrammar:
 
     @pytest.mark.parametrize("rules", [
         [(1, 2, 3), (4, 5, 6)], [1, 2, 3, 4], [(1, 2), (3,)], [(), ()],
-        [[[1, 2]]], [(97.9, 98)], [(97, 98.0)]])
+        [[[1, 2]]], [(97.9, 98)], [(97, 98.0)], [(2**63, 98, 1)],
+        [(2**70,)]])
     def test_rules_must_be_pairs(self, rules):
+        # the shape is checked before any side outside int64
         with pytest.raises(ValueError):
             Grammar(rules)
 
     @pytest.mark.parametrize("left, right", [
         ([1, 2], [3]), ([[1, 2]], [[3, 4]]), ([1, 2], [[3, 4]]),
-        ([97.5], [98.2]), ([97], np.array([98.0])), (97, 98)])
+        ([97.5], [98.2]), ([97], np.array([98.0])), (97, 98),
+        (np.array([[2**63]], np.uint64), np.array([[98]], np.uint64)),
+        ([2**70], [98, 99])])
     def test_from_arrays_shape_checked(self, left, right):
         with pytest.raises(ValueError, match="one-dimensional"):
             Grammar.from_arrays(left, right)
@@ -304,10 +308,12 @@ class TestExpand:
             assert type(caught.value) is MalformedGrammarError
             assert str(caught.value) == message
 
-    @pytest.mark.parametrize("seq", [[[97, 98], [99, 100]], [97.7]],
-                             ids=["2-D", "float"])
+    @pytest.mark.parametrize("seq", [[[97, 98], [99, 100]], [97.7],
+                                     [[2**70]], 2**70],
+                             ids=["2-D", "float", "2-D-wide", "0-d-wide"])
     def test_sequence_of_integers_required(self, seq):
-        # as compress requires of its input
+        # as compress requires of its input, and before any symbol outside
+        # int64 is looked for
         for expander in (expand, reference_expand):
             with pytest.raises(ValueError):
                 expander(Grammar(), seq)
