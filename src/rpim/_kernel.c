@@ -106,11 +106,13 @@
  * 2^30.
  *
  * Decompression is one entry point over an int64 grammar and final
- * sequence.  rpim_expand checks every rule and symbol, measures the
- * expanded length against a caller's limit (a rule longer than the
- * limit is marked as such, so doubling chains cannot overflow), and
- * only then allocates the output, at its exact length, which the
- * caller releases with rpim_free.  Two tables indexed by symbol,
+ * sequence.  One routine, measure, checks every rule and symbol and
+ * measures the expanded length against a caller's limit, in a table of
+ * one length per symbol (a symbol longer than the limit is marked as
+ * such, so doubling chains cannot overflow); the body decoder and
+ * rpim_expand both call it.  rpim_expand only then allocates the
+ * output, at its exact length, which the caller releases with
+ * rpim_free.  Two tables indexed by symbol,
  * terminals and rules alike, hold each symbol's expanded length and
  * where its expansion can be copied from: a terminal's is its byte in a
  * static table of the 256 byte values, and a rule's is unset until its
@@ -133,8 +135,8 @@
  * varint-by-varint reader makes, in its order, so it stops at the fault
  * that reader would meet first and reports it by status and offset.
  * It writes into one caller array of one value per body byte at most,
- * so no declared count sizes anything, and sums the expanded length as
- * it reads, as rpim_expand does.  rpim_encode_body writes the minimal
+ * so no declared count sizes anything, and once the whole body is read
+ * measures it as rpim_expand does.  rpim_encode_body writes the minimal
  * unsigned LEB128 varints of the same fields.
  */
 
@@ -874,10 +876,49 @@ static inline uint64_t add_within(uint64_t a, uint64_t b, uint64_t limit)
     return a + b;
 }
 
-/* Expanded length of symbol s, with len[k] that of rule k < nrules. */
-static inline uint64_t symbol_length(int64_t s, const uint64_t *len)
+/*
+ * Check the grammar of rule k = (left[k], right[k]) and seq[0:nseq], and
+ * measure them: len[s] gets the expanded length of every symbol s below
+ * 256 + nrules, terminals included, or 0 when that exceeds limit, and
+ * *total the sum, in order, of the symbols' lengths that stay within
+ * limit, which is the sequence's length when all do.  Returns the first
+ * fault, rules before symbols: RPIM_ERULE when rule info[0] references
+ * a symbol outside its prefix, [0, 256 + info[0]), RPIM_ESYMBOL when
+ * symbol info[0], of value info[1], is outside [0, 256 + nrules); else
+ * RPIM_ELIMIT when the sequence's length exceeds limit.
+ */
+static inline int measure(const int64_t *left, const int64_t *right,
+                          int64_t nrules, const int64_t *seq, int64_t nseq,
+                          uint64_t limit, uint64_t *len, int64_t *info,
+                          uint64_t *total)
 {
-    return s < NONTERMINAL_BASE ? 1 : len[s - NONTERMINAL_BASE];
+    uint64_t sum = 0;
+    int err = RPIM_OK;
+    for (int64_t t = 0; t < NONTERMINAL_BASE; t++)
+        len[t] = 1;
+    for (int64_t k = 0; k < nrules; k++) {
+        int64_t a = left[k], b = right[k];
+        if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
+            || b >= NONTERMINAL_BASE + k) {
+            info[0] = k;
+            return RPIM_ERULE;
+        }
+        len[NONTERMINAL_BASE + k] = add_within(len[a], len[b], limit);
+    }
+    for (int64_t i = 0; i < nseq; i++) {
+        int64_t s = seq[i];
+        if (s < 0 || s >= NONTERMINAL_BASE + nrules) {
+            info[0] = i;
+            info[1] = s;
+            return RPIM_ESYMBOL;
+        }
+        if (len[s] == 0 || len[s] > limit - sum)
+            err = RPIM_ELIMIT;
+        else
+            sum += len[s];
+    }
+    *total = sum;
+    return err;
 }
 
 /* an expansion of at most COPY bytes moves as one block of COPY bytes,
@@ -903,10 +944,8 @@ static const uint8_t TERMINAL[NONTERMINAL_BASE + COPY - 1] = {
  * right[k]), when that takes at most limit bytes, limit below 2^63.
  * Returns RPIM_OK with the output in *out, to be released with
  * rpim_free, and its length in info[0].  Otherwise *out is NULL and the
- * status is the first fault, rules before symbols: RPIM_ERULE when rule
- * info[0] references a symbol outside its prefix, [0, 256 + info[0]),
- * RPIM_ESYMBOL when symbol info[0], of value info[1], is outside
- * [0, 256 + nrules); else RPIM_ELIMIT past limit, RPIM_ENOMEM for a
+ * status is the first fault measure finds, RPIM_ERULE, RPIM_ESYMBOL or
+ * RPIM_ELIMIT, with its info[0] and info[1]; else RPIM_ENOMEM for a
  * failed allocation, and RPIM_EBOUND for a negative count, a limit of
  * 2^63 or more, or a write that would pass its buffer.
  */
@@ -930,37 +969,14 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
     int64_t out_len = 0, pos = 0;
     uint64_t total = 0;
     uint8_t *buf = NULL;
-    int err = RPIM_OK;
-    for (int64_t t = 0; t < NONTERMINAL_BASE; t++) {
-        len[t] = 1;
-        src[t] = TERMINAL + t;
-    }
-    for (int64_t k = 0; k < nrules; k++) {
-        int64_t a = left[k], b = right[k];
-        if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
-            || b >= NONTERMINAL_BASE + k) {
-            info[0] = k;
-            err = RPIM_ERULE;
-            goto done;
-        }
-        len[NONTERMINAL_BASE + k] = add_within(len[a], len[b], limit);
-        src[NONTERMINAL_BASE + k] = NULL;
-    }
-    for (int64_t i = 0; i < nseq; i++) {
-        int64_t s = seq[i];
-        if (s < 0 || s >= nsym) {
-            info[0] = i;
-            info[1] = s;
-            err = RPIM_ESYMBOL;
-            goto done;
-        }
-        if (len[s] == 0 || len[s] > limit - total)
-            err = RPIM_ELIMIT;
-        else
-            total += len[s];
-    }
+    int err = measure(left, right, nrules, seq, nseq, limit, len, info,
+                      &total);
     if (err != RPIM_OK)
         goto done;
+    for (int64_t t = 0; t < NONTERMINAL_BASE; t++)
+        src[t] = TERMINAL + t;
+    for (int64_t s = NONTERMINAL_BASE; s < nsym; s++)
+        src[s] = NULL;
     out_len = (int64_t)total;
     buf = malloc(out_len ? (size_t)out_len : 1);
     /* the last position where a block still ends within buf */
@@ -1064,9 +1080,9 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  * rule sides, the sequence length and the symbols, in one sequential
  * pass.  out holds cap elements and receives rule k's left side at
  * out[k], its right side at out[nrules + k] and symbol i at
- * out[2 * nrules + i].  len holds cap / 2 elements and receives the
- * expanded length of rule k at len[k], or 0 when that exceeds limit, as
- * in rpim_expand.  info[0] gets the rule count and info[1] the
+ * out[2 * nrules + i].  len holds 256 + cap / 2 elements; once the
+ * body is read without a fault, measure fills it as in rpim_expand, one
+ * length per symbol.  info[0] gets the rule count and info[1] the
  * sequence length, as a uint64 bit pattern, as soon as each is read.
  * Returns RPIM_OK with the expanded length of the sequence in info[4],
  * as a uint64 bit pattern; or the first fault a varint-by-varint reader
@@ -1088,8 +1104,7 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
                      int64_t *info)
 {
     int64_t pos = 0;
-    uint64_t count, a, b, s, total = 0;
-    int over = 0;
+    uint64_t count, a, b, s;
     info[0] = info[1] = info[2] = info[3] = info[4] = 0;
     if (size < 0 || cap < 0)
         return RPIM_EBOUND;
@@ -1111,8 +1126,6 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
         if (fits) {
             left[k] = (int64_t)a;
             right[k] = (int64_t)b;
-            len[k] = add_within(symbol_length((int64_t)a, len),
-                                symbol_length((int64_t)b, len), limit);
         }
     }
     READ(count, UINT64_MAX);
@@ -1127,22 +1140,18 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
             info[3] = (int64_t)s;
             return RPIM_ESYMBOL;
         }
-        if (fits) {
+        if (fits)
             seq[i] = (int64_t)s;
-            uint64_t n = symbol_length((int64_t)s, len);
-            if (n == 0 || n > limit - total)
-                over = 1;
-            else
-                total += n;
-        }
     }
     info[2] = pos;
     if (pos != size)
         return RPIM_ETRAILING;
     if (!fits)
         return RPIM_EBOUND;
-    info[4] = (int64_t)total;
-    return over ? RPIM_ELIMIT : RPIM_OK;
+    /* the reader has checked every reference, so measure finds no fault
+       but the limit */
+    return measure(left, right, nrules, seq, (int64_t)count, limit, len,
+                   info + 2, (uint64_t *)&info[4]);
 }
 
 #undef READ

@@ -201,8 +201,8 @@ def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray):
 
 
 def decode_body(body: np.ndarray, limit: int):
-    """Decode and check a container body held in a uint8 array, summing
-    its expanded length up to limit, which is below 2**64.
+    """Decode and check a container body held in a uint8 array, then
+    measure its expanded length up to limit, which is below 2**64.
 
     Returns (0, (left, right, symbols, length)) with three int64 arrays,
     views of one buffer of body.size elements, and the expanded length,
@@ -216,9 +216,10 @@ def decode_body(body: np.ndarray, limit: int):
     lib = _loaded()
     data = np.ascontiguousarray(body)
     # every varint takes a byte, so a valid body fits in body.size values
-    # and holds at most body.size // 2 rules
+    # and holds at most body.size // 2 rules; lengths has one entry per
+    # symbol, the 256 terminals and those rules
     out = np.empty(data.size, np.int64)
-    lengths = np.empty(data.size // 2, np.uint64)
+    lengths = np.empty(256 + data.size // 2, np.uint64)
     info = np.zeros(5, np.int64)
     status = lib.rpim_decode_body(data, data.size, out, out.size, limit,
                                   lengths, info)

@@ -218,9 +218,6 @@ def run_bench(inputs, modes,
     return rows
 
 
-_CSV_HEADER = "name,kind,mode,size_in,size_out,ratio,wall_time"
-
-
 def emit_report(rows, format: str = "table") -> str:
     """Render rows sorted by (name, mode) as an aligned table or CSV."""
     ordered = sorted(rows, key=lambda r: (r.name, r.mode))

@@ -16,9 +16,9 @@ exact inverses on the accepted domain.
 
 The fixed header is read field by field.  The body (rule count, rule
 sides, sequence length, symbols) is read and checked varint by varint in
-one sequential pass, so the first fault met is the one reported, and
-the same pass sums the expanded length the header must match; it is
-written in one pass too.  Both passes run in the C engine; read_varint
+one sequential pass, so the first fault met is the one reported; then
+the routine expand measures its output with gives the expanded length
+the header must match.  The body is written in one pass too.  Both passes run in the C engine; read_varint
 and write_varint handle the varint header field.  The decoder sizes
 nothing by a declared count: it stores at most one value per body byte.
 """
@@ -38,7 +38,7 @@ from .errors import (
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import Grammar
+from .repair import Grammar, _sequence
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -84,7 +84,7 @@ class CompressedArtifact:
     sequence: np.ndarray
 
     def __post_init__(self) -> None:
-        self.sequence = np.asarray(self.sequence, dtype=np.int64)
+        self.sequence = _sequence(self.sequence)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedArtifact):
@@ -223,7 +223,7 @@ def _read_body(data: bytes, pos: int,
     checked varint by varint: each rule may reference only terminals and
     earlier rules, and each symbol only a defined one.  Third comes the
     expanded length, or None when it exceeds declared, which is below
-    2**64; the C decoder sums it as it reads."""
+    2**64; the C decoder measures it once the body is read."""
     body = np.frombuffer(data, dtype=np.uint8, offset=pos)
     status, found = _kernel.decode_body(body, declared)
     if status == 0:

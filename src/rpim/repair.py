@@ -30,7 +30,7 @@ from .errors import MalformedGrammarError
 
 NONTERMINAL_BASE = 256
 _INT64 = np.iinfo(np.int64)
-_NOT_A_SEQUENCE = "expand takes a one-dimensional sequence of integers"
+_NOT_A_SEQUENCE = "a sequence must be one-dimensional and of integers"
 
 
 class Rule(NamedTuple):
@@ -252,10 +252,11 @@ def reference_compress(seq, config: CompressorConfig | None = None
 
 
 def _sequence(seq) -> np.ndarray:
-    """seq as a one-dimensional int64 array, for expand and
-    reference_expand.  Raises ValueError unless seq is a one-dimensional
-    sequence of integers, as compress does, and MalformedGrammarError
-    naming a symbol outside int64, which no grammar defines."""
+    """seq as a one-dimensional int64 array, for expand, reference_expand
+    and CompressedArtifact.  Raises ValueError unless seq is a
+    one-dimensional sequence of integers, as compress does, and
+    MalformedGrammarError naming a symbol outside int64, which no grammar
+    defines."""
     values = _integers(seq, _NOT_A_SEQUENCE)
     if values.ndim != 1:
         raise ValueError(_NOT_A_SEQUENCE)

@@ -36,7 +36,8 @@
  * be the input's, and past a limit one short.  Its truncations must all
  * be refused as truncated, and each single-byte mutant the decoder
  * accepts must encode back to the same bytes.  Forged bodies cover the varint
- * edges 2^64 - 1, 2^64 and eleven bytes, and counts far past the data.
+ * edges 2^64 - 1, 2^64 and eleven bytes, counts far past the data, and
+ * a limit that unused rules pass and the sequence meets exactly.
  * Exit status 0 means every case passed; a sanitizer report aborts with
  * its own.
  */
@@ -174,14 +175,15 @@ static void check_expand(const char *label, const int64_t *left,
 }
 
 /* rpim_decode_body on body[0:size] into an array of exactly cap values
-   and a length array of exactly cap / 2, so that any write past either
-   is a sanitizer report; returns the status, with the array in *out
+   and a length array of exactly 256 + cap / 2, one length per symbol,
+   so that any write past either is a sanitizer report; returns the status, with the array in *out
    (the caller frees it). */
 static int decode(const uint8_t *body, int64_t size, int64_t cap,
                   uint64_t limit, int64_t *info, int64_t **out)
 {
     *out = must_alloc((size_t)cap * sizeof **out);
-    uint64_t *len = must_alloc((size_t)(cap / 2) * sizeof *len);
+    uint64_t *len = must_alloc((size_t)(NONTERMINAL_BASE + cap / 2)
+                               * sizeof *len);
     int status = rpim_decode_body(body, size, *out, cap, limit, len, info);
     free(len);
     return status;
@@ -512,12 +514,28 @@ static void check_forged_bodies(void)
         free(body);
     }
 
+    /* rules of 2, 4 and 8 bytes and the sequence (rule 0, 'a') of 3:
+       rules the sequence does not use may pass the limit, and the
+       sequence may reach it but not pass it by one byte */
+    static const uint8_t doubling[] = {3, 'a', 'a', 0x80, 0x02, 0x80, 0x02,
+                                       0x81, 0x02, 0x81, 0x02,
+                                       2, 0x80, 0x02, 'a'};
+    int64_t size = sizeof doubling, info[5], *values;
+    uint8_t *body = must_alloc((size_t)size);
+    memcpy(body, doubling, (size_t)size);
+    if (decode(body, size, size, 3, info, &values) != 0 || info[4] != 3)
+        fail("limit", 3, "unused rules past the limit were refused");
+    free(values);
+    if (decode(body, size, size, 2, info, &values) != RPIM_ELIMIT)
+        fail("limit", 2, "a sequence one byte past the limit was taken");
+    free(values);
+    free(body);
+
     /* the widest value an int64 holds, and a negative one */
     const int64_t widest = INT64_MAX, negative = -1;
     const uint8_t expected[] = {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                                 0xFF, 0xFF, 0xFF, 0x7F};
     uint8_t *out;
-    int64_t size;
     if (encode(NULL, NULL, 0, &widest, 1, &out, &size) != 0
         || size != (int64_t)sizeof expected
         || memcmp(out, expected, sizeof expected) != 0)

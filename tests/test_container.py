@@ -118,7 +118,7 @@ def c_read_varint(blob: bytes, start: int):
     stands for."""
     body = np.frombuffer(b"\x00" + blob[start:], dtype=np.uint8)
     out = np.empty(body.size, np.int64)
-    lengths = np.empty(body.size // 2, np.uint64)
+    lengths = np.empty(256 + body.size // 2, np.uint64)
     info = np.zeros(5, np.int64)
     status = _kernel.load().rpim_decode_body(body, body.size, out, out.size,
                                              2**64 - 1, lengths, info)
@@ -240,6 +240,17 @@ class TestSerialize:
         assert blob[10:14] == (2).to_bytes(4, "little")
         assert blob[14] == 1  # channels
         assert blob[15] == 1  # mode byte: zigzag
+
+    @pytest.mark.parametrize("sequence, error", [
+        ([97.9], ValueError),
+        ([[97, 98]], ValueError),
+        ([2**70], MalformedGrammarError),
+        (np.array([2**63], np.uint64), MalformedGrammarError)])
+    def test_sequence_checked_like_expand(self, sequence, error):
+        """The sequence is refused when built, as expand refuses it: no
+        float is truncated, no shape flattened, no value wrapped."""
+        with pytest.raises(error):
+            CompressedArtifact(RawPayload(1), Grammar(), sequence)
 
 
 class TestDeserialize:
@@ -442,8 +453,8 @@ DECLARED_EXACTNESS = {
 @pytest.mark.parametrize("engine", ["c"])
 @pytest.mark.parametrize("case", DECLARED_EXACTNESS)
 def test_declared_length_check_is_exact(case, engine):
-    """The expanded-length check in the C decoder's saturating pass
-    compares exact lengths up to 2**64 - 1."""
+    """The expanded-length check in the C engine's measure routine, which
+    the decoder calls, compares exact lengths up to 2**64 - 1."""
     declared, sequence, accepted = DECLARED_EXACTNESS[case]
     blob = serialize(CompressedArtifact(
         RawPayload(declared), doubling_chain(63), sequence))
