@@ -112,12 +112,11 @@
  * such, so doubling chains cannot overflow); the body decoder and
  * rpim_expand both call it.  rpim_expand only then allocates the
  * output, at its exact length, which the caller releases with
- * rpim_free.  Two tables indexed by symbol,
- * terminals and rules alike, hold each symbol's expanded length and
- * where its expansion can be copied from: a terminal's is its byte in a
- * static table of the 256 byte values, and a rule's is unset until its
- * first expansion starts, by an explicit stack, and then its place in
- * the output.  So every later use of a symbol is one copy, whatever its
+ * rpim_free.  Two tables indexed by symbol, terminals and rules alike,
+ * hold each symbol's expanded length and where its expansion can be
+ * copied from: a terminal's is its byte in a static table of the 256
+ * byte values, and a rule's is unset until its first expansion starts,
+ * by an explicit stack, and then its place in the output.  So every later use of a symbol is one copy, whatever its
  * kind, as Larsson & Moffat write a rule's expansion once and copy it.
  * An expansion of COPY (16) bytes or less moves as one block of COPY
  * bytes through a temporary, so a block may overlap its source, and may

@@ -16,11 +16,12 @@ exact inverses on the accepted domain.
 
 The fixed header is read field by field.  The body (rule count, rule
 sides, sequence length, symbols) is read and checked varint by varint in
-one sequential pass, so the first fault met is the one reported; then
-the routine expand measures its output with gives the expanded length
-the header must match.  The body is written in one pass too.  Both passes run in the C engine; read_varint
-and write_varint handle the varint header field.  The decoder sizes
-nothing by a declared count: it stores at most one value per body byte.
+one sequential pass, so the first fault met is the one reported.  Then
+the routine that measures expand's output gives the expanded length the
+header must match.  The body is written in one pass too.  Both passes
+run in the C engine; read_varint and write_varint handle the varint
+header field.  The decoder sizes nothing by a declared count: it stores
+at most one value per body byte.
 """
 
 from __future__ import annotations

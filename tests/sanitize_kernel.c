@@ -176,8 +176,8 @@ static void check_expand(const char *label, const int64_t *left,
 
 /* rpim_decode_body on body[0:size] into an array of exactly cap values
    and a length array of exactly 256 + cap / 2, one length per symbol,
-   so that any write past either is a sanitizer report; returns the status, with the array in *out
-   (the caller frees it). */
+   so that any write past either is a sanitizer report; returns the
+   status, with the array in *out (the caller frees it). */
 static int decode(const uint8_t *body, int64_t size, int64_t cap,
                   uint64_t limit, int64_t *info, int64_t **out)
 {
