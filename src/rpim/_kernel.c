@@ -67,22 +67,19 @@
  * tombstone, whose link then skips the block.  Slot 0 is never a
  * tombstone.
  *
- * On inputs of READ_AHEAD_MIN symbols or more the walk along a thread
- * reads ahead, since there the slot arrays outgrow a core's L2 and the
- * slot each thread link jumps to would miss in it.  At each occurrence,
- * with u the next one, it reads next_occ[u], whose line the occurrence
- * before fetched, and prefetches the slot lines around the occurrence
- * after u; and for u - 1 and u + 1, where rec_of names a record, it
- * prefetches that record and the two link cells uncredit would write
- * there.  So a slot's lines arrive two occurrences early and the cells
- * they lead to one early: the software-pipelined prefetching of a
- * pointer chase in Chen, Ailamaki, Gibbons & Mowry, "Improving hash
- * join performance through prefetching" (ICDE 2004).  The hints only
- * read and prefetch, so no value the walk uses depends on them, nor
- * does the grammar.  Links are read only from slots rec_of marks as
- * threaded, since those of slots never threaded are unset; a slot whose
- * record has count 1 may still hold old links, so every index a hint
- * forms is checked against its array before it makes an address.
+ * The walk along a thread reads ahead, since on long inputs the slot
+ * arrays outgrow a core's L2 and the slot each thread link jumps to
+ * would miss in it.  At each occurrence, with u the next one, it reads
+ * next_occ[u], whose line the occurrence before fetched, and prefetches
+ * the slot lines around the occurrence after u, so that they arrive two
+ * occurrences early: the software-pipelined prefetching of a pointer
+ * chase in Chen, Ailamaki, Gibbons & Mowry, "Improving hash join
+ * performance through prefetching" (ICDE 2004).  The hints only read
+ * and prefetch, so no value the walk uses depends on them, nor does the
+ * grammar.  They read only next_occ[u], a link of the thread being
+ * walked, and check every index they form against the arrays before it
+ * makes an address.  On short inputs, whose arrays stay in cache, they
+ * cost about 1%, so they are not gated by input length.
  *
  * Memory: the per-slot arrays (occurrence links, record of each slot)
  * are 32-bit, 16 bytes per input symbol with the caller's 4-byte working
@@ -154,10 +151,6 @@ enum {
 #define TOMBSTONE (-1)
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
 #define BUCKETS 64       /* counts below this are queued by count */
-/* inputs from this length on read ahead along the pair thread: at 16 B
-   per symbol the slot arrays then pass 2 MiB, a common per-core L2, and
-   below it they stay in cache, where the hints are pure cost */
-#define READ_AHEAD_MIN (1 << 17)
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(addr) __builtin_prefetch(addr)
@@ -602,18 +595,17 @@ static int replace_thread(State *s, int32_t head, int32_t left,
     int32_t *const slots[] = {sym, rec_of, prev, next};
     int32_t n = s->n;
     int self_pair = left == right;
-    int ahead = n >= READ_AHEAD_MIN;
     int32_t anchor;
 
     s->fresh = fresh;
     for (int32_t slot = head; slot >= 0;) {
         int32_t i = slot;
         int32_t upcoming = next[i];
-        if (ahead && upcoming >= 0 && upcoming < n) {
-            /* hints, which write nothing (see the header); they sit in
-               the walk itself, since GCC takes a function that only
-               reads and prefetches for one without effect and drops
-               calls to it */
+        if (upcoming >= 0 && upcoming < n) {
+            /* prefetch the slot lines around the occurrence after
+               upcoming (see the header); the hints sit in the walk
+               itself, since GCC takes a function that only reads and
+               prefetches for one without effect and drops calls to it */
             int32_t w = next[upcoming];
             if (w >= 0 && w < n) {
                 int32_t lo = w > 0 ? w - 1 : w, hi = w + 1 < n ? w + 1 : w;
@@ -621,17 +613,6 @@ static int replace_thread(State *s, int32_t head, int32_t left,
                     PREFETCH(&slots[k][lo]);
                     PREFETCH(&slots[k][hi]);
                 }
-            }
-            for (int32_t x = upcoming - 1; x <= upcoming + 1; x += 2) {
-                if (x < 0 || x >= n || rec_of[x] < 0)
-                    continue;
-                int32_t idx = rec_of[x], back = prev[x], on = next[x];
-                if (idx < s->nrec)
-                    PREFETCH(&s->rec[idx]);
-                if (back >= 0 && back < n)
-                    PREFETCH(&next[back]);
-                if (on >= 0 && on < n)
-                    PREFETCH(&prev[on]);
             }
         }
         rec_of[i] = -1;

@@ -39,7 +39,7 @@ from .errors import (
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import Grammar, _sequence
+from .repair import NONTERMINAL_BASE, Grammar, _sequence
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -75,17 +75,24 @@ class ImagePayload:
         return self.width * self.height * self.channels
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CompressedArtifact:
     """A payload header, a grammar and its final sequence, held as an
-    int64 array."""
+    int64 array.  The fields are checked when it is built and cannot be
+    reassigned: a payload that is neither RawPayload nor ImagePayload,
+    or a grammar that is not a Grammar, raises ValueError, and the
+    sequence is refused as expand refuses it."""
 
     payload: RawPayload | ImagePayload
     grammar: Grammar
     sequence: np.ndarray
 
     def __post_init__(self) -> None:
-        self.sequence = _sequence(self.sequence)
+        if not isinstance(self.payload, (RawPayload, ImagePayload)):
+            raise ValueError("payload must be a RawPayload or an ImagePayload")
+        if not isinstance(self.grammar, Grammar):
+            raise ValueError("grammar must be a Grammar")
+        object.__setattr__(self, "sequence", _sequence(self.sequence))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedArtifact):
@@ -159,9 +166,8 @@ def serialize(artifact: CompressedArtifact) -> bytes:
         out.append(_KIND_RAW)
         write_varint(out, payload.original_length)
     grammar = artifact.grammar
-    sequence = np.ascontiguousarray(artifact.sequence, dtype=np.int64)
     return _kernel.encode_body(bytes(out), grammar.left, grammar.right,
-                               sequence)
+                               artifact.sequence)
 
 
 def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifact:
@@ -234,7 +240,8 @@ def _read_body(data: bytes, pos: int,
     if status in _VARINT_FAULTS:
         raise _varint_fault(status, pos + where)
     if status == _kernel.BAD_RULE:
-        raise MalformedGrammarError(f"rule {where} references symbol outside its prefix")
+        raise MalformedGrammarError(f"rule {where} references symbol outside "
+                                    f"[0, {NONTERMINAL_BASE + where})")
     if status == _kernel.UNDEFINED:
         raise MalformedGrammarError(f"sequence symbol {value} is undefined")
     if status == _kernel.TRAILING:

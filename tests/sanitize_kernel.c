@@ -15,10 +15,10 @@
  * doublings.  Long solid inputs and inputs that end
  * or start in a long run make tombstone blocks that start at slot 1 and
  * end at the last slot, so the block links at both edges of the working
- * array are written and followed.  Inputs past the kernel's read-ahead
- * gate do the same, with runs, chains, run-head repair and a pair whose
- * thread starts at slot 1 and ends at slot n - 2, so that the walk's
- * hints look up to both ends of the arrays.
+ * array are written and followed.  Inputs of LONG symbols and more do
+ * the same, with runs, chains, run-head repair and a pair whose thread
+ * starts at slot 1 and ends at slot n - 2, so that the walk's read-ahead
+ * hints look up to both ends of long arrays.
  * Each grammar must reference only earlier symbols and expand back to
  * its input under this program's own stack expander.  The kernel's
  * expand must agree with it, on a comb as deep as it has rules too, and
@@ -67,13 +67,13 @@ int rpim_encode_body(const int64_t *left, const int64_t *right,
    cells.  FIRST_STEP is the smallest record-store size whose pair
    counts one below and one above both have a walk prefix.  BUCKETS is
    the count from which the kernel's queue uses the heap, not the
-   buckets, and READ_AHEAD the input length, READ_AHEAD_MIN, from which
-   its walk reads ahead along the pair thread */
+   buckets, and LONG an input length at which the kernel's slot arrays,
+   16 bytes per symbol, fill a 2 MiB cache */
 enum { RPIM_EBOUND = 2, RPIM_ELIMIT = 3, RPIM_ETRUNCATED = 4,
        RPIM_EOVERFLOW = 6, RPIM_ERANGE = 7, RPIM_ERULE = 8, RPIM_ESYMBOL = 9,
        RPIM_ETRAILING = 10,
        NONTERMINAL_BASE = 256, FIRST_STEP = 2, FIRST_MAP = 256,
-       BUCKETS = 64, READ_AHEAD = 1 << 17 };
+       BUCKETS = 64, LONG = 1 << 17 };
 
 static uint64_t rng = 0x9E3779B97F4A7C15ull;
 
@@ -714,7 +714,7 @@ int main(void)
 
     /* solid inputs and inputs that end or start in one long run: their
        tombstone blocks start at slot 1 and end at the last slot */
-    static const int64_t solid[] = {2, 3, 4, 5, 1 << 17, (1 << 17) + 1};
+    static const int64_t solid[] = {2, 3, 4, 5, LONG, LONG + 1};
     for (size_t k = 0; k < sizeof solid / sizeof solid[0]; k++) {
         memset(buf, 'a', (size_t)solid[k]);
         check("solid", buf, solid[k], 2, -1);
@@ -734,15 +734,15 @@ int main(void)
         buf[i] = (uint8_t)below(256);
     check("large", buf, cap, 2, -1);
 
-    /* past the read-ahead gate, where the walk's hints reach both ends
-       of the arrays.  Short runs over a small alphabet make chains and
+    /* long inputs, where the walk's read-ahead hints reach both ends of
+       the arrays.  Short runs over a small alphabet make chains and
        run-head repair.  In odd cases a pair of two symbols found
        nowhere else occurs at slot 1, at slot n - 2, where its thread
        ends, and every 32 to 95 slots between; in even cases the input
        starts and ends in a long run, so tombstone blocks start at slot 1
        and end at the last slot */
     for (int c = 0; c < 6; c++) {
-        int64_t n = READ_AHEAD + c;
+        int64_t n = LONG + c;
         runs(buf, n, 2 + c % 3, c < 3 ? 4 : 40);
         if (c % 2) {
             for (int64_t i = 1; i < n - 1; i += 32 + below(64)) {
@@ -755,7 +755,7 @@ int main(void)
             memset(buf, 1, 1000 + c);
             memset(buf + n - 999 - c, 1, 999 + c);
         }
-        check("read ahead", buf, n, 2, -1);
+        check("long", buf, n, 2, -1);
     }
 
     /* an n above the cap is refused before the input is read */

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -252,6 +253,23 @@ class TestSerialize:
         with pytest.raises(error):
             CompressedArtifact(RawPayload(1), Grammar(), sequence)
 
+    def test_fields_cannot_be_reassigned(self):
+        """A built artifact stays as it was checked, so serialize never
+        truncates a float assigned afterwards."""
+        artifact = CompressedArtifact(RawPayload(1), Grammar(), [97])
+        for field, value in [("sequence", [97.9]), ("grammar", None),
+                             ("payload", RawPayload(2))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(artifact, field, value)
+        assert serialize(artifact) == b"RPIM\x01\x00\x01\x00\x01a"
+
+    @pytest.mark.parametrize("payload, grammar", [
+        (None, Grammar()), (1, Grammar()), (RawPayload, Grammar()),
+        (RawPayload(1), None), (RawPayload(1), [(97, 98)])])
+    def test_payload_and_grammar_kinds_checked(self, payload, grammar):
+        with pytest.raises(ValueError):
+            CompressedArtifact(payload, grammar, [97])
+
 
 class TestDeserialize:
     def test_bad_magic(self):
@@ -297,6 +315,16 @@ class TestDeserialize:
             varint(256) + varint(0) + b"\x00"
         with pytest.raises(MalformedGrammarError):
             deserialize(blob)
+
+    def test_forward_reference_worded_as_expand_words_it(self):
+        grammar = Grammar([(256, 97)])
+        blob = serialize(CompressedArtifact(RawPayload(2), grammar, [256]))
+        with pytest.raises(MalformedGrammarError) as by_deserialize:
+            deserialize(blob)
+        with pytest.raises(MalformedGrammarError) as by_expand:
+            expand(grammar, [256])
+        assert str(by_deserialize.value) == str(by_expand.value) \
+            == "rule 0 references symbol outside [0, 256)"
 
     def test_undefined_sequence_symbol_rejected(self):
         blob = b"RPIM\x01\x00\x01" + b"\x00" + b"\x01" + varint(256)

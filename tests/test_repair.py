@@ -626,12 +626,6 @@ def test_engines_agree_at_bucket_edges():
         assert py_final.tolist() == c_final.tolist(), (case, config)
 
 
-# the kernel reads ahead along the pair thread from this input length on
-READ_AHEAD_MIN = 1 << int(re.search(r"^#define READ_AHEAD_MIN \(1 << (\d+)\)",
-                                     _kernel.SOURCE.read_text(),
-                                     re.MULTILINE).group(1))
-
-
 def _gate_input(kind, n):
     """n seeded symbols of one kind: random bytes, a photo-like field (a
     smooth 512-wide gradient, wrapped to bytes, plus noise of -2 to 2),
@@ -672,13 +666,19 @@ GATE_DIGESTS = {
 
 @pytest.mark.parametrize("kind, n", list(GATE_DIGESTS))
 def test_output_unchanged_across_read_ahead_gate(kind, n):
-    """One symbol below READ_AHEAD_MIN the walk takes no hints, from it on
-    it does; hints only read and prefetch, so compress must give the
-    output pinned before they existed, on either side of the gate."""
-    assert READ_AHEAD_MIN == 2**17
+    """The walk reads ahead on every input, and its hints only read and
+    prefetch, so on long inputs of each kind compress must give the
+    output pinned before the hints existed."""
     seq = _gate_input(kind, n)
     assert len(seq) == n
     assert _digest(*compress(seq)) == GATE_DIGESTS[kind, n]
+
+
+def _entry_points(path):
+    """(return type, name, parameter list) of every rpim_* function that
+    the C file at path declares or defines from the start of a line."""
+    return re.findall(r"^(int|void) (rpim_\w+)\(([^)]*)\)",
+                      path.read_text(), re.MULTILINE)
 
 
 def test_every_entry_point_has_a_ctypes_signature():
@@ -686,8 +686,7 @@ def test_every_entry_point_has_a_ctypes_signature():
     parameter, and a restype in _kernel.load(), c_int for an int function
     and None for a void one; without them ctypes would pass an int64
     count as a C int."""
-    entries = re.findall(r"^(int|void) (rpim_\w+)\(([^)]*)\)",
-                         _kernel.SOURCE.read_text(), re.MULTILINE)
+    entries = _entry_points(_kernel.SOURCE)
     assert {"rpim_compress", "rpim_decode_body", "rpim_free"} \
         <= {name for _, name, _ in entries}
     lib = _kernel.load()
@@ -697,6 +696,22 @@ def test_every_entry_point_has_a_ctypes_signature():
         assert len(function.argtypes) == params.count(",") + 1, name
         assert function.restype is (ctypes.c_int if kind == "int"
                                     else None), name
+
+
+def test_sanitizer_prototypes_match_the_kernel():
+    """tests/sanitize_kernel.c declares the rpim_* entry points by hand in
+    its own translation unit, where a signature that drifted from
+    _kernel.c would still link and pass wrong arguments; each
+    declaration's return type and parameter list, whitespace normalised,
+    must equal the definition's."""
+    def signatures(path):
+        return {name: (kind, " ".join(params.split()))
+                for kind, name, params in _entry_points(path)}
+    defined = signatures(_kernel.SOURCE)
+    declared = signatures(Path(__file__).with_name("sanitize_kernel.c"))
+    assert {"rpim_compress", "rpim_expand", "rpim_decode_body"} <= set(declared)
+    for name, signature in declared.items():
+        assert signature == defined.get(name), name
 
 
 def test_kernel_under_sanitizers(tmp_path):
