@@ -102,6 +102,9 @@
  * int32 with -1 free to mean "absent", and rule ordinals stay below
  * 2^30.
  *
+ * A grammar is one array of rule sides, rule k the pair (rules[2k],
+ * rules[2k + 1]): int32 out of rpim_compress, int64 everywhere else.
+ *
  * Decompression is one entry point over an int64 grammar and final
  * sequence.  One routine, measure, checks every rule and symbol and
  * measures the expanded length against a caller's limit, in a table of
@@ -113,8 +116,9 @@
  * hold each symbol's expanded length and where its expansion can be
  * copied from: a terminal's is its byte in a static table of the 256
  * byte values, and a rule's is unset until its first expansion starts,
- * by an explicit stack, and then its place in the output.  So every later use of a symbol is one copy, whatever its
- * kind, as Larsson & Moffat write a rule's expansion once and copy it.
+ * by an explicit stack, and then its place in the output.  So every
+ * later use of a symbol is one copy, whatever its kind, as Larsson &
+ * Moffat write a rule's expansion once and copy it.
  * An expansion of COPY (16) bytes or less moves as one block of COPY
  * bytes through a temporary, so a block may overlap its source, and may
  * read and write up to COPY - 1 bytes past the expansion's end.  The
@@ -130,10 +134,13 @@
  * length and the symbols varint by varint, with every check the
  * varint-by-varint reader makes, in its order, so it stops at the fault
  * that reader would meet first and reports it by status and offset.
- * It writes into one caller array of one value per body byte at most,
- * so no declared count sizes anything, and once the whole body is read
- * measures it as rpim_expand does.  rpim_encode_body writes the minimal
- * unsigned LEB128 varints of the same fields.
+ * It writes into one caller array of one value per body byte, rule
+ * sides then symbols, so no declared count sizes anything: the value
+ * at index j is written only after more than j varints have been read,
+ * each at least a byte, so every write index stays below the body's
+ * size.  Once the whole body is read it measures it as rpim_expand
+ * does.  rpim_encode_body writes the minimal unsigned LEB128 varints of
+ * the same fields.
  */
 
 #include <stdint.h>
@@ -755,8 +762,7 @@ static int count_initial(State *s)
 }
 
 static int run(State *s, int64_t min_frequency, int64_t max_rules,
-               int32_t *rule_left, int32_t *rule_right, int64_t rule_cap,
-               int64_t *nrules_out)
+               int32_t *rules, int64_t rule_cap, int64_t *nrules_out)
 {
     int64_t lowest = min_frequency > 2 ? min_frequency : 2;
     int64_t nrules = 0;
@@ -795,8 +801,8 @@ static int run(State *s, int64_t min_frequency, int64_t max_rules,
         int32_t left = s->rec[chosen].left, right = s->rec[chosen].right;
         int32_t head = s->rec[chosen].head;
         release_record(s, chosen);
-        rule_left[nrules] = left;
-        rule_right[nrules] = right;
+        rules[2 * nrules] = left;
+        rules[2 * nrules + 1] = right;
         CHECK(replace_thread(s, head, left, right, fresh));
         nrules++;
     }
@@ -806,17 +812,18 @@ static int run(State *s, int64_t min_frequency, int64_t max_rules,
 
 /*
  * Compress input[0:n] (terminals 0-255), working in sym, which holds n
- * elements.  On success sizes[0] is the rule count, rule k being
- * (rule_left[k], rule_right[k]), and sizes[1] the length of the final
- * sequence, left in sym[0:sizes[1]].  max_rules < 0 means unbounded.
- * Returns RPIM_OK, RPIM_ENOMEM when an allocation fails, or RPIM_EBOUND
- * when a capacity would be exceeded or a pair count rose after its queue
- * entry was filed, an invariant broken; an n above 2^31 - 1 is refused
- * before input or sym is touched.
+ * elements, into rules, which holds 2 * rule_cap.  On success sizes[0]
+ * is the rule count, rule k being (rules[2k], rules[2k + 1]), and
+ * sizes[1] the length of the final sequence, left in sym[0:sizes[1]].
+ * max_rules < 0 means unbounded.  Returns RPIM_OK, RPIM_ENOMEM when an
+ * allocation fails, or RPIM_EBOUND when a capacity would be exceeded or
+ * a pair count rose after its queue entry was filed, an invariant
+ * broken; an n above 2^31 - 1 is refused before input, sym or rules is
+ * touched.
  */
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
-                  int64_t max_rules, int32_t *sym, int32_t *rule_left,
-                  int32_t *rule_right, int64_t rule_cap, int64_t *sizes)
+                  int64_t max_rules, int32_t *sym, int32_t *rules,
+                  int64_t rule_cap, int64_t *sizes)
 {
     sizes[0] = 0;
     sizes[1] = n;
@@ -833,8 +840,7 @@ int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
     s.sym = sym;
     int err = setup(&s, input, (int32_t)n);
     if (err == RPIM_OK)
-        err = run(&s, min_frequency, max_rules, rule_left, rule_right,
-                  rule_cap, &sizes[0]);
+        err = run(&s, min_frequency, max_rules, rules, rule_cap, &sizes[0]);
     teardown(&s);
     if (err != RPIM_OK)
         return err;
@@ -857,27 +863,27 @@ static inline uint64_t add_within(uint64_t a, uint64_t b, uint64_t limit)
 }
 
 /*
- * Check the grammar of rule k = (left[k], right[k]) and seq[0:nseq], and
- * measure them: len[s] gets the expanded length of every symbol s below
- * 256 + nrules, terminals included, or 0 when that exceeds limit, and
- * *total the sum, in order, of the symbols' lengths that stay within
- * limit, which is the sequence's length when all do.  Returns the first
- * fault, rules before symbols: RPIM_ERULE when rule info[0] references
- * a symbol outside its prefix, [0, 256 + info[0]), RPIM_ESYMBOL when
- * symbol info[0], of value info[1], is outside [0, 256 + nrules); else
- * RPIM_ELIMIT when the sequence's length exceeds limit.
+ * Check the grammar of rule k = (rules[2k], rules[2k + 1]) and
+ * seq[0:nseq], and measure them: len[s] gets the expanded length of
+ * every symbol s below 256 + nrules, terminals included, or 0 when that
+ * exceeds limit, and *total the sum, in order, of the symbols' lengths
+ * that stay within limit, which is the sequence's length when all do.
+ * Returns the first fault, rules before symbols: RPIM_ERULE when rule
+ * info[0] references a symbol outside its prefix, [0, 256 + info[0]),
+ * RPIM_ESYMBOL when symbol info[0], of value info[1], is outside
+ * [0, 256 + nrules); else RPIM_ELIMIT when the sequence's length
+ * exceeds limit.
  */
-static inline int measure(const int64_t *left, const int64_t *right,
-                          int64_t nrules, const int64_t *seq, int64_t nseq,
-                          uint64_t limit, uint64_t *len, int64_t *info,
-                          uint64_t *total)
+static inline int measure(const int64_t *rules, int64_t nrules,
+                          const int64_t *seq, int64_t nseq, uint64_t limit,
+                          uint64_t *len, int64_t *info, uint64_t *total)
 {
     uint64_t sum = 0;
     int err = RPIM_OK;
     for (int64_t t = 0; t < NONTERMINAL_BASE; t++)
         len[t] = 1;
     for (int64_t k = 0; k < nrules; k++) {
-        int64_t a = left[k], b = right[k];
+        int64_t a = rules[2 * k], b = rules[2 * k + 1];
         if (a < 0 || b < 0 || a >= NONTERMINAL_BASE + k
             || b >= NONTERMINAL_BASE + k) {
             info[0] = k;
@@ -920,8 +926,8 @@ static const uint8_t TERMINAL[NONTERMINAL_BASE + COPY - 1] = {
     BYTES64(0), BYTES64(64), BYTES64(128), BYTES64(192)};
 
 /*
- * Expand seq[0:nseq] under the grammar whose rule k is (left[k],
- * right[k]), when that takes at most limit bytes, limit below 2^63.
+ * Expand seq[0:nseq] under the grammar whose rule k is (rules[2k],
+ * rules[2k + 1]), when that takes at most limit bytes, limit below 2^63.
  * Returns RPIM_OK with the output in *out, to be released with
  * rpim_free, and its length in info[0].  Otherwise *out is NULL and the
  * status is the first fault measure finds, RPIM_ERULE, RPIM_ESYMBOL or
@@ -929,9 +935,8 @@ static const uint8_t TERMINAL[NONTERMINAL_BASE + COPY - 1] = {
  * failed allocation, and RPIM_EBOUND for a negative count, a limit of
  * 2^63 or more, or a write that would pass its buffer.
  */
-int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
-                const int64_t *seq, int64_t nseq, uint64_t limit,
-                uint8_t **out, int64_t *info)
+int rpim_expand(const int64_t *rules, int64_t nrules, const int64_t *seq,
+                int64_t nseq, uint64_t limit, uint8_t **out, int64_t *info)
 {
     *out = NULL;
     info[0] = info[1] = 0;
@@ -949,8 +954,7 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
     int64_t out_len = 0, pos = 0;
     uint64_t total = 0;
     uint8_t *buf = NULL;
-    int err = measure(left, right, nrules, seq, nseq, limit, len, info,
-                      &total);
+    int err = measure(rules, nrules, seq, nseq, limit, len, info, &total);
     if (err != RPIM_OK)
         goto done;
     for (int64_t t = 0; t < NONTERMINAL_BASE; t++)
@@ -989,9 +993,10 @@ int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
             } else {
                 if (top + 2 > nrules + 1)
                     goto done;
+                const int64_t *rule = rules + 2 * (s - NONTERMINAL_BASE);
                 src[s] = buf + pos;
-                stack[top++] = right[s - NONTERMINAL_BASE];
-                stack[top++] = left[s - NONTERMINAL_BASE];
+                stack[top++] = rule[1];
+                stack[top++] = rule[0];
             }
         }
     }
@@ -1058,11 +1063,11 @@ static inline int read_varint(const uint8_t *body, int64_t size,
 /*
  * Decode and check a container body, body[0:size]: the rule count, the
  * rule sides, the sequence length and the symbols, in one sequential
- * pass.  out holds cap elements and receives rule k's left side at
- * out[k], its right side at out[nrules + k] and symbol i at
- * out[2 * nrules + i].  len holds 256 + cap / 2 elements; once the
- * body is read without a fault, measure fills it as in rpim_expand, one
- * length per symbol.  info[0] gets the rule count and info[1] the
+ * pass.  out holds cap elements, cap at least size, and receives rule
+ * k at out[2k] and out[2k + 1] and symbol i at out[2 * nrules + i].
+ * len holds 256 + cap / 2 elements; once the body is read without a
+ * fault, measure fills it as in rpim_expand, one length per symbol.
+ * info[0] gets the rule count and info[1] the
  * sequence length, as a uint64 bit pattern, as soon as each is read.
  * Returns RPIM_OK with the expanded length of the sequence in info[4],
  * as a uint64 bit pattern; or the first fault a varint-by-varint reader
@@ -1073,11 +1078,13 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  *   RPIM_ERULE when rule info[2] references a symbol outside its
  *     prefix, checked once its right side is read;
  *   RPIM_ESYMBOL when symbol info[2], of value info[3], is undefined;
- *   RPIM_ETRAILING when bytes follow the sequence from offset info[2];
+ *   RPIM_ETRAILING when info[3] bytes follow the sequence from offset
+ *     info[2];
  * or, for a body without faults, RPIM_ELIMIT when its expanded length
- * exceeds limit.  Every varint takes a byte, so a valid body needs at
- * most size elements; no write passes cap, and a body that is valid but
- * does not fit returns RPIM_EBOUND.
+ * exceeds limit.  A cap below size returns RPIM_EBOUND before anything
+ * is read.  Each value goes to out[j] only once more than j varints
+ * have been read, and every varint takes a byte, so no write reaches
+ * size, and none passes cap.
  */
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
                      int64_t cap, uint64_t limit, uint64_t *len,
@@ -1086,15 +1093,11 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
     int64_t pos = 0;
     uint64_t count, a, b, s;
     info[0] = info[1] = info[2] = info[3] = info[4] = 0;
-    if (size < 0 || cap < 0)
+    if (size < 0 || cap < size)
         return RPIM_EBOUND;
     READ(count, SYMBOL_MAX - NONTERMINAL_BASE);
     int64_t nrules = (int64_t)count;
     info[0] = nrules;
-    /* with cap >= size, sides or symbols that do not fit cannot all be
-       present either: the reader meets a fault before their end */
-    int fits = 2 * nrules <= cap;
-    int64_t *left = out, *right = out + (fits ? nrules : 0);
     for (int64_t k = 0; k < nrules; k++) {
         READ(a, SYMBOL_MAX);
         READ(b, SYMBOL_MAX);
@@ -1103,15 +1106,12 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
             info[2] = k;
             return RPIM_ERULE;
         }
-        if (fits) {
-            left[k] = (int64_t)a;
-            right[k] = (int64_t)b;
-        }
+        out[2 * k] = (int64_t)a;
+        out[2 * k + 1] = (int64_t)b;
     }
     READ(count, UINT64_MAX);
     info[1] = (int64_t)count;
-    fits = fits && count <= (uint64_t)(cap - 2 * nrules);
-    int64_t *seq = out + (fits ? 2 * nrules : 0);
+    int64_t *seq = out + 2 * nrules;
     uint64_t defined = (uint64_t)(NONTERMINAL_BASE + nrules);
     for (uint64_t i = 0; i < count; i++) {
         READ(s, SYMBOL_MAX);
@@ -1120,18 +1120,17 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
             info[3] = (int64_t)s;
             return RPIM_ESYMBOL;
         }
-        if (fits)
-            seq[i] = (int64_t)s;
+        seq[i] = (int64_t)s;
     }
     info[2] = pos;
-    if (pos != size)
+    if (pos != size) {
+        info[3] = size - pos;
         return RPIM_ETRAILING;
-    if (!fits)
-        return RPIM_EBOUND;
+    }
     /* the reader has checked every reference, so measure finds no fault
        but the limit */
-    return measure(left, right, nrules, seq, (int64_t)count, limit, len,
-                   info + 2, (uint64_t *)&info[4]);
+    return measure(out, nrules, seq, (int64_t)count, limit, len, info + 2,
+                   (uint64_t *)&info[4]);
 }
 
 #undef READ
@@ -1149,16 +1148,17 @@ static inline int64_t write_varint(uint8_t *out, int64_t pos, uint64_t value)
 
 /*
  * Encode a container body into out, which holds cap bytes: the rule
- * count nrules, then left[k] and right[k] for each rule k, then the
- * sequence length nseq and seq[0:nseq], each as a minimal unsigned
- * LEB128 varint.  A value takes at most 9 bytes, so 9 * (2 * nrules +
- * nseq + 2) bytes always suffice.  Returns RPIM_OK with the body's
- * length in *written, or RPIM_EBOUND for a negative value or count, or
- * when out is too small; out may then be part written.
+ * count nrules, then rules[0:2 * nrules], rule k's sides at rules[2k]
+ * and rules[2k + 1], then the sequence length nseq and seq[0:nseq], each
+ * as a minimal unsigned LEB128 varint.  A value takes at most 9 bytes,
+ * so 9 * (2 * nrules + nseq + 2) bytes always suffice.  Returns RPIM_OK
+ * with the body's length in *written, or RPIM_EBOUND for a negative
+ * value or count, or when out is too small; out may then be part
+ * written.
  */
-int rpim_encode_body(const int64_t *left, const int64_t *right,
-                     int64_t nrules, const int64_t *seq, int64_t nseq,
-                     uint8_t *out, int64_t cap, int64_t *written)
+int rpim_encode_body(const int64_t *rules, int64_t nrules,
+                     const int64_t *seq, int64_t nseq, uint8_t *out,
+                     int64_t cap, int64_t *written)
 {
     *written = 0;
     if (nrules < 0 || nseq < 0 || cap < 0)
@@ -1168,11 +1168,10 @@ int rpim_encode_body(const int64_t *left, const int64_t *right,
     if (pos > room)
         return RPIM_EBOUND;
     pos = write_varint(out, pos, (uint64_t)nrules);
-    for (int64_t k = 0; k < nrules; k++) {
-        if (left[k] < 0 || right[k] < 0 || pos > room - 9)
+    for (int64_t j = 0; j < 2 * nrules; j++) {
+        if (rules[j] < 0 || pos > room)
             return RPIM_EBOUND;
-        pos = write_varint(out, pos, (uint64_t)left[k]);
-        pos = write_varint(out, pos, (uint64_t)right[k]);
+        pos = write_varint(out, pos, (uint64_t)rules[j]);
     }
     if (pos > room)
         return RPIM_EBOUND;

@@ -12,6 +12,9 @@ load a half-written library.
 The engine is required.  When no compiler is found or the build fails,
 load() returns None and every entry point below raises
 EngineUnavailableError, whose message names the failure.
+
+A grammar crosses into C as one C-contiguous int64 array of shape
+(n, 2), rule k in row k.  fault words every fault the engine reports.
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from .errors import EngineUnavailableError
+from .errors import (
+    CorruptContainerError,
+    EngineUnavailableError,
+    MalformedGrammarError,
+)
 
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -44,12 +51,20 @@ _ELIMIT = 3
 # rpim_expand reports BAD_RULE and UNDEFINED too
 (TRUNCATED, NON_MINIMAL, OVERFLOW, OUT_OF_RANGE, BAD_RULE, UNDEFINED,
  TRAILING) = range(4, 11)
+_VARINT_FAULTS = {
+    TRUNCATED: "truncated varint",
+    NON_MINIMAL: "non-minimal varint",
+    OVERFLOW: "varint overflow",
+    OUT_OF_RANGE: "varint out of range",
+}
 
+NONTERMINAL_BASE = 256
 # the kernel's slot indices and symbols are int32
 MAX_SYMBOLS = 2**31 - 1
 
 _uint8_input = ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _int64_input = ndpointer(np.int64, flags="C_CONTIGUOUS")
+_rules_input = ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
 _uint8_array = ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int32_array = ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int64_array = ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
@@ -96,13 +111,11 @@ def load() -> ctypes.CDLL | None:
         else:
             lib.rpim_compress.argtypes = [
                 _uint8_input, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                _int32_array, _int32_array, _int32_array, ctypes.c_int64,
-                _int64_array]
+                _int32_array, _int32_array, ctypes.c_int64, _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
             lib.rpim_expand.argtypes = [
-                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
-                ctypes.c_int64, ctypes.c_uint64,
-                ctypes.POINTER(ctypes.c_void_p),
+                _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
+                ctypes.c_uint64, ctypes.POINTER(ctypes.c_void_p),
                 ctypes.POINTER(ctypes.c_int64)]
             lib.rpim_expand.restype = ctypes.c_int
             lib.rpim_free.argtypes = [ctypes.c_void_p]
@@ -112,8 +125,8 @@ def load() -> ctypes.CDLL | None:
                 ctypes.c_uint64, _uint64_array, _int64_array]
             lib.rpim_decode_body.restype = ctypes.c_int
             lib.rpim_encode_body.argtypes = [
-                _int64_input, _int64_input, ctypes.c_int64, _int64_input,
-                ctypes.c_int64, _uint8_array, ctypes.c_int64, _int64_array]
+                _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
+                _uint8_array, ctypes.c_int64, _int64_array]
             lib.rpim_encode_body.restype = ctypes.c_int
             _lib = lib
     return _lib
@@ -130,18 +143,41 @@ def _loaded() -> ctypes.CDLL:
     return lib
 
 
+def fault(status: int, where: int = 0, value: int = 0) -> Exception:
+    """The exception for a fault the engine reports by status, with
+    where and value as it reports them: CorruptContainerError for a
+    varint fault at byte offset where or value bytes trailing the
+    sequence, MalformedGrammarError for rule where referencing a symbol
+    outside its prefix or a symbol of value value undefined, and
+    RuntimeError for any other status, a bound the engine refused to
+    pass."""
+    if status in _VARINT_FAULTS:
+        return CorruptContainerError(
+            f"{_VARINT_FAULTS[status]} at offset {where}")
+    if status == TRAILING:
+        return CorruptContainerError(
+            f"{value} trailing bytes after sequence")
+    if status == BAD_RULE:
+        return MalformedGrammarError(
+            f"rule {where} references symbol outside "
+            f"[0, {NONTERMINAL_BASE + where})")
+    if status == UNDEFINED:
+        return MalformedGrammarError(f"sequence symbol {value} is undefined")
+    return RuntimeError(f"C engine refused a bound (status {status})")
+
+
 def compress_array(symbols: np.ndarray, min_frequency: int,
                    max_rules: int | None):
-    """Run the kernel over a uint8 terminal array; returns (left, right,
-    final) as int32 arrays.
+    """Run the kernel over a uint8 terminal array; returns (rules, final),
+    int32 arrays, rule k being the pair rules[k] of the (n, 2) rules.
 
     The input is passed as it is and never mutated; the kernel copies it
     into its int32 working array.  Raises ValueError for more than
     MAX_SYMBOLS symbols, before anything is allocated,
     EngineUnavailableError when the library cannot be built, MemoryError
-    when the kernel's allocations fail, RuntimeError when it refuses a
-    capacity bound or finds a pair count above its queue entry's, an
-    entry in a count-indexed bucket or in the heap that takes the top.
+    when the kernel's allocations fail, and RuntimeError when it refuses
+    a capacity bound or finds one of its invariants broken: a pair count
+    above its queue entry's, or a pair born above the count being taken.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -155,11 +191,10 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     limit = -1 if max_rules is None else min(max_rules, rule_cap)
     threshold = min(min_frequency, n + 1)
     sym = np.empty(n, np.int32)
-    rule_left = np.empty(rule_cap, np.int32)
-    rule_right = np.empty(rule_cap, np.int32)
+    rules = np.empty((rule_cap, 2), np.int32)
     sizes = np.zeros(2, np.int64)
-    status = lib.rpim_compress(data, n, threshold, limit, sym,
-                               rule_left, rule_right, rule_cap, sizes)
+    status = lib.rpim_compress(data, n, threshold, limit, sym, rules,
+                               rule_cap, sizes)
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:
@@ -167,87 +202,85 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
                            f"pair count above its queue entry's (status "
                            f"{status}) on {n} symbols")
     nrules, length = sizes.tolist()
-    return rule_left[:nrules], rule_right[:nrules], sym[:length]
+    return rules[:nrules], sym[:length]
 
 
-def expand(left: np.ndarray, right: np.ndarray, symbols: np.ndarray):
-    """Expand symbols under the grammar of int64 rule sides left and right.
+def expand(rules: np.ndarray, symbols: np.ndarray) -> bytes:
+    """The expansion, as bytes, of int64 symbols under the grammar of
+    int64 (n, 2) rules.
 
-    Returns (0, data) with the expansion as bytes, or (status, (where,
-    value)) for the first fault: BAD_RULE when rule where references a
-    symbol outside its prefix, or UNDEFINED when symbol number where, of
-    value value, is undefined.  Raises MemoryError when the
-    expansion exceeds sys.maxsize bytes, the most a bytes object holds,
-    or the engine cannot allocate it, EngineUnavailableError when the
-    library cannot be built.
+    Raises MalformedGrammarError, through fault, naming the first rule
+    that references a symbol outside its prefix or the first undefined
+    symbol; MemoryError when the expansion exceeds sys.maxsize bytes,
+    the most a bytes object holds, or the engine cannot allocate it;
+    EngineUnavailableError when the library cannot be built.
     """
     lib = _loaded()
     out = ctypes.c_void_p()
     info = (ctypes.c_int64 * 2)()
-    status = lib.rpim_expand(left, right, left.size, symbols, symbols.size,
+    status = lib.rpim_expand(rules, len(rules), symbols, symbols.size,
                              sys.maxsize, ctypes.byref(out), info)
     try:
         if status == 0:
-            return 0, ctypes.string_at(out, info[0])
+            return ctypes.string_at(out, info[0])
     finally:
         lib.rpim_free(out)
     if status == _ELIMIT:
         raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
     if status == _ENOMEM:
         raise MemoryError("C engine could not allocate the expansion")
-    if status in (BAD_RULE, UNDEFINED):
-        return status, (info[0], info[1])
-    raise RuntimeError(f"C engine could not expand (status {status})")
+    raise fault(status, info[0], info[1])
 
 
-def decode_body(body: np.ndarray, limit: int):
-    """Decode and check a container body held in a uint8 array, then
-    measure its expanded length up to limit, which is below 2**64.
+def decode_body(data: bytes, pos: int, limit: int):
+    """Decode and check the container body at data[pos:], then measure
+    its expanded length up to limit, which is below 2**64.
 
-    Returns (0, (left, right, symbols, length)) with three int64 arrays,
-    views of one buffer of body.size elements, and the expanded length,
-    or None when it exceeds limit; or (status, (where, value)) for the
-    first fault a varint-by-varint reader meets: a varint fault at byte
-    offset where, rule where referencing a symbol outside its prefix,
-    symbol number where, of value value, undefined, or trailing bytes
-    from offset where.  Raises EngineUnavailableError when the library
+    Returns (rules, symbols, length): the (n, 2) rules and the symbols,
+    int64 read-only views of one buffer of one value per body byte, and
+    the expanded length, or None when it exceeds limit.  Raises, through
+    fault, the first fault a varint-by-varint reader meets, a varint
+    fault at its offset in data; EngineUnavailableError when the library
     cannot be built.
     """
     lib = _loaded()
-    data = np.ascontiguousarray(body)
+    body = np.frombuffer(data, np.uint8, offset=pos)
     # every varint takes a byte, so a valid body fits in body.size values
     # and holds at most body.size // 2 rules; lengths has one entry per
     # symbol, the 256 terminals and those rules
-    out = np.empty(data.size, np.int64)
-    lengths = np.empty(256 + data.size // 2, np.uint64)
+    out = np.empty(body.size, np.int64)
+    lengths = np.empty(NONTERMINAL_BASE + body.size // 2, np.uint64)
     info = np.zeros(5, np.int64)
-    status = lib.rpim_decode_body(data, data.size, out, out.size, limit,
+    status = lib.rpim_decode_body(body, body.size, out, out.size, limit,
                                   lengths, info)
     nrules, nseq, where, value, _ = info.tolist()
+    if status in _VARINT_FAULTS:
+        where += pos
     if status not in (0, _ELIMIT):
-        return status, (where, value)
+        raise fault(status, where, value)
     length = None if status == _ELIMIT else int(info.view(np.uint64)[4])
-    return 0, (out[:nrules], out[nrules:2 * nrules],
-               out[2 * nrules:2 * nrules + nseq], length)
+    out.flags.writeable = False
+    return (out[:2 * nrules].reshape(nrules, 2),
+            out[2 * nrules:2 * nrules + nseq], length)
 
 
-def encode_body(prefix: bytes, left: np.ndarray, right: np.ndarray,
+def encode_body(prefix: bytes, rules: np.ndarray,
                 symbols: np.ndarray) -> bytes:
-    """prefix followed by the container body of int64 rule sides left and
-    right and int64 symbols, each value a minimal varint.
+    """prefix followed by the container body of int64 (n, 2) rules and
+    int64 symbols, each value a minimal varint.
 
     Raises ValueError for a negative value, EngineUnavailableError when
     the library cannot be built.
     """
     lib = _loaded()
-    count = 2 * left.size + symbols.size + 2
+    count = 2 * len(rules) + symbols.size + 2
     # a non-negative int64 takes at most 9 varint bytes
     out = np.empty(len(prefix) + 9 * count, np.uint8)
     out[:len(prefix)] = np.frombuffer(prefix, np.uint8)
     written = np.zeros(1, np.int64)
-    status = lib.rpim_encode_body(left, right, left.size, symbols,
-                                  symbols.size, out[len(prefix):],
-                                  out.size - len(prefix), written)
+    status = lib.rpim_encode_body(rules, len(rules), symbols, symbols.size,
+                                  out[len(prefix):], out.size - len(prefix),
+                                  written)
     if status != 0:
         raise ValueError("varints are unsigned")
     return out[:len(prefix) + int(written[0])].tobytes()

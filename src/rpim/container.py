@@ -34,12 +34,11 @@ import numpy as np
 from . import _kernel
 from .errors import (
     CorruptContainerError,
-    MalformedGrammarError,
     OutputTooLargeError,
     UnrecognizedContainerError,
 )
 from .image import LinearizationMode
-from .repair import NONTERMINAL_BASE, Grammar, _sequence
+from .repair import Grammar, _readonly, _sequence
 
 MAGIC = b"RPIM"
 VERSION = 1
@@ -77,11 +76,12 @@ class ImagePayload:
 
 @dataclass(eq=False, frozen=True)
 class CompressedArtifact:
-    """A payload header, a grammar and its final sequence, held as an
-    int64 array.  The fields are checked when it is built and cannot be
-    reassigned: a payload that is neither RawPayload nor ImagePayload,
-    or a grammar that is not a Grammar, raises ValueError, and the
-    sequence is refused as expand refuses it."""
+    """A payload header, a grammar and its final sequence, held as a
+    read-only int64 array, copied unless nobody can write through it.
+    The fields are checked when it is built and cannot be reassigned: a
+    payload that is neither RawPayload nor ImagePayload, or a grammar
+    that is not a Grammar, raises ValueError, and the sequence is
+    refused as expand refuses it."""
 
     payload: RawPayload | ImagePayload
     grammar: Grammar
@@ -92,7 +92,8 @@ class CompressedArtifact:
             raise ValueError("payload must be a RawPayload or an ImagePayload")
         if not isinstance(self.grammar, Grammar):
             raise ValueError("grammar must be a Grammar")
-        object.__setattr__(self, "sequence", _sequence(self.sequence))
+        object.__setattr__(self, "sequence",
+                           _readonly(_sequence(self.sequence)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedArtifact):
@@ -116,19 +117,6 @@ def write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-# varint faults by the C decoder's status; read_varint raises them too
-_VARINT_FAULTS = {
-    _kernel.TRUNCATED: "truncated varint",
-    _kernel.NON_MINIMAL: "non-minimal varint",
-    _kernel.OVERFLOW: "varint overflow",
-    _kernel.OUT_OF_RANGE: "varint out of range",
-}
-
-
-def _varint_fault(status: int, offset: int) -> CorruptContainerError:
-    return CorruptContainerError(f"{_VARINT_FAULTS[status]} at offset {offset}")
-
-
 def read_varint(data: bytes, pos: int, limit: int = _LENGTH_LIMIT) -> tuple[int, int]:
     """Decode one varint at pos, returning (value, next position)."""
     value = 0
@@ -136,20 +124,20 @@ def read_varint(data: bytes, pos: int, limit: int = _LENGTH_LIMIT) -> tuple[int,
     start = pos
     while True:
         if pos >= len(data):
-            raise _varint_fault(_kernel.TRUNCATED, start)
+            raise _kernel.fault(_kernel.TRUNCATED, start)
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             # forbid non-minimal encodings such as 0x80 0x00
             if byte == 0 and pos - start > 1:
-                raise _varint_fault(_kernel.NON_MINIMAL, start)
+                raise _kernel.fault(_kernel.NON_MINIMAL, start)
             break
         shift += 7
         if shift >= 64:
-            raise _varint_fault(_kernel.OVERFLOW, start)
+            raise _kernel.fault(_kernel.OVERFLOW, start)
     if value >= limit:
-        raise _varint_fault(_kernel.OUT_OF_RANGE, start)
+        raise _kernel.fault(_kernel.OUT_OF_RANGE, start)
     return value, pos
 
 
@@ -165,8 +153,7 @@ def serialize(artifact: CompressedArtifact) -> bytes:
     else:
         out.append(_KIND_RAW)
         write_varint(out, payload.original_length)
-    grammar = artifact.grammar
-    return _kernel.encode_body(bytes(out), grammar.left, grammar.right,
+    return _kernel.encode_body(bytes(out), artifact.grammar._rules,
                                artifact.sequence)
 
 
@@ -218,32 +205,7 @@ def deserialize(data: bytes, max_output: float = MAX_OUTPUT) -> CompressedArtifa
         raise CorruptContainerError(f"image header declares {declared} samples, "
                                     f"past 64 bits")
 
-    grammar, symbols, length = _read_body(data, pos, declared)
+    rules, symbols, length = _kernel.decode_body(data, pos, declared)
     if length != declared:
         raise CorruptContainerError("expanded length does not match payload header")
-    return CompressedArtifact(payload, grammar, symbols)
-
-
-def _read_body(data: bytes, pos: int,
-               declared: int) -> tuple[Grammar, np.ndarray, int | None]:
-    """The grammar and the int64 final sequence of the body at data[pos:],
-    checked varint by varint: each rule may reference only terminals and
-    earlier rules, and each symbol only a defined one.  Third comes the
-    expanded length, or None when it exceeds declared, which is below
-    2**64; the C decoder measures it once the body is read."""
-    body = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    status, found = _kernel.decode_body(body, declared)
-    if status == 0:
-        left, right, symbols, length = found
-        return Grammar.from_arrays(left, right), symbols, length
-    where, value = found
-    if status in _VARINT_FAULTS:
-        raise _varint_fault(status, pos + where)
-    if status == _kernel.BAD_RULE:
-        raise MalformedGrammarError(f"rule {where} references symbol outside "
-                                    f"[0, {NONTERMINAL_BASE + where})")
-    if status == _kernel.UNDEFINED:
-        raise MalformedGrammarError(f"sequence symbol {value} is undefined")
-    if status == _kernel.TRAILING:
-        raise CorruptContainerError(f"{body.size - where} trailing bytes after sequence")
-    raise RuntimeError(f"C engine could not decode the body (status {status})")
+    return CompressedArtifact(payload, Grammar(rules), symbols)

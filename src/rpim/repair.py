@@ -26,9 +26,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import _kernel
+from ._kernel import NONTERMINAL_BASE
 from .errors import MalformedGrammarError
 
-NONTERMINAL_BASE = 256
 _INT64 = np.iinfo(np.int64)
 _NOT_A_SEQUENCE = "a sequence must be one-dimensional and of integers"
 
@@ -80,50 +80,72 @@ def _int64(values: np.ndarray, what: str) -> np.ndarray:
     return np.require(values, np.int64, "C")
 
 
+def _readonly(values: np.ndarray) -> np.ndarray:
+    """values when neither they nor the array owning their memory can be
+    written through, else a read-only copy: a caller that keeps an array
+    it passed cannot change what was built from it."""
+    owner = values
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    # an owner over a foreign buffer, such as a bytearray, is not trusted
+    if (values.flags.writeable or owner.flags.writeable
+            or owner.base is not None):
+        values = values.copy()
+        values.flags.writeable = False
+    return values
+
+
 class Grammar:
-    """Rules as two int64 arrays: rule k defines nonterminal
-    NONTERMINAL_BASE + k as the pair (left[k], right[k]).
+    """Rules as one read-only int64 array of shape (n, 2): rule k defines
+    nonterminal NONTERMINAL_BASE + k as the pair in row k.  left and
+    right are read-only views of its two columns.
 
     Length, iteration, indexing and rules give Rule values.  rules must
-    be a sequence of (left, right) pairs of integers; anything else
-    raises ValueError, and a side outside int64 MalformedGrammarError
-    naming it.
+    be a sequence of (left, right) pairs of integers, or an (n, 2)
+    integer array; anything else raises ValueError, and a side outside
+    int64 MalformedGrammarError naming it.  An array the caller can
+    still write through is copied.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("_rules",)
 
     def __init__(self, rules: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = _integers(list(rules), _NOT_PAIRS)
+        if not isinstance(rules, np.ndarray):
+            rules = list(rules)
+        pairs = _integers(rules, _NOT_PAIRS)
         if pairs.shape == (0,):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(_NOT_PAIRS)
-        pairs = _int64(pairs, "rule side")
-        self.left = np.ascontiguousarray(pairs[:, 0])
-        self.right = np.ascontiguousarray(pairs[:, 1])
+        self._rules = _readonly(_int64(pairs, "rule side"))
 
     @classmethod
     def from_arrays(cls, left, right) -> Grammar:
-        """The grammar whose rule k is (left[k], right[k]); contiguous
-        int64 arrays are wrapped, not copied.  left and right must be
-        one-dimensional integer arrays of one length; anything else
-        raises ValueError, and a side outside int64
-        MalformedGrammarError naming it."""
+        """The grammar whose rule k is (left[k], right[k]), copied from
+        them.  left and right must be one-dimensional integer arrays of
+        one length; anything else raises ValueError, and a side outside
+        int64 MalformedGrammarError naming it."""
         left = _integers(left, _NOT_SIDES)
         right = _integers(right, _NOT_SIDES)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError(_NOT_SIDES)
-        grammar = cls.__new__(cls)
-        grammar.left = _int64(left, "rule side")
-        grammar.right = _int64(right, "rule side")
-        return grammar
+        return cls(np.stack([_int64(left, "rule side"),
+                             _int64(right, "rule side")], axis=1))
+
+    @property
+    def left(self) -> np.ndarray:
+        return self._rules[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self._rules[:, 1]
 
     @property
     def rules(self) -> list[Rule]:
         return list(self)
 
     def __len__(self) -> int:
-        return len(self.left)
+        return len(self._rules)
 
     def __iter__(self) -> Iterator[Rule]:
         return map(Rule, self.left.tolist(), self.right.tolist())
@@ -134,8 +156,7 @@ class Grammar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
             return NotImplemented
-        return (np.array_equal(self.left, other.left)
-                and np.array_equal(self.right, other.right))
+        return np.array_equal(self._rules, other._rules)
 
     def __repr__(self) -> str:
         return f"Grammar({self.rules!r})"
@@ -184,7 +205,7 @@ def count_pairs(seq: Sequence[int]) -> dict[tuple[int, int], int]:
 def compress(seq, config: CompressorConfig | None = None
              ) -> tuple[Grammar, np.ndarray]:
     """Compress a terminal sequence; returns (grammar, final sequence),
-    the final sequence as an int64 array.
+    the final sequence as a read-only int64 array.
 
     seq is bytes or a one-dimensional sequence of integers in 0-255;
     anything else raises ValueError.  Bytes reach the engine without a
@@ -208,12 +229,13 @@ def compress(seq, config: CompressorConfig | None = None
                             or int(values.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
         symbols = values.astype(np.uint8, copy=False)
-    rule_left, rule_right, final = _kernel.compress_array(
+    rules, final = _kernel.compress_array(
         symbols, config.min_frequency, config.max_rules)
     # the int32 views share the kernel's n-sized buffers; the int64
-    # copies let those go
-    return (Grammar.from_arrays(rule_left, rule_right),
-            final.astype(np.int64))
+    # copies let those go, and are handed over read-only
+    rules, final = rules.astype(np.int64), final.astype(np.int64)
+    rules.flags.writeable = final.flags.writeable = False
+    return Grammar(rules), final
 
 
 def reference_compress(seq, config: CompressorConfig | None = None
@@ -270,14 +292,12 @@ def _checked_symbols(grammar: Grammar, symbols: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero((grammar.left < 0) | (grammar.left >= bounds)
                          | (grammar.right < 0) | (grammar.right >= bounds))
     if bad.size:
-        ordinal = int(bad[0])
-        raise MalformedGrammarError(
-            f"rule {ordinal} references symbol outside [0, {bounds[ordinal]})")
+        raise _kernel.fault(_kernel.BAD_RULE, int(bad[0]))
     undefined = np.flatnonzero((symbols < 0)
                                | (symbols >= NONTERMINAL_BASE + len(grammar)))
     if undefined.size:
-        raise MalformedGrammarError(
-            f"sequence symbol {symbols[undefined[0]]} is undefined")
+        index = int(undefined[0])
+        raise _kernel.fault(_kernel.UNDEFINED, index, int(symbols[index]))
     return symbols
 
 
@@ -291,16 +311,7 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     the first undefined reference, and MemoryError, before allocating,
     for an expansion past sys.maxsize bytes.
     """
-    symbols = _sequence(seq)
-    status, found = _kernel.expand(grammar.left, grammar.right, symbols)
-    if status == 0:
-        return found
-    where, value = found
-    if status == _kernel.BAD_RULE:
-        raise MalformedGrammarError(
-            f"rule {where} references symbol outside "
-            f"[0, {NONTERMINAL_BASE + where})")
-    raise MalformedGrammarError(f"sequence symbol {value} is undefined")
+    return _kernel.expand(grammar._rules, _sequence(seq))
 
 
 def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:

@@ -48,19 +48,18 @@
 #include <string.h>
 
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
-                  int64_t max_rules, int32_t *sym, int32_t *rule_left,
-                  int32_t *rule_right, int64_t rule_cap, int64_t *sizes);
-int rpim_expand(const int64_t *left, const int64_t *right, int64_t nrules,
-                const int64_t *seq, int64_t nseq, uint64_t limit,
-                uint8_t **out, int64_t *info);
+                  int64_t max_rules, int32_t *sym, int32_t *rules,
+                  int64_t rule_cap, int64_t *sizes);
+int rpim_expand(const int64_t *rules, int64_t nrules, const int64_t *seq,
+                int64_t nseq, uint64_t limit, uint8_t **out, int64_t *info);
 void rpim_free(void *p);
 
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
                      int64_t cap, uint64_t limit, uint64_t *len,
                      int64_t *info);
-int rpim_encode_body(const int64_t *left, const int64_t *right,
-                     int64_t nrules, const int64_t *seq, int64_t nseq,
-                     uint8_t *out, int64_t cap, int64_t *written);
+int rpim_encode_body(const int64_t *rules, int64_t nrules,
+                     const int64_t *seq, int64_t nseq, uint8_t *out,
+                     int64_t cap, int64_t *written);
 
 /* The kernel's record store, born list and heap start empty and grow
    from one element by doubling, and its symbol maps grow from FIRST_MAP
@@ -109,11 +108,12 @@ static void fail(const char *label, int64_t n, const char *what)
 }
 
 /* Expand seq with an explicit stack, one symbol at a time, into out,
-   which takes cap bytes.  Returns the length, or -1 when a symbol is
-   undefined or the expansion would pass cap. */
-static int64_t stack_expand(const int64_t *left, const int64_t *right,
-                            int64_t nrules, const int64_t *seq, int64_t nseq,
-                            uint8_t *out, int64_t cap)
+   which takes cap bytes, rule k being (rules[2k], rules[2k + 1]).
+   Returns the length, or -1 when a symbol is undefined or the expansion
+   would pass cap. */
+static int64_t stack_expand(const int64_t *rules, int64_t nrules,
+                            const int64_t *seq, int64_t nseq, uint8_t *out,
+                            int64_t cap)
 {
     /* each level holds a right side and the symbol on top: nrules + 1 */
     int64_t *stack = must_alloc((size_t)(nrules + 1) * sizeof *stack);
@@ -128,8 +128,8 @@ static int64_t stack_expand(const int64_t *left, const int64_t *right,
             else if (s < NONTERMINAL_BASE)
                 w = w < cap ? (out[w] = (uint8_t)s, w + 1) : -1;
             else {
-                stack[top++] = right[s - NONTERMINAL_BASE];
-                stack[top++] = left[s - NONTERMINAL_BASE];
+                stack[top++] = rules[2 * (s - NONTERMINAL_BASE) + 1];
+                stack[top++] = rules[2 * (s - NONTERMINAL_BASE)];
             }
         }
     }
@@ -140,13 +140,11 @@ static int64_t stack_expand(const int64_t *left, const int64_t *right,
 /* rpim_expand up to limit: its status, with *out and info[0:2] as it
    set them; *out must be NULL on a nonzero status.  The caller releases
    *out with rpim_free. */
-static int kernel_expand(const char *label, const int64_t *left,
-                         const int64_t *right, int64_t nrules,
-                         const int64_t *seq, int64_t nseq, uint64_t limit,
-                         uint8_t **out, int64_t *info)
+static int kernel_expand(const char *label, const int64_t *rules,
+                         int64_t nrules, const int64_t *seq, int64_t nseq,
+                         uint64_t limit, uint8_t **out, int64_t *info)
 {
-    int status = rpim_expand(left, right, nrules, seq, nseq, limit, out,
-                             info);
+    int status = rpim_expand(rules, nrules, seq, nseq, limit, out, info);
     if (status != 0 && *out != NULL)
         fail(label, nrules, "expand returned a buffer with a fault");
     return status;
@@ -154,21 +152,20 @@ static int kernel_expand(const char *label, const int64_t *left,
 
 /* The kernel's expand on a grammar that expands to expected[0:n]: it
    must agree, and refuse a limit one short. */
-static void check_expand(const char *label, const int64_t *left,
-                         const int64_t *right, int64_t nrules,
-                         const int64_t *seq, int64_t nseq,
+static void check_expand(const char *label, const int64_t *rules,
+                         int64_t nrules, const int64_t *seq, int64_t nseq,
                          const uint8_t *expected, int64_t n)
 {
     uint8_t *out;
     int64_t info[2];
-    if (kernel_expand(label, left, right, nrules, seq, nseq, (uint64_t)n,
-                      &out, info) != 0
+    if (kernel_expand(label, rules, nrules, seq, nseq, (uint64_t)n, &out,
+                      info) != 0
         || info[0] != n || memcmp(out, expected, (size_t)n) != 0)
         fail(label, n, "expand disagrees with the stack expander");
     rpim_free(out);
     if (n > 0) {
-        if (kernel_expand(label, left, right, nrules, seq, nseq,
-                          (uint64_t)n - 1, &out, info) != RPIM_ELIMIT)
+        if (kernel_expand(label, rules, nrules, seq, nseq, (uint64_t)n - 1,
+                          &out, info) != RPIM_ELIMIT)
             fail(label, n, "expand passed a limit one short");
         rpim_free(out);
     }
@@ -191,13 +188,12 @@ static int decode(const uint8_t *body, int64_t size, int64_t cap,
 
 /* rpim_encode_body into a fresh buffer of the bound it documents;
    returns the status, with the buffer in *out (the caller frees it). */
-static int encode(const int64_t *left, const int64_t *right, int64_t nrules,
-                  const int64_t *seq, int64_t nseq, uint8_t **out,
-                  int64_t *size)
+static int encode(const int64_t *rules, int64_t nrules, const int64_t *seq,
+                  int64_t nseq, uint8_t **out, int64_t *size)
 {
     int64_t cap = 9 * (2 * nrules + nseq + 2);
     *out = must_alloc((size_t)cap);
-    return rpim_encode_body(left, right, nrules, seq, nseq, *out, cap, size);
+    return rpim_encode_body(rules, nrules, seq, nseq, *out, cap, size);
 }
 
 /* Positions to cut or mutate a body of size bytes at: all of them up to
@@ -217,8 +213,8 @@ static void check_accepted(const char *label, const uint8_t *body,
 {
     int64_t nrules = info[0], nseq = info[1], written;
     uint8_t *again;
-    if (encode(values, values + nrules, nrules, values + 2 * nrules, nseq,
-               &again, &written) != 0
+    if (encode(values, nrules, values + 2 * nrules, nseq, &again, &written)
+        != 0
         || written != size || memcmp(again, body, (size_t)size) != 0)
         fail(label, size, "an accepted body does not encode back to itself");
     free(again);
@@ -226,28 +222,27 @@ static void check_accepted(const char *label, const uint8_t *body,
 
 /* Encode the grammar, which expands to n bytes, decode it back, and
    decode its truncations and single-byte mutants. */
-static void check_codec(const char *label, const int64_t *left,
-                        const int64_t *right, int64_t nrules,
-                        const int64_t *seq, int64_t nseq, int64_t n)
+static void check_codec(const char *label, const int64_t *rules,
+                        int64_t nrules, const int64_t *seq, int64_t nseq,
+                        int64_t n)
 {
     uint8_t *body, *mutant;
     int64_t size, info[5], *out;
-    if (encode(left, right, nrules, seq, nseq, &body, &size) != 0) {
+    if (encode(rules, nrules, seq, nseq, &body, &size) != 0) {
         fail(label, nseq, "encode refused a grammar");
         free(body);
         return;
     }
     /* an output one byte short is refused without a write past it */
     uint8_t *short_out = must_alloc((size_t)size - 1);
-    if (rpim_encode_body(left, right, nrules, seq, nseq, short_out, size - 1,
+    if (rpim_encode_body(rules, nrules, seq, nseq, short_out, size - 1,
                          &info[0]) != RPIM_EBOUND)
         fail(label, nseq, "encode took an output one byte short");
     free(short_out);
 
     if (decode(body, size, size, (uint64_t)n, info, &out) != 0
         || info[0] != nrules || info[1] != nseq || info[4] != n
-        || memcmp(out, left, (size_t)nrules * sizeof *out) != 0
-        || memcmp(out + nrules, right, (size_t)nrules * sizeof *out) != 0
+        || memcmp(out, rules, (size_t)(2 * nrules) * sizeof *out) != 0
         || memcmp(out + 2 * nrules, seq, (size_t)nseq * sizeof *out) != 0)
         fail(label, nseq, "decode does not give back the grammar");
     free(out);
@@ -304,11 +299,10 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
 {
     int64_t cap = n / 2 + 2;
     int32_t *sym = must_alloc((size_t)n * sizeof *sym);
-    int32_t *left = must_alloc((size_t)cap * sizeof *left);
-    int32_t *right = must_alloc((size_t)cap * sizeof *right);
+    int32_t *rules = must_alloc((size_t)(2 * cap) * sizeof *rules);
     int64_t sizes[2];
-    int status = rpim_compress(input, n, min_frequency, max_rules, sym, left,
-                               right, cap, sizes);
+    int status = rpim_compress(input, n, min_frequency, max_rules, sym, rules,
+                               cap, sizes);
     int64_t nrules = sizes[0], length = sizes[1];
     if (status != 0) {
         fail(label, n, "nonzero status");
@@ -317,40 +311,32 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
              || (max_rules >= 0 && nrules > max_rules))
         fail(label, n, "sizes out of range");
     else {
-        int64_t *left64 = must_alloc((size_t)nrules * sizeof *left64);
-        int64_t *right64 = must_alloc((size_t)nrules * sizeof *right64);
+        int64_t *rules64 = must_alloc((size_t)(2 * nrules) * sizeof *rules64);
         int64_t *seq64 = must_alloc((size_t)length * sizeof *seq64);
         uint8_t *own = must_alloc((size_t)n);
         int valid = 1;
-        for (int64_t k = 0; k < nrules; k++) {
-            left64[k] = left[k];
-            right64[k] = right[k];
-            if (left[k] < 0 || right[k] < 0
-                || left[k] >= NONTERMINAL_BASE + k
-                || right[k] >= NONTERMINAL_BASE + k)
+        for (int64_t j = 0; j < 2 * nrules; j++) {
+            rules64[j] = rules[j];
+            if (rules[j] < 0 || rules[j] >= NONTERMINAL_BASE + j / 2)
                 valid = 0;
         }
         for (int64_t i = 0; i < length; i++)
             seq64[i] = sym[i];
         if (!valid)
             fail(label, n, "rule references a later symbol");
-        else if (stack_expand(left64, right64, nrules, seq64, length, own, n)
-                     != n
+        else if (stack_expand(rules64, nrules, seq64, length, own, n) != n
                  || memcmp(own, input, (size_t)n) != 0)
             fail(label, n, "expansion differs from the input");
         else {
-            check_expand(label, left64, right64, nrules, seq64, length, own,
-                         n);
-            check_codec(label, left64, right64, nrules, seq64, length, n);
+            check_expand(label, rules64, nrules, seq64, length, own, n);
+            check_codec(label, rules64, nrules, seq64, length, n);
         }
-        free(left64);
-        free(right64);
+        free(rules64);
         free(seq64);
         free(own);
     }
     free(sym);
-    free(left);
-    free(right);
+    free(rules);
     return nrules;
 }
 
@@ -361,53 +347,54 @@ static void check_forged_grammars(void)
     /* a comb: rule k = (rule k - 1, 'c'), as deep as it is long, so its
        top needs all DEPTH + 1 entries of expand's stack */
     enum { DEPTH = 1000 };
-    int64_t left[DEPTH], right[DEPTH];
-    left[0] = 'a';
-    right[0] = 'b';
+    int64_t comb[2 * DEPTH];
+    comb[0] = 'a';
+    comb[1] = 'b';
     for (int64_t k = 1; k < DEPTH; k++) {
-        left[k] = NONTERMINAL_BASE + k - 1;
-        right[k] = 'c';
+        comb[2 * k] = NONTERMINAL_BASE + k - 1;
+        comb[2 * k + 1] = 'c';
     }
     int64_t top = NONTERMINAL_BASE + DEPTH - 1;
     uint8_t *expected = must_alloc(DEPTH + 1);
-    if (stack_expand(left, right, DEPTH, &top, 1, expected, DEPTH + 1)
-        != DEPTH + 1)
+    if (stack_expand(comb, DEPTH, &top, 1, expected, DEPTH + 1) != DEPTH + 1)
         fail("comb", DEPTH, "stack expander failed");
-    check_expand("comb", left, right, DEPTH, &top, 1, expected, DEPTH + 1);
+    check_expand("comb", comb, DEPTH, &top, 1, expected, DEPTH + 1);
     free(expected);
 
     /* a 63-rule doubling chain: rule 62 stands for 2^63 bytes, one past
        the widest limit, and all rules together for 2^64 - 1 */
     enum { CHAIN = 63 };
-    int64_t chain[CHAIN], all[CHAIN + 1], last = NONTERMINAL_BASE + CHAIN - 1;
-    chain[0] = 'a';
+    int64_t chain[2 * CHAIN], all[CHAIN + 1];
+    int64_t last = NONTERMINAL_BASE + CHAIN - 1;
+    chain[0] = chain[1] = 'a';
     all[0] = 'a';
     for (int64_t k = 1; k < CHAIN; k++)
-        chain[k] = NONTERMINAL_BASE + k - 1;
+        chain[2 * k] = chain[2 * k + 1] = NONTERMINAL_BASE + k - 1;
     for (int64_t k = 0; k < CHAIN; k++)
         all[k + 1] = NONTERMINAL_BASE + k;
     uint8_t *out;
     int64_t info[2];
-    if (kernel_expand("chain", chain, chain, CHAIN, &last, 1, INT64_MAX, &out,
-                      info) != RPIM_ELIMIT)
+    if (kernel_expand("chain", chain, CHAIN, &last, 1, INT64_MAX, &out, info)
+        != RPIM_ELIMIT)
         fail("chain", CHAIN, "2^63 bytes passed a limit one short");
     rpim_free(out);
-    if (kernel_expand("chain", chain, chain, CHAIN, all, CHAIN + 1, INT64_MAX,
-                      &out, info) != RPIM_ELIMIT)
+    if (kernel_expand("chain", chain, CHAIN, all, CHAIN + 1, INT64_MAX, &out,
+                      info) != RPIM_ELIMIT)
         fail("chain", CHAIN, "2^64 - 1 bytes passed the limit");
     rpim_free(out);
-    if (kernel_expand("chain", chain, chain, CHAIN, all, 1,
-                      (uint64_t)INT64_MAX + 1, &out, info) != RPIM_EBOUND)
+    if (kernel_expand("chain", chain, CHAIN, all, 1, (uint64_t)INT64_MAX + 1,
+                      &out, info) != RPIM_EBOUND)
         fail("chain", CHAIN, "a limit of 2^63 was taken");
     rpim_free(out);
 
     /* undefined symbols: a rule referencing itself, a sequence symbol
        one past the rules, and a negative one after a defined one; each
        must be named by its index, and a symbol by its value too */
-    int64_t self[1] = {NONTERMINAL_BASE}, first = NONTERMINAL_BASE;
+    int64_t self[2] = {NONTERMINAL_BASE, NONTERMINAL_BASE};
+    int64_t first = NONTERMINAL_BASE;
     int64_t past[2] = {'a', NONTERMINAL_BASE + DEPTH}, negative[2] = {'a', -1};
     struct {
-        const int64_t *left;
+        const int64_t *rules;
         int64_t nrules;
         const int64_t *seq;
         int64_t nseq;
@@ -415,11 +402,10 @@ static void check_forged_grammars(void)
         int64_t where, value;
     } undefined[3] = {
         {self, 1, &first, 1, RPIM_ERULE, 0, 0},
-        {left, DEPTH, past, 2, RPIM_ESYMBOL, 1, NONTERMINAL_BASE + DEPTH},
-        {left, DEPTH, negative, 2, RPIM_ESYMBOL, 1, -1}};
+        {comb, DEPTH, past, 2, RPIM_ESYMBOL, 1, NONTERMINAL_BASE + DEPTH},
+        {comb, DEPTH, negative, 2, RPIM_ESYMBOL, 1, -1}};
     for (int k = 0; k < 3; k++) {
-        const int64_t *l = undefined[k].left;
-        if (kernel_expand("undefined", l, l, undefined[k].nrules,
+        if (kernel_expand("undefined", undefined[k].rules, undefined[k].nrules,
                           undefined[k].seq, undefined[k].nseq, INT64_MAX,
                           &out, info) != undefined[k].status
             || info[0] != undefined[k].where
@@ -441,12 +427,12 @@ static void check_copy_edges(void)
        a length of 1 is the terminal 'x' */
     enum { RULES = 32, LONGEST = RULES + 1 };
     static const int64_t lengths[] = {1, 2, 15, 16, 17, 31, 32, LONGEST};
-    int64_t left[RULES], right[RULES];
-    left[0] = 'y';
-    right[0] = 'z';
+    int64_t rules[2 * RULES];
+    rules[0] = 'y';
+    rules[1] = 'z';
     for (int64_t k = 1; k < RULES; k++) {
-        left[k] = NONTERMINAL_BASE + k - 1;
-        right[k] = 'a' + k % 26;
+        rules[2 * k] = NONTERMINAL_BASE + k - 1;
+        rules[2 * k + 1] = 'a' + k % 26;
     }
     uint8_t expected[3 * LONGEST];
     for (size_t k = 0; k < sizeof lengths / sizeof lengths[0]; k++) {
@@ -456,19 +442,19 @@ static void check_copy_edges(void)
         const int64_t *seqs[3] = {twice, between, last};
         static const int64_t nseq[3] = {2, 4, 2};
         for (int c = 0; c < 3; c++) {
-            int64_t n = stack_expand(left, right, RULES, seqs[c], nseq[c],
+            int64_t n = stack_expand(rules, RULES, seqs[c], nseq[c],
                                      expected, sizeof expected);
             if (n < 0)
                 fail("copy edges", lengths[k], "stack expander failed");
             else
-                check_expand("copy edges", left, right, RULES, seqs[c],
-                             nseq[c], expected, n);
+                check_expand("copy edges", rules, RULES, seqs[c], nseq[c],
+                             expected, n);
         }
     }
     int64_t terminal = 255;
     expected[0] = 255;
-    check_expand("copy edges", left, right, RULES, &terminal, 1, expected, 1);
-    check_expand("copy edges", left, right, RULES, &terminal, 0, expected, 0);
+    check_expand("copy edges", rules, RULES, &terminal, 1, expected, 1);
+    check_expand("copy edges", rules, RULES, &terminal, 0, expected, 0);
 }
 
 /* Hand-built bodies: varints at the 64-bit edge and counts far past
@@ -536,12 +522,12 @@ static void check_forged_bodies(void)
     const uint8_t expected[] = {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                                 0xFF, 0xFF, 0xFF, 0x7F};
     uint8_t *out;
-    if (encode(NULL, NULL, 0, &widest, 1, &out, &size) != 0
+    if (encode(NULL, 0, &widest, 1, &out, &size) != 0
         || size != (int64_t)sizeof expected
         || memcmp(out, expected, sizeof expected) != 0)
         fail("encode", INT64_MAX, "the widest int64 encoded wrongly");
     free(out);
-    if (encode(NULL, NULL, 0, &negative, 1, &out, &size) != RPIM_EBOUND)
+    if (encode(NULL, 0, &negative, 1, &out, &size) != RPIM_EBOUND)
         fail("encode", -1, "a negative value was encoded");
     free(out);
 }
@@ -760,13 +746,13 @@ int main(void)
 
     /* an n above the cap is refused before the input is read */
     uint8_t one = 0;
-    int32_t out = -7, left = -7, right = -7;
+    int32_t out = -7, rules[2] = {-7, -7};
     int64_t sizes[2];
     static const int64_t forged[] = {(int64_t)INT32_MAX + 1, INT64_MAX};
     for (int k = 0; k < 2; k++)
-        if (rpim_compress(&one, forged[k], 2, -1, &out, &left, &right, 1,
-                          sizes) != RPIM_EBOUND
-            || out != -7 || left != -7 || right != -7)
+        if (rpim_compress(&one, forged[k], 2, -1, &out, rules, 1, sizes)
+                != RPIM_EBOUND
+            || out != -7 || rules[0] != -7 || rules[1] != -7)
             fail("forged", forged[k], "an n above the cap was not refused");
 
     check_forged_grammars();

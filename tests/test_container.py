@@ -20,7 +20,6 @@ from rpim.container import (
     CompressedArtifact,
     ImagePayload,
     RawPayload,
-    _varint_fault,
     deserialize,
     read_varint,
     serialize,
@@ -127,7 +126,7 @@ def c_read_varint(blob: bytes, start: int):
         # read; it is the whole body, or its count of symbols is missing
         return int(info.view(np.uint64)[1]), start + int(info[2]) - 1
     assert info[2] == 1, (status, info)
-    return str(_varint_fault(status, start))
+    return str(_kernel.fault(status, start))
 
 
 class TestVarint:
@@ -173,8 +172,8 @@ class TestVarint:
         # the sequence length, which takes all 64 bits
         symbols = [v for v in values if v < 2**63]
         body = varint(0) + varint(len(symbols)) + b"".join(map(varint, symbols))
-        empty = np.zeros(0, np.int64)
-        assert _kernel.encode_body(b"RPIM", empty, empty,
+        no_rules = np.zeros((0, 2), np.int64)
+        assert _kernel.encode_body(b"RPIM", no_rules,
                                    np.array(symbols, np.int64)) == b"RPIM" + body
         encoded = b"".join(varint(v) for v in values)
         pos = 0
@@ -222,6 +221,9 @@ class TestSerialize:
         back = deserialize(serialize(artifact))
         assert back == artifact
         assert bytes(expand(back.grammar, back.sequence)) == data
+        # both hand over read-only arrays, so the artifact copies neither
+        assert artifact.sequence is final
+        assert back.sequence.base is back.grammar.left.base is not None
 
     def test_image_round_trip(self):
         buf = PixelBuffer(5, 4, 3, bytes(range(60)))
@@ -255,12 +257,17 @@ class TestSerialize:
 
     def test_fields_cannot_be_reassigned(self):
         """A built artifact stays as it was checked, so serialize never
-        truncates a float assigned afterwards."""
-        artifact = CompressedArtifact(RawPayload(1), Grammar(), [97])
+        truncates a float assigned afterwards, nor writes a value the
+        caller stored into the sequence it passed."""
+        sequence = np.array([97])
+        artifact = CompressedArtifact(RawPayload(1), Grammar(), sequence)
         for field, value in [("sequence", [97.9]), ("grammar", None),
                              ("payload", RawPayload(2))]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(artifact, field, value)
+        sequence[0] = 98
+        with pytest.raises(ValueError, match="read-only"):
+            artifact.sequence[0] = 98
         assert serialize(artifact) == b"RPIM\x01\x00\x01\x00\x01a"
 
     @pytest.mark.parametrize("payload, grammar", [
@@ -306,8 +313,13 @@ class TestDeserialize:
                 deserialize(blob[:cut])
 
     def test_trailing_bytes_rejected(self):
-        with pytest.raises(CorruptContainerError):
-            deserialize(serialize(EMPTY_RAW) + b"\x00")
+        with pytest.raises(CorruptContainerError,
+                           match="^2 trailing bytes after sequence$"):
+            deserialize(serialize(EMPTY_RAW) + b"\x00\x00")
+        # a body fault's offset counts from the container's first byte
+        with pytest.raises(CorruptContainerError,
+                           match="^truncated varint at offset 8$"):
+            deserialize(serialize(EMPTY_RAW)[:-1])
 
     def test_forward_rule_reference_rejected(self):
         # rule 0 may only reference terminals; encode R256 -> (256, 0)

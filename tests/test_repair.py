@@ -233,6 +233,41 @@ class TestGrammar:
                                       np.array([0], np.uint64))
         assert grammar.rules == [(2**63 - 1, 0)]
 
+    @pytest.mark.parametrize("side, value", [
+        ("left", np.array([97, 98, 99, 100])), ("right", np.array([[1]])),
+        ("left", [97])])
+    def test_sides_cannot_be_reassigned_or_written(self, side, value):
+        """A side of another length or shape would reach the C engine,
+        which takes the rule count from the rules it is given; expand
+        would read, and serialize write out, memory past the array."""
+        grammar = Grammar([(97, 98)])
+        with pytest.raises(AttributeError):
+            setattr(grammar, side, value)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grammar, side)[0] = 1
+        with pytest.raises(MalformedGrammarError,
+                           match="^sequence symbol 257 is undefined$"):
+            expand(grammar, [256, 257, 258, 259])
+        assert serialize(CompressedArtifact(RawPayload(2), grammar, [256])) \
+            == b"RPIM\x01\x00\x02\x01ab\x01\x80\x02"
+
+    def test_later_writes_by_the_caller_do_not_reach_it(self):
+        """An array the caller can still write through, itself, through
+        the array owning its memory or through a buffer under it, is
+        copied."""
+        pairs = np.array([[97, 98]])
+        view = pairs[:]
+        view.flags.writeable = False
+        memory = bytearray(pairs.tobytes())
+        over_memory = np.frombuffer(memory, np.int64).reshape(1, 2)
+        over_memory.flags.writeable = False
+        left, right = np.array([97]), np.array([98])
+        grammars = [Grammar(pairs), Grammar(view), Grammar(over_memory),
+                    Grammar.from_arrays(left, right)]
+        pairs[0, 0] = memory[0] = left[0] = right[0] = 99
+        for grammar in grammars:
+            assert grammar.rules == [(97, 98)]
+
 
 class TestExpand:
     def test_identity_on_terminals(self):
@@ -701,17 +736,15 @@ def test_every_entry_point_has_a_ctypes_signature():
 def test_sanitizer_prototypes_match_the_kernel():
     """tests/sanitize_kernel.c declares the rpim_* entry points by hand in
     its own translation unit, where a signature that drifted from
-    _kernel.c would still link and pass wrong arguments; each
-    declaration's return type and parameter list, whitespace normalised,
-    must equal the definition's."""
+    _kernel.c would still link and pass wrong arguments; it must declare
+    exactly the entry points _kernel.c defines, so that none is removed,
+    renamed or added unseen, each with the definition's return type and
+    parameter list, whitespace normalised."""
     def signatures(path):
         return {name: (kind, " ".join(params.split()))
                 for kind, name, params in _entry_points(path)}
-    defined = signatures(_kernel.SOURCE)
-    declared = signatures(Path(__file__).with_name("sanitize_kernel.c"))
-    assert {"rpim_compress", "rpim_expand", "rpim_decode_body"} <= set(declared)
-    for name, signature in declared.items():
-        assert signature == defined.get(name), name
+    assert signatures(Path(__file__).with_name("sanitize_kernel.c")) \
+        == signatures(_kernel.SOURCE)
 
 
 def test_kernel_under_sanitizers(tmp_path):
@@ -745,12 +778,12 @@ def test_kernel_refuses_input_above_cap():
     buffers, and compress_array refuses it before allocating."""
     lib = _kernel.load()
     one = np.zeros(1, np.uint8)
-    sym, left, right = (np.full(1, -7, np.int32) for _ in range(3))
+    sym, rules = np.full(1, -7, np.int32), np.full((1, 2), -7, np.int32)
     sizes = np.zeros(2, np.int64)
     for n in (_kernel.MAX_SYMBOLS + 1, 2**63 - 1):
-        status = lib.rpim_compress(one, n, 2, -1, sym, left, right, 1, sizes)
+        status = lib.rpim_compress(one, n, 2, -1, sym, rules, 1, sizes)
         assert status == 2  # RPIM_EBOUND
-        assert sym[0] == left[0] == right[0] == -7
+        assert sym.tolist() == [-7] and rules.tolist() == [[-7, -7]]
 
     # a zero-stride view claims 2**31 symbols without holding them
     forged = np.broadcast_to(np.uint8(0), (_kernel.MAX_SYMBOLS + 1,))
