@@ -761,13 +761,13 @@ static int count_initial(State *s)
     return RPIM_OK;
 }
 
-static int run(State *s, int64_t min_frequency, int64_t max_rules,
-               int32_t *rules, int64_t rule_cap, int64_t *nrules_out)
+static int run(State *s, int64_t min_frequency, int32_t *rules,
+               int64_t rule_cap, int64_t *nrules_out)
 {
     int64_t lowest = min_frequency > 2 ? min_frequency : 2;
     int64_t nrules = 0;
     CHECK(count_initial(s));
-    while (max_rules < 0 || nrules < max_rules) {
+    for (;;) {
         for (int64_t t = 0; t < s->nborn; t++)
             CHECK(file_born(s, s->born[t]));
         s->nborn = 0;
@@ -812,18 +812,17 @@ static int run(State *s, int64_t min_frequency, int64_t max_rules,
 
 /*
  * Compress input[0:n] (terminals 0-255), working in sym, which holds n
- * elements, into rules, which holds 2 * rule_cap.  On success sizes[0]
- * is the rule count, rule k being (rules[2k], rules[2k + 1]), and
- * sizes[1] the length of the final sequence, left in sym[0:sizes[1]].
- * max_rules < 0 means unbounded.  Returns RPIM_OK, RPIM_ENOMEM when an
- * allocation fails, or RPIM_EBOUND when a capacity would be exceeded or
+ * elements, into rules, which holds 2 * cap, making rules until no pair
+ * reaches min_frequency.  On success sizes[0] is the rule count, rule k
+ * being (rules[2k], rules[2k + 1]), and sizes[1] the length of the final
+ * sequence, left in sym[0:sizes[1]].  Returns RPIM_OK, RPIM_ENOMEM when
+ * an allocation fails, or RPIM_EBOUND when a capacity would be exceeded or
  * a pair count rose after its queue entry was filed, an invariant
  * broken; an n above 2^31 - 1 is refused before input, sym or rules is
  * touched.
  */
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
-                  int64_t max_rules, int32_t *sym, int32_t *rules,
-                  int64_t rule_cap, int64_t *sizes)
+                  int32_t *sym, int32_t *rules, int64_t cap, int64_t *sizes)
 {
     sizes[0] = 0;
     sizes[1] = n;
@@ -840,7 +839,7 @@ int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
     s.sym = sym;
     int err = setup(&s, input, (int32_t)n);
     if (err == RPIM_OK)
-        err = run(&s, min_frequency, max_rules, rules, rule_cap, &sizes[0]);
+        err = run(&s, min_frequency, rules, cap, &sizes[0]);
     teardown(&s);
     if (err != RPIM_OK)
         return err;

@@ -110,8 +110,8 @@ def load() -> ctypes.CDLL | None:
             _error = str(exc)
         else:
             lib.rpim_compress.argtypes = [
-                _uint8_input, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                _int32_array, _int32_array, ctypes.c_int64, _int64_array]
+                _uint8_input, ctypes.c_int64, ctypes.c_int64, _int32_array,
+                _int32_array, ctypes.c_int64, _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
             lib.rpim_expand.argtypes = [
                 _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
@@ -166,10 +166,10 @@ def fault(status: int, where: int = 0, value: int = 0) -> Exception:
     return RuntimeError(f"C engine refused a bound (status {status})")
 
 
-def compress_array(symbols: np.ndarray, min_frequency: int,
-                   max_rules: int | None):
-    """Run the kernel over a uint8 terminal array; returns (rules, final),
-    int32 arrays, rule k being the pair rules[k] of the (n, 2) rules.
+def compress_array(symbols: np.ndarray, min_frequency: int):
+    """Run the kernel over a uint8 terminal array until no pair reaches
+    min_frequency; returns (rules, final), int32 arrays, rule k being the
+    pair rules[k] of the (n, 2) rules.
 
     The input is passed as it is and never mutated; the kernel copies it
     into its int32 working array.  Raises ValueError for more than
@@ -187,14 +187,12 @@ def compress_array(symbols: np.ndarray, min_frequency: int,
     data = np.ascontiguousarray(symbols)
     # each rule removes at least two symbols, so n // 2 rules always fit
     rule_cap = n // 2 + 2
-    # clamping to what n symbols can reach keeps both within int64
-    limit = -1 if max_rules is None else min(max_rules, rule_cap)
     threshold = min(min_frequency, n + 1)
     sym = np.empty(n, np.int32)
     rules = np.empty((rule_cap, 2), np.int32)
     sizes = np.zeros(2, np.int64)
-    status = lib.rpim_compress(data, n, threshold, limit, sym, rules,
-                               rule_cap, sizes)
+    status = lib.rpim_compress(data, n, threshold, sym, rules, rule_cap,
+                               sizes)
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:

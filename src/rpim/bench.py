@@ -44,7 +44,7 @@ from .image import (
     encode_bmp,
     linearize,
 )
-from .repair import CompressorConfig, compress, expand
+from .repair import compress, expand
 
 DEFAULT_SEED = 73901
 CORPUS_SIZE = 512
@@ -155,11 +155,10 @@ class BenchRow:
 
 
 def _bench_image(name: str, file_size: int, buf: PixelBuffer,
-                 mode: LinearizationMode,
-                 config: CompressorConfig) -> BenchRow:
+                 mode: LinearizationMode) -> BenchRow:
     stream = linearize(buf, mode)
     start = time.perf_counter()
-    grammar, seq = compress(stream, config)
+    grammar, seq = compress(stream)
     payload = ImagePayload(buf.width, buf.height, buf.channels, mode)
     blob = serialize(CompressedArtifact(payload, grammar, seq))
     wall = time.perf_counter() - start
@@ -174,9 +173,9 @@ def _bench_image(name: str, file_size: int, buf: PixelBuffer,
                     len(blob) / file_size, wall)
 
 
-def _bench_raw(name: str, data: bytes, config: CompressorConfig) -> BenchRow:
+def _bench_raw(name: str, data: bytes) -> BenchRow:
     start = time.perf_counter()
-    grammar, seq = compress(data, config)
+    grammar, seq = compress(data)
     blob = serialize(
         CompressedArtifact(RawPayload(len(data)), grammar, seq))
     wall = time.perf_counter() - start
@@ -189,17 +188,15 @@ def _bench_raw(name: str, data: bytes, config: CompressorConfig) -> BenchRow:
                     len(blob) / len(data), wall)
 
 
-def run_bench(inputs, modes,
-              config: CompressorConfig | None = None) -> list[BenchRow]:
-    """Measure every (input, mode) pair plus one opaque-stream run each.
+def run_bench(inputs, modes) -> list[BenchRow]:
+    """Measure every (input, mode) pair plus one opaque-stream run each,
+    compressed with the default CompressorConfig.
 
     BMP inputs get one row per linearization mode over their pixel data;
     every input additionally gets a whole-file opaque-stream row.  Wall
     time covers compression and serialization only.  Each row is
     round-trip verified first; a mismatch aborts the run.
     """
-    if config is None:
-        config = CompressorConfig()
     rows: list[BenchRow] = []
     for item in inputs:
         path = Path(item)
@@ -213,8 +210,8 @@ def run_bench(inputs, modes,
             buf = None
         if buf is not None:
             for mode in modes:
-                rows.append(_bench_image(name, len(data), buf, mode, config))
-        rows.append(_bench_raw(name, data, config))
+                rows.append(_bench_image(name, len(data), buf, mode))
+        rows.append(_bench_raw(name, data))
     return rows
 
 

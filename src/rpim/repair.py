@@ -41,8 +41,6 @@ class Rule(NamedTuple):
 
 
 _NOT_PAIRS = "rules must be a sequence of (left, right) pairs of integers"
-_NOT_SIDES = ("rule sides must be two one-dimensional integer arrays of one "
-              "length")
 
 
 def _integers(values, message: str) -> np.ndarray:
@@ -105,6 +103,10 @@ class Grammar:
     integer array; anything else raises ValueError, and a side outside
     int64 MalformedGrammarError naming it.  An array the caller can
     still write through is copied.
+
+    Read-only stops accidental writes only: a caller who makes the array
+    owning the rules writeable again, left.base, can change them.  The C
+    engine checks every rule side and symbol it is given all the same.
     """
 
     __slots__ = ("_rules",)
@@ -118,19 +120,6 @@ class Grammar:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(_NOT_PAIRS)
         self._rules = _readonly(_int64(pairs, "rule side"))
-
-    @classmethod
-    def from_arrays(cls, left, right) -> Grammar:
-        """The grammar whose rule k is (left[k], right[k]), copied from
-        them.  left and right must be one-dimensional integer arrays of
-        one length; anything else raises ValueError, and a side outside
-        int64 MalformedGrammarError naming it."""
-        left = _integers(left, _NOT_SIDES)
-        right = _integers(right, _NOT_SIDES)
-        if left.ndim != 1 or left.shape != right.shape:
-            raise ValueError(_NOT_SIDES)
-        return cls(np.stack([_int64(left, "rule side"),
-                             _int64(right, "rule side")], axis=1))
 
     @property
     def left(self) -> np.ndarray:
@@ -165,21 +154,14 @@ class Grammar:
 @dataclass(frozen=True)
 class CompressorConfig:
     min_frequency: int = 2
-    max_rules: int | None = None
 
     def __post_init__(self) -> None:
-        fields = {"min_frequency": self.min_frequency}
-        if self.max_rules is not None:
-            fields["max_rules"] = self.max_rules
-        for name, value in fields.items():
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+        try:
+            operator.index(self.min_frequency)
+        except TypeError:
+            raise ValueError("min_frequency must be an integer") from None
         if self.min_frequency < 2:
             raise ValueError("min_frequency must be at least 2")
-        if self.max_rules is not None and self.max_rules < 0:
-            raise ValueError("max_rules must be non-negative")
 
 
 def count_pairs(seq: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -229,8 +211,7 @@ def compress(seq, config: CompressorConfig | None = None
                             or int(values.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
         symbols = values.astype(np.uint8, copy=False)
-    rules, final = _kernel.compress_array(
-        symbols, config.min_frequency, config.max_rules)
+    rules, final = _kernel.compress_array(symbols, config.min_frequency)
     # the int32 views share the kernel's n-sized buffers; the int64
     # copies let those go, and are handed over read-only
     rules, final = rules.astype(np.int64), final.astype(np.int64)
@@ -244,14 +225,14 @@ def reference_compress(seq, config: CompressorConfig | None = None
 
     Each step counts the pairs afresh, takes the most frequent (the
     smallest pair among equals) and replaces its occurrences left to
-    right, until no pair reaches min_frequency or max_rules rules exist.
-    It costs O(len(seq)) per rule.  seq must hold terminal symbols.
+    right, until no pair reaches min_frequency.  It costs O(len(seq)) per
+    rule.  seq must hold terminal symbols.
     """
     if config is None:
         config = CompressorConfig()
     symbols = [int(s) for s in seq]
     rules: list[Rule] = []
-    while config.max_rules is None or len(rules) < config.max_rules:
+    while True:
         counts = count_pairs(symbols)
         pair = min(counts, key=lambda p: (-counts[p], p), default=None)
         if pair is None or counts[pair] < config.min_frequency:
