@@ -37,7 +37,6 @@ from .image import (
 )
 from .repair import (
     NONTERMINAL_BASE,
-    CompressorConfig,
     Grammar,
     Rule,
     compress,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompressedArtifact",
-    "CompressorConfig",
     "CorruptBmpError",
     "CorruptContainerError",
     "EngineUnavailableError",

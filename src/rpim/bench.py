@@ -3,12 +3,14 @@
 The corpus spans the redundancy spectrum: a solid color (degenerate),
 a repeating random tile (exact long-range structure), two-tone shapes
 (long same-color runs), a 24-bit ramp (smooth but never repeating), and
-uniform noise (incompressible).  Generation is seeded, so the corpus and
-every ratio derived from it are reproducible; on the default zigzag rows
-the ratios order solid < tiles < mono < gradient <= noise, and a
-violation of that ordering flags a compressor regression.
+uniform noise (incompressible).  Generation is seeded, by DEFAULT_SEED
+unless a caller passes another, so the corpus and every ratio derived
+from it are reproducible; on the default zigzag rows the ratios order
+solid < tiles < mono < gradient <= noise, and a violation of that
+ordering flags a compressor regression.
 
-Every benchmark row is round-trip verified before it is recorded: the
+A row records sizes and their ratio only; perfbench/ is what times
+rpim.  Every row is round-trip verified before it is recorded: the
 serialized container is deserialized, expanded, and compared byte for
 byte against the input.  A mismatch raises RoundTripMismatchError and no
 row is produced.
@@ -16,8 +18,6 @@ row is produced.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,20 +51,6 @@ CORPUS_SIZE = 512
 TILE_SIZE = 16
 
 CORPUS_NAMES = ("solid", "tiles", "gradient", "mono", "noise")
-
-
-def corpus_seed() -> int:
-    """Corpus seed: the RPIM_SEED env var (decimal unsigned) or default."""
-    raw = os.environ.get("RPIM_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        raise ValueError(f"RPIM_SEED must be a decimal unsigned integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"RPIM_SEED must be a decimal unsigned integer, got {raw!r}")
-    return value
 
 
 def _solid(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -119,15 +105,14 @@ _BUILDERS = {
 }
 
 
-def generate_corpus(output_dir, seed: int | None = None) -> list[Path]:
+def generate_corpus(output_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     """Write the five corpus BMPs into output_dir; returns their paths.
 
     The same seed always produces byte-identical files.  Images are
     drawn from one generator in a fixed order, so the whole corpus is a
-    function of the seed alone.
+    function of the seed alone; DEFAULT_SEED gives the corpus that
+    rpim bench --generate writes.
     """
-    if seed is None:
-        seed = corpus_seed()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -151,18 +136,13 @@ class BenchRow:
     size_in: int
     size_out: int
     ratio: float
-    wall_time: float
 
 
 def _bench_image(name: str, file_size: int, buf: PixelBuffer,
                  mode: LinearizationMode) -> BenchRow:
-    stream = linearize(buf, mode)
-    start = time.perf_counter()
-    grammar, seq = compress(stream)
+    grammar, seq = compress(linearize(buf, mode))
     payload = ImagePayload(buf.width, buf.height, buf.channels, mode)
     blob = serialize(CompressedArtifact(payload, grammar, seq))
-    wall = time.perf_counter() - start
-
     back = deserialize(blob)
     rebuilt = delinearize(expand(back.grammar, back.sequence), mode,
                           buf.width, buf.height, buf.channels)
@@ -170,32 +150,28 @@ def _bench_image(name: str, file_size: int, buf: PixelBuffer,
         raise RoundTripMismatchError(
             f"{name} [{mode.label}]: decompressed pixels differ from input")
     return BenchRow(name, "bmp", mode.label, file_size, len(blob),
-                    len(blob) / file_size, wall)
+                    len(blob) / file_size)
 
 
 def _bench_raw(name: str, data: bytes) -> BenchRow:
-    start = time.perf_counter()
     grammar, seq = compress(data)
     blob = serialize(
         CompressedArtifact(RawPayload(len(data)), grammar, seq))
-    wall = time.perf_counter() - start
-
     back = deserialize(blob)
     if expand(back.grammar, back.sequence) != data:
         raise RoundTripMismatchError(
             f"{name} [raw]: decompressed bytes differ from input")
     return BenchRow(name, "opaque-stream", "n/a", len(data), len(blob),
-                    len(blob) / len(data), wall)
+                    len(blob) / len(data))
 
 
-def run_bench(inputs, modes) -> list[BenchRow]:
-    """Measure every (input, mode) pair plus one opaque-stream run each,
-    compressed with the default CompressorConfig.
+def run_bench(inputs) -> list[BenchRow]:
+    """Measure the compressed size of every input, compressed with
+    compress's default min_frequency.
 
     BMP inputs get one row per linearization mode over their pixel data;
-    every input additionally gets a whole-file opaque-stream row.  Wall
-    time covers compression and serialization only.  Each row is
-    round-trip verified first; a mismatch aborts the run.
+    every input additionally gets a whole-file opaque-stream row.  Each
+    row is round-trip verified first; a mismatch aborts the run.
     """
     rows: list[BenchRow] = []
     for item in inputs:
@@ -209,7 +185,7 @@ def run_bench(inputs, modes) -> list[BenchRow]:
         except (NotABmpError, UnsupportedBmpError, CorruptBmpError):
             buf = None
         if buf is not None:
-            for mode in modes:
+            for mode in LinearizationMode:
                 rows.append(_bench_image(name, len(data), buf, mode))
         rows.append(_bench_raw(name, data))
     return rows
@@ -218,11 +194,10 @@ def run_bench(inputs, modes) -> list[BenchRow]:
 def emit_report(rows, format: str = "table") -> str:
     """Render rows sorted by (name, mode) as an aligned table or CSV."""
     ordered = sorted(rows, key=lambda r: (r.name, r.mode))
-    cells = [["name", "kind", "mode", "size_in", "size_out", "ratio",
-              "wall_time"]]
+    cells = [["name", "kind", "mode", "size_in", "size_out", "ratio"]]
     for r in ordered:
         cells.append([r.name, r.kind, r.mode, str(r.size_in),
-                      str(r.size_out), f"{r.ratio:.4f}", f"{r.wall_time:.4f}"])
+                      str(r.size_out), f"{r.ratio:.4f}"])
     if format == "csv":
         return "\n".join(",".join(row) for row in cells)
     if format != "table":

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import corpus_seed, emit_report, generate_corpus, run_bench
+from .bench import emit_report, generate_corpus, run_bench
 from .container import (
     MAX_OUTPUT,
     CompressedArtifact,
@@ -31,13 +31,12 @@ from .errors import (
 )
 from .image import (
     MODE_BY_LABEL,
-    LinearizationMode,
     decode_bmp,
     delinearize,
     encode_bmp,
     linearize,
 )
-from .repair import CompressorConfig, compress, expand
+from .repair import compress, expand
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,7 +108,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_compress(args) -> int:
     data = args.input.read_bytes()
-    config = CompressorConfig(min_frequency=args.min_freq)
     if args.raw:
         payload = RawPayload(len(data))
         stream = data
@@ -123,7 +121,7 @@ def _cmd_compress(args) -> int:
         mode = MODE_BY_LABEL[args.mode]
         payload = ImagePayload(buf.width, buf.height, buf.channels, mode)
         stream = linearize(buf, mode)
-    grammar, seq = compress(stream, config)
+    grammar, seq = compress(stream, args.min_freq)
     blob = serialize(CompressedArtifact(payload, grammar, seq))
     _write_atomic(args.output, blob)
     ratio = len(blob) / len(data) if data else float("inf")
@@ -178,13 +176,13 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.generate:
-        generate_corpus(args.corpus_dir, corpus_seed())
+        generate_corpus(args.corpus_dir)
     if not args.corpus_dir.is_dir():
         print(f"rpim: {args.corpus_dir}: not a directory (use --generate "
               "to create the corpus)", file=sys.stderr)
         return EXIT_IO
     inputs = sorted(args.corpus_dir.glob("*.bmp"))
-    rows = run_bench(inputs, list(LinearizationMode))
+    rows = run_bench(inputs)
     print(emit_report(rows, args.format))
     return EXIT_OK
 

@@ -26,6 +26,7 @@ at most one value per body byte.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -46,8 +47,9 @@ VERSION = 1
 _KIND_RAW = 0
 _KIND_IMAGE = 1
 
-# length fields get the full 64 bits
+# length fields get the full 64 bits, image sides 32
 _LENGTH_LIMIT = 1 << 64
+_SIDES = range(1, 1 << 32)
 
 # deserialize's default cap on the declared expanded length: 1 GiB
 MAX_OUTPUT = 1 << 30
@@ -71,7 +73,16 @@ class ImagePayload:
 
     @property
     def sample_count(self) -> int:
-        return self.width * self.height * self.channels
+        # in Python ints: numpy scalar sides would wrap past 64 bits
+        return int(self.width) * int(self.height) * int(self.channels)
+
+
+def _integer_in(value, allowed) -> bool:
+    """Whether value is an integer found in allowed."""
+    try:
+        return operator.index(value) in allowed
+    except TypeError:
+        return False
 
 
 @dataclass(eq=False, frozen=True)
@@ -81,15 +92,30 @@ class CompressedArtifact:
     The fields are checked when it is built and cannot be reassigned: a
     payload that is neither RawPayload nor ImagePayload, or a grammar
     that is not a Grammar, raises ValueError, and the sequence is
-    refused as expand refuses it."""
+    refused as expand refuses it.  A payload header that deserialize
+    would refuse raises ValueError too: image sides outside [1, 2**32),
+    channels other than 1 or 3, a mode that is no LinearizationMode,
+    2**64 samples or more, or a raw length outside [0, 2**64).  That the
+    grammar expands to the declared length is not checked."""
 
     payload: RawPayload | ImagePayload
     grammar: Grammar
     sequence: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.payload, (RawPayload, ImagePayload)):
+        payload = self.payload
+        if isinstance(payload, ImagePayload):
+            LinearizationMode(payload.mode)  # ValueError for an unknown mode
+            if not (_integer_in(payload.width, _SIDES)
+                    and _integer_in(payload.height, _SIDES)
+                    and _integer_in(payload.channels, (1, 3))
+                    and payload.sample_count < _LENGTH_LIMIT):
+                raise ValueError("an image needs integer sides in [1, 2**32),"
+                                 " 1 or 3 channels and under 2**64 samples")
+        elif not isinstance(payload, RawPayload):
             raise ValueError("payload must be a RawPayload or an ImagePayload")
+        elif not _integer_in(payload.original_length, range(_LENGTH_LIMIT)):
+            raise ValueError("a raw length must be an integer in [0, 2**64)")
         if not isinstance(self.grammar, Grammar):
             raise ValueError("grammar must be a Grammar")
         object.__setattr__(self, "sequence",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -151,17 +150,16 @@ class Grammar:
         return f"Grammar({self.rules!r})"
 
 
-@dataclass(frozen=True)
-class CompressorConfig:
-    min_frequency: int = 2
-
-    def __post_init__(self) -> None:
-        try:
-            operator.index(self.min_frequency)
-        except TypeError:
-            raise ValueError("min_frequency must be an integer") from None
-        if self.min_frequency < 2:
-            raise ValueError("min_frequency must be at least 2")
+def _min_frequency(value) -> int:
+    """value as the count a pair must reach to be replaced; raises
+    ValueError unless it is an integer of 2 or more."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError("min_frequency must be an integer") from None
+    if value < 2:
+        raise ValueError("min_frequency must be at least 2")
+    return value
 
 
 def count_pairs(seq: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -184,19 +182,18 @@ def count_pairs(seq: Sequence[int]) -> dict[tuple[int, int], int]:
     return counts
 
 
-def compress(seq, config: CompressorConfig | None = None
-             ) -> tuple[Grammar, np.ndarray]:
+def compress(seq, min_frequency: int = 2) -> tuple[Grammar, np.ndarray]:
     """Compress a terminal sequence; returns (grammar, final sequence),
     the final sequence as a read-only int64 array.
 
-    seq is bytes or a one-dimensional sequence of integers in 0-255;
-    anything else raises ValueError.  Bytes reach the engine without a
-    copy.  The work runs in the C engine (_kernel.c), built with the
-    system C compiler on first use; EngineUnavailableError names the
-    failure when it cannot be built or loaded.
+    seq is bytes or a one-dimensional sequence of integers in 0-255, and
+    min_frequency, an integer of 2 or more, the count a pair must reach
+    to be replaced; anything else raises ValueError.  Bytes reach the
+    engine without a copy.  The work runs in the C engine (_kernel.c),
+    built with the system C compiler on first use; EngineUnavailableError
+    names the failure when it cannot be built or loaded.
     """
-    if config is None:
-        config = CompressorConfig()
+    min_frequency = _min_frequency(min_frequency)
     if isinstance(seq, (bytes, bytearray)):
         symbols = np.frombuffer(seq, dtype=np.uint8)
     else:
@@ -211,7 +208,7 @@ def compress(seq, config: CompressorConfig | None = None
                             or int(values.max()) >= NONTERMINAL_BASE):
             raise ValueError("compress input must be terminal symbols 0-255")
         symbols = values.astype(np.uint8, copy=False)
-    rules, final = _kernel.compress_array(symbols, config.min_frequency)
+    rules, final = _kernel.compress_array(symbols, min_frequency)
     # the int32 views share the kernel's n-sized buffers; the int64
     # copies let those go, and are handed over read-only
     rules, final = rules.astype(np.int64), final.astype(np.int64)
@@ -219,23 +216,23 @@ def compress(seq, config: CompressorConfig | None = None
     return Grammar(rules), final
 
 
-def reference_compress(seq, config: CompressorConfig | None = None
+def reference_compress(seq, min_frequency: int = 2
                        ) -> tuple[Grammar, np.ndarray]:
     """Re-Pair from its definition, the oracle compress is tested against.
 
     Each step counts the pairs afresh, takes the most frequent (the
     smallest pair among equals) and replaces its occurrences left to
     right, until no pair reaches min_frequency.  It costs O(len(seq)) per
-    rule.  seq must hold terminal symbols.
+    rule.  seq must hold terminal symbols; min_frequency is checked as
+    compress checks it.
     """
-    if config is None:
-        config = CompressorConfig()
+    min_frequency = _min_frequency(min_frequency)
     symbols = [int(s) for s in seq]
     rules: list[Rule] = []
     while True:
         counts = count_pairs(symbols)
         pair = min(counts, key=lambda p: (-counts[p], p), default=None)
-        if pair is None or counts[pair] < config.min_frequency:
+        if pair is None or counts[pair] < min_frequency:
             break
         left, right = pair
         fresh = NONTERMINAL_BASE + len(rules)

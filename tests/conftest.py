@@ -155,9 +155,8 @@ def corpus_dir(tmp_path_factory):
 def corpus_runs(corpus_dir, warm_engine):
     """Compress every corpus image in every mode, once per session.
 
-    Wall time wraps compression and serialization only, mirroring the
-    benchmark harness, so acceptance checks can reuse these runs
-    without re-measuring.
+    Wall time wraps compression and serialization only, so acceptance
+    checks can reuse these runs without re-measuring.
     """
     runs = []
     for path in sorted(corpus_dir.glob("*.bmp")):

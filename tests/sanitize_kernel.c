@@ -56,19 +56,22 @@
    fill a 2 MiB cache */
 enum { FIRST_STEP = 2, FIRST_MAP = 256, LONG = 1 << 17 };
 
-static uint64_t rng = 0x9E3779B97F4A7C15ull;
+/* Two xorshift streams: one draws the case inputs, the other the mutant
+   bytes, so a change to one grammar's body leaves later inputs alone */
+static uint64_t input_rng = 0x9E3779B97F4A7C15ull;
+static uint64_t mutant_rng = 0xD1B54A32D192ED03ull;
 
-static uint64_t next_random(void)
+static uint64_t next_random(uint64_t *state)
 {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    return *state;
 }
 
 static int below(int limit)
 {
-    return (int)(next_random() % (uint64_t)limit);
+    return (int)(next_random(&input_rng) % (uint64_t)limit);
 }
 
 static void *must_alloc(size_t size)
@@ -258,7 +261,7 @@ static void check_codec(const char *label, const int64_t *rules,
     for (int64_t at = 0; at < size; at += step) {
         const uint8_t bytes[] = {0x00, 0x7F, 0x80, 0xFF,
                                  (uint8_t)(body[at] ^ 1),
-                                 (uint8_t)next_random()};
+                                 (uint8_t)next_random(&mutant_rng)};
         for (size_t k = 0; k < sizeof bytes; k++) {
             memcpy(mutant, body, (size_t)size);
             mutant[at] = bytes[k];

@@ -14,7 +14,7 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 PUBLIC = {
     # compression
-    "compress", "expand", "CompressorConfig", "Grammar", "Rule",
+    "compress", "expand", "Grammar", "Rule",
     "NONTERMINAL_BASE",
     # container
     "CompressedArtifact", "ImagePayload", "RawPayload", "serialize",

@@ -11,13 +11,12 @@ from rpim.bench import (
     BenchRow,
     CORPUS_NAMES,
     DEFAULT_SEED,
-    corpus_seed,
     emit_report,
     generate_corpus,
     run_bench,
 )
 from rpim.errors import RoundTripMismatchError
-from rpim.image import PixelBuffer, encode_bmp, LinearizationMode
+from rpim.image import PixelBuffer, encode_bmp
 
 
 class TestGenerateCorpus:
@@ -46,22 +45,6 @@ class TestGenerateCorpus:
         assert solid[54:57] != noise[54:57]
 
 
-class TestCorpusSeed:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("RPIM_SEED", raising=False)
-        assert corpus_seed() == DEFAULT_SEED
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("RPIM_SEED", "42")
-        assert corpus_seed() == 42
-
-    def test_rejects_garbage(self, monkeypatch):
-        for bad in ["x", "-3", "1.5", ""]:
-            monkeypatch.setenv("RPIM_SEED", bad)
-            with pytest.raises(ValueError):
-                corpus_seed()
-
-
 @pytest.fixture()
 def tiny_bmp(tmp_path):
     rng = random.Random(7)
@@ -73,7 +56,7 @@ def tiny_bmp(tmp_path):
 
 class TestRunBench:
     def test_rows_per_input(self, tiny_bmp):
-        rows = run_bench([tiny_bmp], list(LinearizationMode))
+        rows = run_bench([tiny_bmp])
         assert len(rows) == 5  # four modes plus the opaque-stream row
         modes = {r.mode for r in rows}
         assert modes == {"row", "zigzag", "split-row", "split-zigzag", "n/a"}
@@ -83,12 +66,11 @@ class TestRunBench:
             assert row.kind == ("opaque-stream" if row.mode == "n/a"
                                 else "bmp")
             assert row.ratio == pytest.approx(row.size_out / row.size_in)
-            assert row.wall_time >= 0
 
     def test_non_bmp_gets_only_stream_row(self, tmp_path):
         path = tmp_path / "blob.bmp"
         path.write_bytes(b"not a bitmap " * 30)
-        rows = run_bench([path], list(LinearizationMode))
+        rows = run_bench([path])
         assert len(rows) == 1
         assert rows[0].kind == "opaque-stream"
         assert rows[0].mode == "n/a"
@@ -97,34 +79,33 @@ class TestRunBench:
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
         with pytest.raises(ValueError):
-            run_bench([path], [])
+            run_bench([path])
 
     def test_round_trip_mismatch_is_fatal(self, tiny_bmp, monkeypatch):
         # sabotage expansion: a corruption bug must abort, not report
         monkeypatch.setattr(bench, "expand",
                             lambda grammar, seq: [0] * (16 * 16 * 3))
         with pytest.raises(RoundTripMismatchError):
-            run_bench([tiny_bmp], [LinearizationMode.ROW_MAJOR])
+            run_bench([tiny_bmp])
 
 
 def _row(name, mode, n=1000, out=500):
     kind = "bmp" if mode != "n/a" else "opaque-stream"
-    return BenchRow(name, kind, mode, n, out, out / n, 0.25)
+    return BenchRow(name, kind, mode, n, out, out / n)
 
 
 class TestEmitReport:
     def test_empty_rows_header_only(self):
         assert emit_report([], "csv") == \
-            "name,kind,mode,size_in,size_out,ratio,wall_time"
+            "name,kind,mode,size_in,size_out,ratio"
         assert emit_report([], "table").split() == \
-            ["name", "kind", "mode", "size_in", "size_out", "ratio",
-             "wall_time"]
+            ["name", "kind", "mode", "size_in", "size_out", "ratio"]
 
     def test_single_row_csv(self):
         text = emit_report([_row("a", "zigzag")], "csv")
         lines = text.split("\n")
         assert len(lines) == 2
-        assert lines[1] == "a,bmp,zigzag,1000,500,0.5000,0.2500"
+        assert lines[1] == "a,bmp,zigzag,1000,500,0.5000"
 
     def test_rows_sorted_regardless_of_insertion_order(self):
         rows = [_row("b", "row"), _row("a", "zigzag"), _row("a", "n/a"),
@@ -141,9 +122,9 @@ class TestEmitReport:
         lines = text.split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("name")
-        # every data line parses into exactly 7 fields
+        # every data line parses into exactly 6 fields
         for line in lines[1:]:
-            assert len(line.split()) == 7
+            assert len(line.split()) == 6
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

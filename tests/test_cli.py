@@ -8,8 +8,11 @@ import re
 import pytest
 
 from rpim import cli
+from rpim.bench import CORPUS_NAMES
 from rpim.cli import main
+from rpim.container import CompressedArtifact, RawPayload, serialize
 from rpim.image import PixelBuffer, decode_bmp, encode_bmp
+from rpim.repair import compress
 
 from conftest import BOMB, break_compiler
 
@@ -68,6 +71,19 @@ class TestCompress:
     def test_min_freq_too_low_is_usage_error(self, small_bmp, tmp_path):
         assert main(["compress", str(small_bmp), str(tmp_path / "x"),
                      "--min-freq", "1"]) == 1
+
+    def test_min_freq_reaches_the_engine(self, tmp_path):
+        data = b"abracadabra"
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(data)
+        packed = tmp_path / "data.rpim"
+        assert main(["compress", str(blob), str(packed), "--raw",
+                     "--min-freq", "3"]) == 0
+        by_count = {count: serialize(CompressedArtifact(
+            RawPayload(len(data)), *compress(data, count)))
+            for count in (2, 3)}
+        assert by_count[2] != by_count[3]
+        assert packed.read_bytes() == by_count[3]
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["compress", str(tmp_path / "absent.bmp"),
@@ -236,13 +252,23 @@ class TestBench:
         assert main(["bench", str(small_bmp.parent),
                      "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "name,kind,mode,size_in,size_out,ratio,wall_time"
+        assert lines[0] == "name,kind,mode,size_in,size_out,ratio"
         assert len(lines) == lines_expected
-        assert all(len(line.split(",")) == 7 for line in lines)
+        assert all(len(line.split(",")) == 6 for line in lines)
 
-    def test_invalid_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RPIM_SEED", "not-a-number")
-        assert main(["bench", str(tmp_path), "--generate"]) == 1
+    def test_generate_writes_the_default_corpus(self, corpus_dir, tmp_path,
+                                                monkeypatch):
+        # the corpus_dir fixture holds the DEFAULT_SEED corpus; nothing
+        # is compressed here
+        benched = []
+        monkeypatch.setattr(cli, "run_bench",
+                            lambda inputs: benched.extend(inputs) or [])
+        out = tmp_path / "corpus"
+        assert main(["bench", str(out), "--generate"]) == 0
+        assert [path.name for path in benched] \
+            == sorted(f"{name}.bmp" for name in CORPUS_NAMES)
+        for path in benched:
+            assert path.read_bytes() == (corpus_dir / path.name).read_bytes()
 
 
 class TestUsage:

@@ -277,6 +277,30 @@ class TestSerialize:
         with pytest.raises(ValueError):
             CompressedArtifact(payload, grammar, [97])
 
+    @pytest.mark.parametrize("payload", [
+        ImagePayload(0, 1, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(1, 0, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(2**32, 1, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(-1, 1, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(2.0, 1, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(1, 1, 2, LinearizationMode.ZIGZAG),
+        ImagePayload(1, 1, 300, LinearizationMode.ZIGZAG),
+        ImagePayload(1, 1, 3.0, LinearizationMode.ZIGZAG),
+        ImagePayload(1, 1, 3, 7),
+        ImagePayload(2**32 - 1, 2**32 - 1, 3, LinearizationMode.ZIGZAG),
+        ImagePayload(np.uint32(2**32 - 1), np.uint32(2**32 - 1), 3,
+                     LinearizationMode.ZIGZAG),
+        RawPayload(2**64), RawPayload(-1), RawPayload(1.5)],
+        ids=["width 0", "height 0", "width 2**32", "width -1", "float width",
+             "2 channels", "300 channels", "float channels", "mode 7",
+             "2**64 samples", "uint32 sides", "raw 2**64", "raw -1",
+             "raw float"])
+    def test_headers_deserialize_refuses_are_refused(self, payload):
+        """serialize writes no header deserialize refuses, and raises
+        no struct.error: the artifact refuses such a payload when built."""
+        with pytest.raises(ValueError):
+            CompressedArtifact(payload, Grammar(), [])
+
 
 class TestDeserialize:
     def test_bad_magic(self):
@@ -516,11 +540,15 @@ def test_declared_length_past_64_bits():
     assert declared >= 2**64
     bits = [b for b in range(declared.bit_length()) if declared >> b & 1]
     sequence = [97 if b == 0 else 255 + b for b in reversed(bits)]
-    payload = ImagePayload(width, height, 3, LinearizationMode.ROW_MAJOR)
     chain = doubling_chain(declared.bit_length() - 1)
     assert bits[0] == 0
-    exact = serialize(CompressedArtifact(payload, chain, sequence))
-    short = serialize(CompressedArtifact(payload, chain, sequence[:-1]))
+    # serialize refuses such a header, so one written by hand goes before
+    # the body of a raw container, whose header is 7 bytes when it
+    # declares 0
+    header = b"RPIM\x01\x01" + struct.pack("<IIBB", width, height, 3,
+                                            LinearizationMode.ROW_MAJOR)
+    exact, short = (header + serialize(CompressedArtifact(
+        RawPayload(0), chain, seq))[7:] for seq in (sequence, sequence[:-1]))
     for blob in (exact, short):
         with pytest.raises(CorruptContainerError) as caught:
             deserialize(blob, max_output=math.inf)

@@ -27,7 +27,6 @@ from rpim.container import (
 from rpim.errors import EngineUnavailableError, MalformedGrammarError
 from rpim.repair import (
     NONTERMINAL_BASE,
-    CompressorConfig,
     Grammar,
     Rule,
     compress,
@@ -99,8 +98,7 @@ class TestReplaceStep:
         assert final.tolist() == [256, 257, 257, 256]
 
     def test_min_frequency_respected(self):
-        config = CompressorConfig(min_frequency=3)
-        grammar, final = compress(bytes([7, 8, 7, 8]), config)
+        grammar, final = compress(bytes([7, 8, 7, 8]), 3)
         assert grammar.rules == []
         assert final.tolist() == [7, 8, 7, 8]
 
@@ -122,8 +120,7 @@ class TestCompress:
         assert all(c < 2 for c in count_pairs(final).values())
 
     def test_min_frequency_three(self):
-        config = CompressorConfig(min_frequency=3)
-        grammar, final = compress(bytes([1, 2] * 2), config)
+        grammar, final = compress(bytes([1, 2] * 2), 3)
         assert grammar.rules == []
         assert final.tolist() == [1, 2, 1, 2]
 
@@ -157,14 +154,14 @@ class TestCompress:
             compress(memoryview(np.array([[1, 2], [1, 2]])))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CompressorConfig(min_frequency=1)
-        for value in (2.5, None, "3"):
-            with pytest.raises(ValueError, match="must be an integer"):
-                CompressorConfig(min_frequency=value)
-        config = CompressorConfig(min_frequency=np.int32(3))
-        assert compress(b"abcabcabc", config)[0].rules \
-            == [(97, 98), (256, 99)]
+        for engine in (compress, reference_compress):
+            with pytest.raises(ValueError, match="must be at least 2"):
+                engine(b"abab", 1)
+            for value in (2.5, None, "3"):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    engine(b"abab", value)
+            assert engine(b"abcabcabc", np.int32(3))[0].rules \
+                == [(97, 98), (256, 99)]
 
 
 class TestGrammar:
@@ -401,9 +398,8 @@ engine_cases = (st.lists(st.integers(0, 255), max_size=2000),
 @given(*engine_cases)
 @settings(max_examples=120, deadline=None)
 def test_engines_agree(seq, min_frequency):
-    config = CompressorConfig(min_frequency=min_frequency)
-    py_grammar, py_final = reference_compress(seq, config)
-    c_grammar, c_final = compress(seq, config)
+    py_grammar, py_final = reference_compress(seq, min_frequency)
+    c_grammar, c_final = compress(seq, min_frequency)
     assert py_grammar.rules == c_grammar.rules
     assert py_final.tolist() == c_final.tolist()
 
@@ -452,8 +448,7 @@ def test_expand_engines_agree_on_grammars(case):
 @given(*engine_cases)
 @settings(max_examples=120, deadline=None)
 def test_expand_engines_agree_on_compress_output(seq, min_frequency):
-    config = CompressorConfig(min_frequency=min_frequency)
-    grammar, final = compress(seq, config)
+    grammar, final = compress(seq, min_frequency)
     assert expand(grammar, final) == reference_expand(grammar, final) \
         == bytes(seq)
 
@@ -470,12 +465,12 @@ def test_engines_agree_on_runs():
         while len(seq) < n:
             seq += [rng.randrange(alphabet)] * rng.randint(1, longest)
         seq = seq[:n]
-        config = CompressorConfig(min_frequency=rng.choice([2, 2, 3]))
+        min_frequency = rng.choice([2, 2, 3])
         rng.randrange(4)  # a spent draw: later cases keep their inputs
-        py_grammar, py_final = reference_compress(seq, config)
-        c_grammar, c_final = compress(seq, config)
-        assert py_grammar.rules == c_grammar.rules, (case, config)
-        assert py_final.tolist() == c_final.tolist(), (case, config)
+        py_grammar, py_final = reference_compress(seq, min_frequency)
+        c_grammar, c_final = compress(seq, min_frequency)
+        assert py_grammar.rules == c_grammar.rules, (case, min_frequency)
+        assert py_final.tolist() == c_final.tolist(), (case, min_frequency)
 
 
 def _de_bruijn_walk():
@@ -611,18 +606,16 @@ def test_engines_agree_at_bucket_edges():
         if not shared:
             assert max(count_pairs(seq).values()) == top, case
             tops.add(top)
-        cases.append((seq, CompressorConfig(
-            min_frequency=rng.choice([2, 2, 3]))))
+        cases.append((seq, rng.choice([2, 2, 3])))
         rng.randrange(5)  # a spent draw: later cases keep their inputs
     assert tops == {BUCKETS - 1, BUCKETS, BUCKETS + 1}
     walk = _de_bruijn_walk()[:101]
-    cases += [(walk * top, CompressorConfig())
-              for top in (BUCKETS - 1, BUCKETS, BUCKETS + 1)]
-    for case, (seq, config) in enumerate(cases):
-        py_grammar, py_final = reference_compress(seq, config)
-        c_grammar, c_final = compress(seq, config)
-        assert py_grammar.rules == c_grammar.rules, (case, config)
-        assert py_final.tolist() == c_final.tolist(), (case, config)
+    cases += [(walk * top, 2) for top in (BUCKETS - 1, BUCKETS, BUCKETS + 1)]
+    for case, (seq, min_frequency) in enumerate(cases):
+        py_grammar, py_final = reference_compress(seq, min_frequency)
+        c_grammar, c_final = compress(seq, min_frequency)
+        assert py_grammar.rules == c_grammar.rules, (case, min_frequency)
+        assert py_final.tolist() == c_final.tolist(), (case, min_frequency)
 
 
 def _gate_input(kind, n):
