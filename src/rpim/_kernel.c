@@ -81,18 +81,26 @@
  * makes an address.  On short inputs, whose arrays stay in cache, they
  * cost about 1%, so they are not gated by input length.
  *
- * Memory: the per-slot arrays (occurrence links, record of each slot)
- * are 32-bit, 16 bytes per input symbol with the caller's 4-byte working
- * array.  Every other buffer starts empty and grows through reserve, by
- * doubling: the record store with the number of live pairs, the born
- * list and the heap with what they hold, and the three symbol maps, from
- * 256 cells, with the rule count.  So a low-entropy input pays for the
- * few pairs it has, not for its length; released records are chained
- * through their own head field for reuse, last released first.  Since
- * singletons go when their step ends, later steps mostly re-use
- * records, and the store grows little past what the initial count
- * needs.  The bucket heads are a fixed BUCKETS lists, and a bucket's
- * entries are freed once the heap takes them.
+ * Memory: the per-slot arrays (occurrence links, record of each slot) are
+ * 32-bit, 16 bytes per input symbol with the caller's 4-byte working
+ * array.  The three kernel arrays are one slot block of 3n int32, which a
+ * call of at least HOLD bytes keeps for the next one: glibc maps a block
+ * that large itself and unmaps it on free, so each call would fault all
+ * of its pages in afresh, while it reuses the pages of smaller blocks
+ * freed to its heap.  The block is taken from, and handed back to, one
+ * spare pointer by atomic exchange, so calls in two threads at once each
+ * get their own; the loser of a race is freed, and one block at most is
+ * held, until rpim_release.  Every slot is written before it is read, so
+ * a block's stale values never count.  Every other buffer starts empty
+ * and grows through reserve, by doubling: the record store with the
+ * number of live pairs, the born list and the heap with what they hold,
+ * and the three symbol maps, from 256 cells, with the rule count.  So a
+ * low-entropy input pays for the few pairs it has, not for its length;
+ * released records are chained through their own head field for reuse,
+ * last released first.  Since singletons go when their step ends, later
+ * steps mostly re-use records, and the store grows little past what the
+ * initial count needs.  The bucket heads are a fixed BUCKETS lists, and a
+ * bucket's entries are freed once the heap takes them.
  *
  * Every capacity is checked before it is written: a violated bound, a
  * pair no cell files, or a count above its queue entry's returns
@@ -143,6 +151,7 @@
  * the same fields.
  */
 
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -158,6 +167,9 @@ enum {
 #define TOMBSTONE (-1)
 #define TAIL (-2)        /* credit anchor: append at the thread tail */
 #define BUCKETS 64       /* counts below this are queued by count */
+/* slot blocks of this many bytes or more are kept between calls: glibc's
+   DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, where its dynamic threshold stops */
+#define HOLD ((uint64_t)32 << 20)
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(addr) __builtin_prefetch(addr)
@@ -178,6 +190,12 @@ typedef struct { int32_t count, head, tail, left, right; } Record;
 typedef struct { uint64_t code; int32_t count, idx; } Entry;
 typedef struct { Entry *entry; int64_t size, cap; } List;
 
+/* prev_occ, next_occ and rec_of of up to cap slots, one after another */
+typedef struct { int64_t cap; int32_t slot[]; } Block;
+
+/* the block kept between calls, or NULL */
+static _Atomic(Block *) spare;
+
 typedef struct {
     int32_t *sym, *prev_occ, *next_occ;
     int32_t *rec_of;      /* record threading each slot, -1 if none */
@@ -196,6 +214,8 @@ typedef struct {
     Entry *heap;          /* entries of count level and above */
     int64_t hsize, heap_cap;
     List bucket[BUCKETS]; /* entries of counts 2 .. level - 1, by count */
+    Block *block;         /* holds prev_occ, next_occ and rec_of; last,
+                             so the fields above keep their short offsets */
 } State;
 
 static void *alloc(int64_t count, size_t size)
@@ -675,13 +695,26 @@ static int replace_thread(State *s, int32_t head, int32_t left,
     return RPIM_OK;
 }
 
-/* Copy input into sym and allocate the kernel's arrays; n >= 2. */
+/* Copy input into sym and allocate the kernel's arrays, taking the
+   spare slot block when it holds n slots; n >= 2. */
 static int setup(State *s, const uint8_t *input, int32_t n)
 {
     s->n = n;
-    s->prev_occ = alloc(n, sizeof(int32_t));
-    s->next_occ = alloc(n, sizeof(int32_t));
-    s->rec_of = alloc(n, sizeof(int32_t));
+    Block *b = atomic_exchange(&spare, NULL);
+    if (b != NULL && b->cap < n) {
+        free(b);
+        b = NULL;
+    }
+    if (b == NULL
+        && (uint64_t)n <= (SIZE_MAX - sizeof *b) / (3 * sizeof(int32_t))
+        && (b = malloc(sizeof *b + 3 * (size_t)n * sizeof(int32_t))) != NULL)
+        b->cap = n;
+    s->block = b;
+    if (b == NULL)
+        return RPIM_ENOMEM;
+    s->prev_occ = b->slot;
+    s->next_occ = b->slot + n;
+    s->rec_of = b->slot + 2 * (size_t)n;
     /* distinct records never exceed the threaded-slot count, so n + 2
        bounds the store even mid-step; int32 indices cap it as well */
     s->rec_limit = n < INT32_MAX - 2 ? (int64_t)n + 2 : INT32_MAX;
@@ -689,7 +722,7 @@ static int setup(State *s, const uint8_t *input, int32_t n)
     s->fresh = -1;
     s->byte_pair = alloc(1 << 16, sizeof *s->byte_pair);
     s->level = BUCKETS;
-    if (!s->prev_occ || !s->next_occ || !s->rec_of || !s->byte_pair)
+    if (s->byte_pair == NULL)
         return RPIM_ENOMEM;
     CHECK(reserve_maps(s, NONTERMINAL_BASE));
     memset(s->byte_pair, 0xFF, (1 << 16) * sizeof *s->byte_pair);
@@ -698,11 +731,14 @@ static int setup(State *s, const uint8_t *input, int32_t n)
     return RPIM_OK;
 }
 
+/* Free the kernel's arrays; a slot block of HOLD bytes or more becomes
+   the spare, and the block it displaces is freed. */
 static void teardown(State *s)
 {
-    free(s->prev_occ);
-    free(s->next_occ);
-    free(s->rec_of);
+    Block *b = s->block;
+    if (b != NULL && (uint64_t)b->cap * 3 * sizeof(int32_t) >= HOLD)
+        b = atomic_exchange(&spare, b);
+    free(b);
     free(s->rec);
     free(s->self_rec);
     free(s->fresh_left);
@@ -1182,4 +1218,10 @@ int rpim_encode_body(const int64_t *rules, int64_t nrules,
     }
     *written = pos;
     return RPIM_OK;
+}
+
+/* Free the slot block rpim_compress keeps between calls, if any. */
+void rpim_release(void)
+{
+    free(atomic_exchange(&spare, NULL));
 }

@@ -120,6 +120,8 @@ def load() -> ctypes.CDLL | None:
             lib.rpim_expand.restype = ctypes.c_int
             lib.rpim_free.argtypes = [ctypes.c_void_p]
             lib.rpim_free.restype = None
+            lib.rpim_release.argtypes = []
+            lib.rpim_release.restype = None
             lib.rpim_decode_body.argtypes = [
                 _uint8_input, ctypes.c_int64, _int64_array, ctypes.c_int64,
                 ctypes.c_uint64, _uint64_array, _int64_array]
@@ -201,6 +203,15 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
                            f"{status}) on {n} symbols")
     nrules, length = sizes.tolist()
     return rules[:nrules], sym[:length]
+
+
+def release() -> None:
+    """Free the slot block the kernel keeps between compress calls, 12
+    bytes per symbol of the largest input whose block reached 32 MiB; the
+    next such call allocates it again."""
+    lib = load()
+    if lib is not None:
+        lib.rpim_release()
 
 
 def expand(rules: np.ndarray, symbols: np.ndarray) -> bytes:

@@ -53,16 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _byte_limit(text: str) -> int:
-    """--max-output's value: an integer of 0 or more."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of 0 or more, got {text!r}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type for integers of minimum or more."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of {minimum} or more, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -79,14 +81,14 @@ def _build_parser() -> _Parser:
                    help="pixel linearization order (default: zigzag)")
     p.add_argument("--raw", action="store_true",
                    help="treat the input as an opaque byte stream")
-    p.add_argument("--min-freq", type=int, default=2, metavar="N",
+    p.add_argument("--min-freq", type=_at_least(2), default=2, metavar="N",
                    help="minimum pair frequency worth a rule (default: 2)")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="restore a compressed container")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--max-output", type=_byte_limit, default=MAX_OUTPUT,
+    p.add_argument("--max-output", type=_at_least(0), default=MAX_OUTPUT,
                    metavar="BYTES",
                    help="refuse containers that expand to more than BYTES "
                         f"(default: {MAX_OUTPUT}, 1 GiB)")

@@ -18,7 +18,10 @@
  * array are written and followed.  Inputs of LONG symbols and more do
  * the same, with runs, chains, run-head repair and a pair whose thread
  * starts at slot 1 and ends at slot n - 2, so that the walk's read-ahead
- * hints look up to both ends of long arrays.
+ * hints look up to both ends of long arrays.  Inputs whose slot block
+ * the kernel keeps between calls, in turn a solid one, a smaller one, a
+ * larger one and one below the size kept, run on blocks that hold the
+ * last call's values, and rpim_release frees the block at the end.
  * Each grammar must reference only earlier symbols and expand back to
  * its input under this program's own stack expander.  The kernel's
  * expand must agree with it, on a comb as deep as it has rules too, and
@@ -739,6 +742,24 @@ int main(void)
         }
         check("long", buf, n, 2);
     }
+
+    /* inputs whose slot block, of HOLD bytes or more, the kernel keeps
+       between calls: a solid one, a smaller one that takes its block
+       with the solid input's values in it, a larger one that replaces
+       it, and one below HOLD that takes it as well; rpim_release then
+       frees it, so that LeakSanitizer sees every block freed */
+    int64_t held = (int64_t)(HOLD / (3 * sizeof(int32_t))) + 1;
+    uint8_t *big = must_alloc((size_t)held + 2000);
+    memset(big, 'a', (size_t)held + 1000);
+    check("held", big, held + 1000, 2);
+    runs(big, held, 4, 8);
+    check("held", big, held, 2);
+    runs(big, held + 2000, 4, 8);
+    check("held", big, held + 2000, 2);
+    runs(big, LONG, 4, 8);
+    check("held", big, LONG, 2);
+    free(big);
+    rpim_release();
 
     /* an n above the cap is refused before the input is read */
     uint8_t one = 0;

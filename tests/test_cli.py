@@ -72,6 +72,15 @@ class TestCompress:
         assert main(["compress", str(small_bmp), str(tmp_path / "x"),
                      "--min-freq", "1"]) == 1
 
+    def test_min_freq_is_checked_before_the_input(self, tmp_path, capsys):
+        # the mistake is in the command line, so it wins over bad input
+        path = tmp_path / "notabmp.bin"
+        path.write_bytes(b"not a bitmap")
+        out = tmp_path / "out.rpim"
+        assert main(["compress", str(path), str(out), "--min-freq", "1"]) == 1
+        assert "--min-freq" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_min_freq_reaches_the_engine(self, tmp_path):
         data = b"abracadabra"
         blob = tmp_path / "data.bin"

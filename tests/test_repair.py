@@ -8,6 +8,8 @@ import itertools
 import random
 import re
 import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -668,19 +670,20 @@ def test_output_unchanged_across_read_ahead_gate(kind, n):
 
 def test_every_entry_point_has_a_ctypes_signature():
     """Every rpim_* function defined in _kernel.c gets argtypes, one per C
-    parameter, and a restype in _kernel.load(), c_int for an int function
-    and None for a void one; without them ctypes would pass an int64
-    count as a C int."""
+    parameter and none for (void), and a restype in _kernel.load(), c_int
+    for an int function and None for a void one; without them ctypes
+    would pass an int64 count as a C int."""
     # (return type, name, parameter list) of each definition
     entries = re.findall(r"^(int|void) (rpim_\w+)\(([^)]*)\)",
                          _kernel.SOURCE.read_text(), re.MULTILINE)
-    assert {"rpim_compress", "rpim_decode_body", "rpim_free"} \
-        <= {name for _, name, _ in entries}
+    assert {"rpim_compress", "rpim_decode_body", "rpim_free",
+            "rpim_release"} <= {name for _, name, _ in entries}
     lib = _kernel.load()
     for kind, name, params in entries:
         function = getattr(lib, name)
         assert function.argtypes is not None, name
-        assert len(function.argtypes) == params.count(",") + 1, name
+        count = 0 if params.strip() == "void" else params.count(",") + 1
+        assert len(function.argtypes) == count, name
         assert function.restype is (ctypes.c_int if kind == "int"
                                     else None), name
 
@@ -763,6 +766,66 @@ def test_compress_memory_per_symbol():
     """)
     per_symbol = growth * 1024 / 2**20
     assert per_symbol <= 25, f"{per_symbol:.1f} B per random symbol"
+
+
+# the fewest symbols whose slot block, 12 bytes per symbol, reaches the
+# 32 MiB from which the kernel keeps it between calls
+HELD = -(-(32 << 20) // 12)
+
+
+def test_held_slot_block_is_written_before_it_is_read():
+    """A slot block of 32 MiB or more stays with the kernel between
+    compress calls, holding the last call's values.  Inputs above that
+    size in turn, a smaller one that reuses the block, a larger one that
+    replaces it and the first again, must each give what they give on a
+    fresh block, so no slot is read before the call writes it."""
+    assert HELD == 2_796_203
+    inputs = [_gate_input("runs", HELD + 100_000), _gate_input("photo", HELD),
+              _gate_input("runs", HELD + 300_000)]
+    try:
+        fresh = []
+        for seq in inputs:
+            _kernel.release()
+            fresh.append(_digest(*compress(seq)))
+        for k in (0, 1, 2, 0):
+            assert _digest(*compress(inputs[k])) == fresh[k], k
+    finally:
+        _kernel.release()
+
+
+def test_threads_compress_at_once():
+    """ctypes releases the GIL, so threads may run the kernel at once:
+    one takes the held slot block, the others make their own, and each
+    block handed back displaces the one held before.  Three threads, one
+    more than the cores of a small machine, must each give what their
+    input gives alone."""
+    inputs = [_gate_input("runs", HELD + 1000),
+              _gate_input("photo", HELD + 2000),
+              _gate_input("runs", HELD + 3000)]
+    barrier = threading.Barrier(len(inputs), timeout=60)
+    results = [None] * len(inputs)
+
+    def work(k):
+        barrier.wait()
+        results[k] = _digest(*compress(inputs[k]))
+
+    interval = sys.getswitchinterval()
+    try:
+        alone = [_digest(*compress(seq)) for seq in inputs]
+        sys.setswitchinterval(1e-5)
+        for _ in range(2):
+            results[:] = [None] * len(inputs)
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert results == alone
+    finally:
+        sys.setswitchinterval(interval)
+        _kernel.release()
 
 
 def test_engine_unavailable_without_compiler(monkeypatch, tmp_path):
