@@ -83,7 +83,8 @@
  *
  * Memory: the per-slot arrays (occurrence links, record of each slot) are
  * 32-bit, 16 bytes per input symbol with the caller's 4-byte working
- * array.  The three kernel arrays are one slot block of 3n int32, which a
+ * array, which is all the caller allocates: the rules come back in its
+ * tail.  The three kernel arrays are one slot block of 3n int32, which a
  * call of at least HOLD bytes keeps for the next one: glibc maps a block
  * that large itself and unmaps it on free, so each call would fault all
  * of its pages in afresh, while it reuses the pages of smaller blocks
@@ -94,13 +95,17 @@
  * a block's stale values never count.  Every other buffer starts empty
  * and grows through reserve, by doubling: the record store with the
  * number of live pairs, the born list and the heap with what they hold,
- * and the three symbol maps, from 256 cells, with the rule count.  So a
- * low-entropy input pays for the few pairs it has, not for its length;
- * released records are chained through their own head field for reuse,
- * last released first.  Since singletons go when their step ends, later
- * steps mostly re-use records, and the store grows little past what the
- * initial count needs.  The bucket heads are a fixed BUCKETS lists, and a
- * bucket's entries are freed once the heap takes them.
+ * the rule sides and the three symbol maps, from 256 cells, with the rule
+ * count.  So a low-entropy input pays for the few pairs it has, not for
+ * its length; released records are chained through their own head field
+ * for reuse, last released first.  Since singletons go when their step
+ * ends, later steps mostly re-use records, and the store grows little
+ * past what the initial count needs.  The bucket heads are a fixed
+ * BUCKETS lists, and a bucket's entries are freed once the heap takes
+ * them.  Once no pair reaches the threshold, the final sequence is
+ * compacted to the front of the working array and the rule sides are
+ * copied right after it: each rule replaces at least two occurrences, so
+ * the sequence and two slots per rule fit in its n slots.
  *
  * Every capacity is checked before it is written: a violated bound, a
  * pair no cell files, or a count above its queue entry's returns
@@ -111,7 +116,8 @@
  * 2^30.
  *
  * A grammar is one array of rule sides, rule k the pair (rules[2k],
- * rules[2k + 1]): int32 out of rpim_compress, int64 everywhere else.
+ * rules[2k + 1]): int32 in the tail of rpim_compress's working array,
+ * int64 everywhere else.
  *
  * Decompression is one entry point over an int64 grammar and final
  * sequence.  One routine, measure, checks every rule and symbol and
@@ -214,6 +220,8 @@ typedef struct {
     Entry *heap;          /* entries of count level and above */
     int64_t hsize, heap_cap;
     List bucket[BUCKETS]; /* entries of counts 2 .. level - 1, by count */
+    int32_t *rules;       /* rule k's sides at rules[2k] and rules[2k + 1] */
+    int64_t nrules, rules_cap;
     Block *block;         /* holds prev_occ, next_occ and rec_of; last,
                              so the fields above keep their short offsets */
 } State;
@@ -746,6 +754,7 @@ static void teardown(State *s)
     free(s->byte_pair);
     free(s->born);
     free(s->heap);
+    free(s->rules);
     for (int c = 0; c < BUCKETS; c++)
         free(s->bucket[c].entry);
 }
@@ -797,11 +806,9 @@ static int count_initial(State *s)
     return RPIM_OK;
 }
 
-static int run(State *s, int64_t min_frequency, int32_t *rules,
-               int64_t rule_cap, int64_t *nrules_out)
+static int run(State *s, int64_t min_frequency)
 {
     int64_t lowest = min_frequency > 2 ? min_frequency : 2;
-    int64_t nrules = 0;
     CHECK(count_initial(s));
     for (;;) {
         for (int64_t t = 0; t < s->nborn; t++)
@@ -830,35 +837,59 @@ static int run(State *s, int64_t min_frequency, int32_t *rules,
         if (chosen < 0)
             break;
 
-        if (nrules >= rule_cap)
+        /* the rule sides end up in sym, two slots each */
+        int64_t need = 2 * (s->nrules + 1);
+        if (need > s->n)
             return RPIM_EBOUND;
-        int32_t fresh = (int32_t)(NONTERMINAL_BASE + nrules);
+        int32_t *rules = reserve(s->rules, &s->rules_cap, need, sizeof *rules);
+        if (rules == NULL)
+            return RPIM_ENOMEM;
+        s->rules = rules;
+        int32_t fresh = (int32_t)(NONTERMINAL_BASE + s->nrules);
         CHECK(reserve_maps(s, (int64_t)fresh + 1));
         int32_t left = s->rec[chosen].left, right = s->rec[chosen].right;
         int32_t head = s->rec[chosen].head;
         release_record(s, chosen);
-        rules[2 * nrules] = left;
-        rules[2 * nrules + 1] = right;
+        rules[2 * s->nrules] = left;
+        rules[2 * s->nrules + 1] = right;
         CHECK(replace_thread(s, head, left, right, fresh));
-        nrules++;
+        s->nrules++;
     }
-    *nrules_out = nrules;
+    return RPIM_OK;
+}
+
+/* Compact the live symbols of sym to its front and copy the rule sides
+   after them, checking that they fit. */
+static int finish(State *s, int64_t *sizes)
+{
+    int32_t *sym = s->sym;
+    int64_t w = 0;
+    for (int64_t i = 0; i < s->n; i++)
+        if (sym[i] != TOMBSTONE)
+            sym[w++] = sym[i];
+    if (w > s->n - 2 * s->nrules)
+        return RPIM_EBOUND;
+    if (s->nrules > 0)
+        memcpy(sym + w, s->rules, (size_t)(2 * s->nrules) * sizeof *sym);
+    sizes[0] = s->nrules;
+    sizes[1] = w;
     return RPIM_OK;
 }
 
 /*
  * Compress input[0:n] (terminals 0-255), working in sym, which holds n
- * elements, into rules, which holds 2 * cap, making rules until no pair
- * reaches min_frequency.  On success sizes[0] is the rule count, rule k
- * being (rules[2k], rules[2k + 1]), and sizes[1] the length of the final
- * sequence, left in sym[0:sizes[1]].  Returns RPIM_OK, RPIM_ENOMEM when
- * an allocation fails, or RPIM_EBOUND when a capacity would be exceeded or
- * a pair count rose after its queue entry was filed, an invariant
- * broken; an n above 2^31 - 1 is refused before input, sym or rules is
- * touched.
+ * elements, making rules until no pair reaches min_frequency.  On success
+ * sizes[0] is the rule count and sizes[1] the length of the final
+ * sequence, left in sym[0:sizes[1]]; rule k follows it, as the pair
+ * (sym[sizes[1] + 2k], sym[sizes[1] + 2k + 1]).  Every rule replaces at
+ * least two occurrences, so the sequence and the rules fit in n.  Returns
+ * RPIM_OK, RPIM_ENOMEM when an allocation fails, or RPIM_EBOUND when a
+ * capacity would be exceeded or a pair count rose after its queue entry
+ * was filed, an invariant broken; an n above 2^31 - 1 is refused before
+ * input or sym is touched.
  */
 int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
-                  int32_t *sym, int32_t *rules, int64_t cap, int64_t *sizes)
+                  int32_t *sym, int64_t *sizes)
 {
     sizes[0] = 0;
     sizes[1] = n;
@@ -875,17 +906,11 @@ int rpim_compress(const uint8_t *input, int64_t n, int64_t min_frequency,
     s.sym = sym;
     int err = setup(&s, input, (int32_t)n);
     if (err == RPIM_OK)
-        err = run(&s, min_frequency, rules, cap, &sizes[0]);
+        err = run(&s, min_frequency);
+    if (err == RPIM_OK)
+        err = finish(&s, sizes);
     teardown(&s);
-    if (err != RPIM_OK)
-        return err;
-
-    int64_t w = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (sym[i] != TOMBSTONE)
-            sym[w++] = sym[i];
-    sizes[1] = w;
-    return RPIM_OK;
+    return err;
 }
 
 /* a + b when both are real lengths (nonzero) and the sum is at most

@@ -38,7 +38,9 @@ from .errors import (
 )
 
 COMPILER = "cc"
-CFLAGS = ("-O2", "-shared", "-fPIC")
+# -falign-functions=64 starts every function on a cache line, so that an
+# edit to one function does not move the others within their lines
+CFLAGS = ("-O2", "-shared", "-fPIC", "-falign-functions=64")
 SOURCE = Path(__file__).with_name("_kernel.c")
 
 # rpim_compress's and rpim_expand's status for a failed allocation; any
@@ -111,7 +113,7 @@ def load() -> ctypes.CDLL | None:
         else:
             lib.rpim_compress.argtypes = [
                 _uint8_input, ctypes.c_int64, ctypes.c_int64, _int32_array,
-                _int32_array, ctypes.c_int64, _int64_array]
+                _int64_array]
             lib.rpim_compress.restype = ctypes.c_int
             lib.rpim_expand.argtypes = [
                 _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
@@ -174,12 +176,15 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
     pair rules[k] of the (n, 2) rules.
 
     The input is passed as it is and never mutated; the kernel copies it
-    into its int32 working array.  Raises ValueError for more than
-    MAX_SYMBOLS symbols, before anything is allocated,
-    EngineUnavailableError when the library cannot be built, MemoryError
-    when the kernel's allocations fail, and RuntimeError when it refuses
-    a capacity bound or finds one of its invariants broken: a pair count
-    above its queue entry's, or a pair born above the count being taken.
+    into its int32 working array, the one array allocated here, of one
+    value per input symbol.  The kernel leaves the final sequence at its
+    front and the rule sides right after it, so rules and final are views
+    of that array.  Raises ValueError for more than MAX_SYMBOLS symbols,
+    before anything is allocated, EngineUnavailableError when the library
+    cannot be built, MemoryError when the kernel's allocations fail, and
+    RuntimeError when it refuses a capacity bound or finds one of its
+    invariants broken: a pair count above its queue entry's, or a pair
+    born above the count being taken.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -187,14 +192,10 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
                          f"symbols, got {n}")
     lib = _loaded()
     data = np.ascontiguousarray(symbols)
-    # each rule removes at least two symbols, so n // 2 rules always fit
-    rule_cap = n // 2 + 2
     threshold = min(min_frequency, n + 1)
     sym = np.empty(n, np.int32)
-    rules = np.empty((rule_cap, 2), np.int32)
     sizes = np.zeros(2, np.int64)
-    status = lib.rpim_compress(data, n, threshold, sym, rules, rule_cap,
-                               sizes)
+    status = lib.rpim_compress(data, n, threshold, sym, sizes)
     if status == _ENOMEM:
         raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:
@@ -202,7 +203,8 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
                            f"pair count above its queue entry's (status "
                            f"{status}) on {n} symbols")
     nrules, length = sizes.tolist()
-    return rules[:nrules], sym[:length]
+    return (sym[length:length + 2 * nrules].reshape(nrules, 2),
+            sym[:length])
 
 
 def release() -> None:

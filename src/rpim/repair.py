@@ -209,8 +209,8 @@ def compress(seq, min_frequency: int = 2) -> tuple[Grammar, np.ndarray]:
             raise ValueError("compress input must be terminal symbols 0-255")
         symbols = values.astype(np.uint8, copy=False)
     rules, final = _kernel.compress_array(symbols, min_frequency)
-    # the int32 views share the kernel's n-sized buffers; the int64
-    # copies let those go, and are handed over read-only
+    # the int32 views share the kernel's n-sized working array; the int64
+    # copies let it go, and are handed over read-only
     rules, final = rules.astype(np.int64), final.astype(np.int64)
     rules.flags.writeable = final.flags.writeable = False
     return Grammar(rules), final

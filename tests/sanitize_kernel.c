@@ -3,16 +3,17 @@
  * built and run by tests/test_repair.py::test_kernel_under_sanitizers.
  *
  * It compresses seeded random and run-heavy inputs, n < 2 included,
- * inputs whose distinct-pair counts straddle every growth step of the
- * record store, and rule counts that straddle every doubling of the
- * symbol maps the kernel files fresh and self pairs under.  Inputs
- * whose top count is one below, at and one above the kernel's BUCKETS
- * pass the top from its heap down to its count buckets, each handed
- * back to the heap when taken, with many pairs tied, counts falling
- * across BUCKETS, and pairs born at the count being taken; a walk prefix
- * repeated BUCKETS - 1 to BUCKETS + 1 times ties over a thousand pairs,
- * so a bucket list and the heap it is handed to grow through many
- * doublings.  Long solid inputs and inputs that end
+ * an input whose final sequence and rules fill all n slots of the
+ * working array they come back in, inputs whose distinct-pair counts
+ * straddle every growth step of the record store, and rule counts that
+ * straddle every doubling of the symbol maps the kernel files fresh and
+ * self pairs under.  Inputs whose top count is one below, at and one
+ * above the kernel's BUCKETS pass the top from its heap down to its
+ * count buckets, each handed back to the heap when taken, with many
+ * pairs tied, counts falling across BUCKETS, and pairs born at the count
+ * being taken; a walk prefix repeated BUCKETS - 1 to BUCKETS + 1 times
+ * ties over a thousand pairs, so a bucket list and the heap it is handed
+ * to grow through many doublings.  Long solid inputs and inputs that end
  * or start in a long run make tombstone blocks that start at slot 1 and
  * end at the last slot, so the block links at both edges of the working
  * array are written and followed.  Inputs of LONG symbols and more do
@@ -285,12 +286,9 @@ static void check_codec(const char *label, const int64_t *rules,
 static int64_t check(const char *label, const uint8_t *input, int64_t n,
                      int64_t min_frequency)
 {
-    int64_t cap = n / 2 + 2;
     int32_t *sym = must_alloc((size_t)n * sizeof *sym);
-    int32_t *rules = must_alloc((size_t)(2 * cap) * sizeof *rules);
     int64_t sizes[2];
-    int status = rpim_compress(input, n, min_frequency, sym, rules, cap,
-                               sizes);
+    int status = rpim_compress(input, n, min_frequency, sym, sizes);
     int64_t nrules = sizes[0], length = sizes[1];
     if (status != 0) {
         fail(label, n, "nonzero status");
@@ -298,6 +296,8 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
     } else if (nrules < 0 || length < 0 || length > n - 2 * nrules)
         fail(label, n, "sizes out of range");
     else {
+        /* the rules follow the final sequence */
+        const int32_t *rules = sym + length;
         int64_t *rules64 = must_alloc((size_t)(2 * nrules) * sizeof *rules64);
         int64_t *seq64 = must_alloc((size_t)length * sizeof *seq64);
         uint8_t *own = must_alloc((size_t)n);
@@ -323,7 +323,6 @@ static int64_t check(const char *label, const uint8_t *input, int64_t n,
         free(own);
     }
     free(sym);
-    free(rules);
     return nrules;
 }
 
@@ -632,6 +631,12 @@ int main(void)
         check("tiny", buf, n, 2);
     }
 
+    /* an exact fit: each rule replaces two occurrences, so the final
+       sequence and the rules fill sym to its last slot */
+    memcpy(buf, "abcabc", 6);
+    if (check("exact fit", buf, 6, 2) != 2)
+        fail("exact fit", 6, "abcabc did not make two rules");
+
     /* seeded random and run-heavy inputs */
     for (int c = 0; c < 300; c++) {
         int64_t n = 2 + below(c < 250 ? 3000 : 40000);
@@ -763,13 +768,12 @@ int main(void)
 
     /* an n above the cap is refused before the input is read */
     uint8_t one = 0;
-    int32_t out = -7, rules[2] = {-7, -7};
+    int32_t out = -7;
     int64_t sizes[2];
     static const int64_t forged[] = {(int64_t)INT32_MAX + 1, INT64_MAX};
     for (int k = 0; k < 2; k++)
-        if (rpim_compress(&one, forged[k], 2, &out, rules, 1, sizes)
-                != RPIM_EBOUND
-            || out != -7 || rules[0] != -7 || rules[1] != -7)
+        if (rpim_compress(&one, forged[k], 2, &out, sizes) != RPIM_EBOUND
+            || out != -7)
             fail("forged", forged[k], "an n above the cap was not refused");
 
     check_forged_grammars();

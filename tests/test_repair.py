@@ -475,6 +475,18 @@ def test_engines_agree_on_runs():
         assert py_final.tolist() == c_final.tolist(), (case, min_frequency)
 
 
+def test_engines_agree_on_exact_fits():
+    """Inputs in which every rule replaces exactly two occurrences, so
+    the final sequence and two slots per rule fill all n slots of the
+    kernel's working array, the rules ending at its last slot."""
+    for seq in (b"abab", b"abcabc", b"abcdabcd"):
+        py_grammar, py_final = reference_compress(seq)
+        c_grammar, c_final = compress(seq)
+        assert len(c_final) + 2 * len(c_grammar) == len(seq), seq
+        assert py_grammar.rules == c_grammar.rules, seq
+        assert py_final.tolist() == c_final.tolist(), seq
+
+
 def _de_bruijn_walk():
     """A walk over all 256 x 256 byte pairs in which every adjacent pair is
     new: the de Bruijn sequence of order 2 built from Lyndon words."""
@@ -720,12 +732,12 @@ def test_kernel_refuses_input_above_cap():
     buffers, and compress_array refuses it before allocating."""
     lib = _kernel.load()
     one = np.zeros(1, np.uint8)
-    sym, rules = np.full(1, -7, np.int32), np.full((1, 2), -7, np.int32)
+    sym = np.full(1, -7, np.int32)
     sizes = np.zeros(2, np.int64)
     for n in (_kernel.MAX_SYMBOLS + 1, 2**63 - 1):
-        status = lib.rpim_compress(one, n, 2, sym, rules, 1, sizes)
+        status = lib.rpim_compress(one, n, 2, sym, sizes)
         assert status == 2  # RPIM_EBOUND
-        assert sym.tolist() == [-7] and rules.tolist() == [[-7, -7]]
+        assert sym.tolist() == [-7]
 
     # a zero-stride view claims 2**31 symbols without holding them
     forged = np.broadcast_to(np.uint8(0), (_kernel.MAX_SYMBOLS + 1,))
@@ -737,6 +749,24 @@ def test_kernel_refuses_input_above_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_compress_array_allocates_one_working_array():
+    """compress_array allocates one int32 value per input symbol, the
+    kernel's working array, and nothing sized for the worst-case rule
+    count: the rules come back in that array's tail.  Random bytes make
+    the most rules; a separate rule array of n // 2 + 2 pairs took the
+    traced peak to 8 bytes per symbol."""
+    noise = np.frombuffer(random.Random(1).randbytes(2**20), np.uint8)
+    tracemalloc.start()
+    try:
+        rules, final = _kernel.compress_array(noise, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rules) > 0
+    per_symbol = peak / noise.size
+    assert per_symbol <= 5, f"{per_symbol:.2f} B per symbol"
 
 
 def test_compress_memory_per_symbol():
