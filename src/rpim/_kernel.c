@@ -1,7 +1,8 @@
 /*
  * The C engine: Re-Pair compression over flat arrays, after Larsson &
  * Moffat, "Off-line dictionary-based compression" (Proc. IEEE 2000),
- * the expansion of its grammars and the container body codec.
+ * the expansion of its grammars, the container body codec and the pixel
+ * layout of images.
  *
  * Compression counts every adjacent pair greedily left to right without
  * overlap, threads the counted occurrences of each pair in slot order,
@@ -155,6 +156,13 @@
  * size.  Once the whole body is read it measures it as rpim_expand
  * does.  rpim_encode_body writes the minimal unsigned LEB128 varints of
  * the same fields.
+ *
+ * The pixel layout is one routine, rpim_layout, that moves an image's
+ * samples between a stream in any of the four linearization orders and
+ * a pixel grid, in either direction, in one pass that writes each byte
+ * once.  A grid is a row pitch, a row order and a pixel form, so the
+ * row-major samples and a BMP raster are both grids: the image layer's
+ * linearize, delinearize's samples and encode_bmp each make one call.
  */
 
 #include <stdatomic.h>
@@ -1249,4 +1257,96 @@ int rpim_encode_body(const int64_t *rules, int64_t nrules,
 void rpim_release(void)
 {
     free(atomic_exchange(&spare, NULL));
+}
+
+/* rpim_layout's mode bits, LinearizationMode's values, and its flags */
+enum { LAYOUT_ZIGZAG = 1, LAYOUT_SPLIT = 2 };
+enum { LAYOUT_TO_GRID = 1, LAYOUT_BOTTOM_UP = 2, LAYOUT_BGR = 4 };
+
+/* One row's pixels: stream pixel x at s + x * step, the sample of its
+   grid byte b at offset at[b], and grid pixel x at p + i + x * dir; px
+   and to_grid are constants at each call, so that each gets a loop of
+   its own.  The offsets are copied to locals, which no byte store can
+   alias. */
+static inline __attribute__((always_inline)) void
+move_row(uint8_t *s, int64_t step, const int64_t *at, uint8_t *p,
+         int64_t i, int64_t dir, int64_t width, int px, int to_grid)
+{
+    int64_t a0 = at[0], a1 = px == 3 ? at[1] : 0, a2 = px == 3 ? at[2] : 0;
+    for (int64_t x = 0; x < width; x++, s += step, i += dir) {
+        uint8_t *q = p + i;
+        if (to_grid) {
+            q[0] = s[a0];
+            if (px == 3) {
+                q[1] = s[a1];
+                q[2] = s[a2];
+            }
+        } else {
+            s[a0] = q[0];
+            if (px == 3) {
+                s[a1] = q[1];
+                s[a2] = q[2];
+            }
+        }
+    }
+}
+
+/*
+ * Move the samples of a width x height image of channels (1 or 3)
+ * samples per pixel between stream, in linearization order mode, and a
+ * pixel grid, in one pass; towards the grid with LAYOUT_TO_GRID, else
+ * towards the stream.  The stream holds the pixels row by row, each odd
+ * row reversed under LAYOUT_ZIGZAG, and their samples interleaved, or
+ * one plane per channel under LAYOUT_SPLIT.  Grid row y starts at
+ * grid + y * pitch, or the image's rows run from the last grid row up
+ * under LAYOUT_BOTTOM_UP.  A grid pixel holds the channels samples in
+ * order, or, under LAYOUT_BGR, three bytes in reversed order, a single
+ * channel's sample in all three (read back from the last); towards the
+ * grid, the bytes past a row's pixels are zeroed.  So the row-major
+ * samples are both a ROW_MAJOR stream and a grid of pitch
+ * width * channels, and a BMP raster is a bottom-up BGR grid.  Returns
+ * RPIM_EBOUND, before anything is touched, for a geometry, mode or
+ * flags outside these, a pitch too short for a row, or a grid whose
+ * size would pass INT64_MAX.
+ */
+int rpim_layout(uint8_t *stream, int64_t width, int64_t height,
+                int64_t channels, int64_t mode, uint8_t *grid, int64_t pitch,
+                int64_t flags)
+{
+    int64_t px = flags & LAYOUT_BGR ? 3 : channels;
+    if (width < 1 || height < 1 || (channels != 1 && channels != 3)
+        || mode < 0 || mode > 3 || flags < 0 || flags > 7
+        || width > INT64_MAX / 3 || pitch < width * px
+        || pitch > INT64_MAX / height)
+        return RPIM_EBOUND;
+    /* the stream's distance between a pixel's samples and between
+       pixels, and its offset of grid byte b's sample */
+    int64_t plane = mode & LAYOUT_SPLIT ? width * height : 1;
+    int64_t step = mode & LAYOUT_SPLIT ? 1 : channels;
+    int64_t at[3];
+    for (int64_t b = 0; b < px; b++)
+        at[b] = !(flags & LAYOUT_BGR) ? b * plane
+                : channels == 3 ? (2 - b) * plane : 0;
+    for (int64_t y = 0; y < height; y++) {
+        uint8_t *s = stream + y * width * step;
+        uint8_t *row = grid + (flags & LAYOUT_BOTTOM_UP ? height - 1 - y : y)
+                              * pitch;
+        int64_t i = 0, dir = px;
+        if (flags & LAYOUT_TO_GRID)
+            memset(row + width * px, 0, (size_t)(pitch - width * px));
+        if ((mode & LAYOUT_ZIGZAG) && (y & 1)) {
+            i = (width - 1) * px;
+            dir = -px;
+        }
+        if (flags & LAYOUT_TO_GRID) {
+            if (px == 3)
+                move_row(s, step, at, row, i, dir, width, 3, 1);
+            else
+                move_row(s, step, at, row, i, dir, width, 1, 1);
+        } else if (px == 3)
+            move_row(s, step, at, row, i, dir, width, 3, 0);
+        else
+            move_row(s, step, at, row, i, dir, width, 1, 0);
+    }
+    return RPIM_OK;
 }

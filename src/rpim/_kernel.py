@@ -1,5 +1,5 @@
-"""Loader for the C engine: compression, expansion and the container
-body codec.
+"""Loader for the C engine: compression, expansion, the container body
+codec and the pixel layout.
 
 The C source next to this module (_kernel.c) is built with the system C
 compiler on first use and loaded through ctypes.  The shared library is
@@ -132,6 +132,10 @@ def load() -> ctypes.CDLL | None:
                 _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
                 _uint8_array, ctypes.c_int64, _int64_array]
             lib.rpim_encode_body.restype = ctypes.c_int
+            lib.rpim_layout.argtypes = [
+                _uint8_input, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                ctypes.c_int64, _uint8_input, ctypes.c_int64, ctypes.c_int64]
+            lib.rpim_layout.restype = ctypes.c_int
             _lib = lib
     return _lib
 
@@ -295,3 +299,30 @@ def encode_body(prefix: bytes, rules: np.ndarray,
     if status != 0:
         raise ValueError("varints are unsigned")
     return out[:len(prefix) + int(written[0])].tobytes()
+
+
+# layout's flags: the direction, and the grid's row order and pixel form
+TO_GRID, BOTTOM_UP, BGR = 1, 2, 4
+
+
+def layout(stream: np.ndarray, mode: int, width: int, height: int,
+           channels: int, grid: np.ndarray, pitch: int, flags: int) -> None:
+    """Move the samples of a width x height x channels image between
+    stream, a uint8 array in linearization order mode, and grid, a uint8
+    array of height rows of pitch bytes, in one pass: into grid under
+    TO_GRID, else into stream.  Under BOTTOM_UP the image's first row is
+    the grid's last; under BGR a grid pixel is three bytes in reversed
+    channel order, a single channel's sample in all three; towards the
+    grid, the bytes past each row's pixels are zeroed.
+
+    Raises ValueError when either array is too small for the geometry,
+    before the engine is called; EngineUnavailableError when the library
+    cannot be built.
+    """
+    lib = _loaded()
+    if (stream.size < width * height * channels
+            or grid.size < pitch * height
+            or lib.rpim_layout(stream, width, height, channels, mode, grid,
+                               pitch, flags) != 0):
+        raise ValueError(f"no {width}x{height}x{channels} layout in mode "
+                         f"{mode} with pitch {pitch} and flags {flags}")

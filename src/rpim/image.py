@@ -3,19 +3,27 @@
 Only the plain 24-bit uncompressed flavour (BITMAPINFOHEADER, BI_RGB) is
 supported; everything else is rejected loudly rather than half-decoded.
 Linearization turns a pixel buffer into the one-dimensional byte sequence
-the compressor consumes, in one of four invertible orders.  linearize,
-delinearize and encode_bmp each write every output byte once, into one
-array whose single tobytes() is the result.
+the compressor consumes, in one of four invertible orders.
+
+One mapping moves pixels between orders: the engine's pixel layout
+(_kernel.layout), which moves every sample between a stream in any
+order and a pixel grid, such as a BMP raster or the row-major samples,
+in one pass.  A PixelBuffer holds its bytes in the order they came in,
+so delinearize only checks and wraps its stream, decode_bmp its file,
+and encode_bmp and linearize each make one pass from whichever order a
+buffer holds into one array whose single tobytes() is the result.  The
+row-major samples are built only when asked for.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .errors import (
     CorruptBmpError,
     InvalidDimensionsError,
@@ -51,27 +59,122 @@ _MODE_LABELS = {
 MODE_BY_LABEL = {mode.label: mode for mode in LinearizationMode}
 
 
-@dataclass(frozen=True)
-class PixelBuffer:
-    """Decoded image: top-down rows, channel-interleaved samples."""
+class _Raster(NamedTuple):
+    """Where a BMP pixel array sits in its file: from offset, rows of
+    pitch bytes, and its layout flags, BGR pixels and the row order."""
 
-    width: int
-    height: int
-    channels: int
-    samples: bytes
+    offset: int
+    pitch: int
+    flags: int
+
+
+class PixelBuffer:
+    """An image of width x height pixels, each of channels samples: one
+    grey level, or red, green and blue.
+
+    samples is the row-major sample bytes, rows top-down, a pixel's
+    samples together, and as_array() its (height, width, channels)
+    view; equality and the hash are theirs.  A buffer holds its bytes in
+    the order they came in, and that order: samples for a buffer built
+    here, the stream in its LinearizationMode for one from delinearize,
+    the BMP file and where its raster sits for one from decode_bmp.  A
+    buffer in another order builds samples on first use, and keeps them;
+    linearize and encode_bmp map its bytes straight to their own order
+    with one pass of the engine's pixel layout.  A buffer and what it
+    holds never change.
+    """
+
+    __slots__ = ("width", "height", "channels", "_held", "_order",
+                 "_samples")
+
+    def __init__(self, width: int, height: int, channels: int,
+                 samples: bytes):
+        # bytes are kept as they are, a bytearray or memoryview is copied
+        self._hold(width, height, channels, bytes(samples),
+                   LinearizationMode.ROW_MAJOR)
+
+    @classmethod
+    def _wrap(cls, width: int, height: int, channels: int, held: bytes,
+              order: LinearizationMode | _Raster) -> PixelBuffer:
+        buf = cls.__new__(cls)
+        buf._hold(width, height, channels, held, order)
+        return buf
+
+    def _hold(self, *values) -> None:
+        for name, value in zip(self.__slots__, (*values, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PixelBuffer is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PixelBuffer is immutable: cannot delete {name}")
+
+    @property
+    def samples(self) -> bytes:
+        if self._order == LinearizationMode.ROW_MAJOR:
+            return self._held
+        if self._samples is None:
+            object.__setattr__(self, "_samples",
+                               self._stream(LinearizationMode.ROW_MAJOR))
+        return self._samples
+
+    def _stream(self, mode: LinearizationMode) -> bytes:
+        """The held bytes as a stream in linearization order mode."""
+        order = self._order
+        if order == mode:
+            return self._held
+        w, h, c = self.width, self.height, self.channels
+        out = np.empty(w * h * c, np.uint8)
+        if isinstance(order, _Raster):
+            raster = np.frombuffer(self._held, np.uint8,
+                                   count=order.pitch * h, offset=order.offset)
+            _kernel.layout(out, mode, w, h, c, raster, order.pitch,
+                           order.flags)
+        elif mode == LinearizationMode.ROW_MAJOR:
+            # the samples are a grid of pitch w * c too
+            _kernel.layout(np.frombuffer(self._held, np.uint8), order,
+                           w, h, c, out, w * c, _kernel.TO_GRID)
+        else:
+            _kernel.layout(out, mode, w, h, c,
+                           np.frombuffer(self.samples, np.uint8), w * c, 0)
+        return out.tobytes()
+
+    def _any_stream(self) -> tuple[bytes, LinearizationMode]:
+        """The held bytes as a stream in some order, and that order."""
+        if isinstance(self._order, _Raster):
+            return self.samples, LinearizationMode.ROW_MAJOR
+        return self._held, self._order
 
     def validate(self) -> None:
         _check_geometry(self.width, self.height, self.channels)
         expected = self.width * self.height * self.channels
-        if len(self.samples) != expected:
+        # decode_bmp checked its raster's extent against the file
+        if not isinstance(self._order, _Raster) and \
+                len(self._held) != expected:
             raise InvalidDimensionsError(
-                f"expected {expected} samples, have {len(self.samples)}"
+                f"expected {expected} samples, have {len(self._held)}"
             )
 
     def as_array(self) -> np.ndarray:
         return np.frombuffer(self.samples, np.uint8).reshape(
             self.height, self.width, self.channels
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, PixelBuffer):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.width, self.height, self.channels, self.samples
+
+    def __repr__(self):
+        return (f"PixelBuffer(width={self.width}, height={self.height}, "
+                f"channels={self.channels}, samples={self.samples!r})")
 
 
 def _check_geometry(width: int, height: int, channels: int) -> None:
@@ -114,20 +217,14 @@ def decode_bmp(data: bytes) -> PixelBuffer:
     if pixel_offset + row * height > len(data):
         raise CorruptBmpError("truncated pixel data")
 
-    raster = np.frombuffer(data, np.uint8, count=row * height, offset=pixel_offset)
-    bgr = raster.reshape(height, row)[:, : 3 * width].reshape(height, width, 3)
-    if not top_down:
-        bgr = bgr[::-1]
-    # one plane copy per channel is faster than reversing a length-3 axis
-    rgb = np.empty((height, width, 3), np.uint8)
-    for c in range(3):
-        rgb[:, :, c] = bgr[:, :, 2 - c]
-    return PixelBuffer(width, height, 3, rgb.tobytes())
+    # a bytearray or memoryview is copied, so the buffer never changes
+    flags = _kernel.BGR | (0 if top_down else _kernel.BOTTOM_UP)
+    return PixelBuffer._wrap(width, height, 3, bytes(data),
+                             _Raster(pixel_offset, row, flags))
 
 
 def encode_bmp(buf: PixelBuffer) -> bytes:
     buf.validate()
-    arr = buf.as_array()
     row = _row_size(buf.width)
     image_size = row * buf.height
     out = np.empty(_HEADER_SIZE + image_size, np.uint8)
@@ -150,44 +247,17 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
         0,
         0,
     ), np.uint8)
-    # rows bottom-up, BGR pixels: zero the padding columns only, then one
-    # plane copy per channel, and a single channel copied to all three
-    raster = out[_HEADER_SIZE:].reshape(buf.height, row)
-    raster[:, 3 * buf.width:] = 0
-    bgr = raster[::-1, : 3 * buf.width].reshape(buf.height, buf.width, 3)
-    for c in range(3):
-        bgr[:, :, c] = arr[:, :, 2 - c if buf.channels == 3 else 0]
+    stream, mode = buf._any_stream()
+    _kernel.layout(np.frombuffer(stream, np.uint8), mode, buf.width,
+                   buf.height, buf.channels, out[_HEADER_SIZE:], row,
+                   _kernel.TO_GRID | _kernel.BOTTOM_UP | _kernel.BGR)
     return out.tobytes()
-
-
-def _layout(mode: LinearizationMode, height: int, width: int, channels: int):
-    """The stream shape of a mode other than ROW_MAJOR, and the (stream
-    index, pixel index) pairs whose copies move every byte once between
-    that stream and the (height, width, channels) pixels."""
-    if mode == LinearizationMode.ZIGZAG:
-        # odd rows per channel: whole reversed pixels copy 3 bytes per loop
-        return (height, width, channels), [(np.s_[0::2], np.s_[0::2])] + [
-            (np.s_[1::2, :, c], np.s_[1::2, ::-1, c]) for c in range(channels)]
-    if mode == LinearizationMode.CHANNEL_SPLIT_ROW_MAJOR:
-        copies = [(np.s_[c], np.s_[:, :, c]) for c in range(channels)]
-    else:
-        copies = [pair for c in range(channels) for pair in (
-            (np.s_[c, 0::2], np.s_[0::2, :, c]),
-            (np.s_[c, 1::2], np.s_[1::2, ::-1, c]))]
-    return (channels, height, width), copies
 
 
 def linearize(buf: PixelBuffer, mode: LinearizationMode) -> bytes:
     """Flatten a pixel buffer into the byte sequence fed to the compressor."""
     buf.validate()
-    if mode == LinearizationMode.ROW_MAJOR:
-        return buf.samples
-    shape, copies = _layout(mode, buf.height, buf.width, buf.channels)
-    pixels = buf.as_array()
-    out = np.empty(shape, np.uint8)
-    for stream_at, pixel_at in copies:
-        out[stream_at] = pixels[pixel_at]
-    return out.tobytes()
+    return buf._stream(LinearizationMode(mode))
 
 
 def delinearize(
@@ -196,7 +266,8 @@ def delinearize(
     """Exact inverse of linearize for the given geometry.
 
     The geometry is checked first (InvalidDimensionsError), then the
-    length (InvalidGeometryError), and only then is the output allocated.
+    length (InvalidGeometryError).  The buffer then holds the stream
+    itself: bytes are not copied, a bytearray or memoryview is, once.
     """
     _check_geometry(width, height, channels)
     data = bytes(seq)
@@ -205,11 +276,5 @@ def delinearize(
         raise InvalidGeometryError(
             f"sequence length {len(data)} does not fill {width}x{height}x{channels}"
         )
-    if mode == LinearizationMode.ROW_MAJOR:
-        return PixelBuffer(width, height, channels, data)
-    shape, copies = _layout(mode, height, width, channels)
-    stream = np.frombuffer(data, np.uint8).reshape(shape)
-    out = np.empty((height, width, channels), np.uint8)
-    for stream_at, pixel_at in copies:
-        out[pixel_at] = stream[stream_at]
-    return PixelBuffer(width, height, channels, out.tobytes())
+    return PixelBuffer._wrap(width, height, channels, data,
+                             LinearizationMode(mode))

@@ -42,6 +42,9 @@
  * accepts must encode back to the same bytes.  Forged bodies cover the varint
  * edges 2^64 - 1, 2^64 and eleven bytes, counts far past the data, and
  * a limit that unused rules pass and the sequence meets exactly.
+ * The pixel layout moves every sample of small images, in every
+ * linearization order, both ways between exact-size buffers, as
+ * check_layout describes.
  * Exit status 0 means every case passed; a sanitizer report aborts with
  * its own.
  */
@@ -518,6 +521,86 @@ static void check_forged_bodies(void)
     free(out);
 }
 
+/* Where linearization order mode puts sample k of pixel (x, y) of a
+   w x h image of c channels. */
+static int64_t stream_index(int mode, int64_t w, int64_t h, int64_t c,
+                            int64_t y, int64_t x, int64_t k)
+{
+    int64_t col = (mode & LAYOUT_ZIGZAG) && (y & 1) ? w - 1 - x : x;
+    return mode & LAYOUT_SPLIT ? (k * h + y) * w + col : (y * w + col) * c + k;
+}
+
+/* rpim_layout in every mode, flag and direction, for 1 and 3 channels,
+   widths 1 to 9 and heights 1 to 4, on grids of the shortest pitch and
+   of one padded to four bytes, so BMP rows of every padding residue:
+   each byte must land where stream_index puts it, the padding of a
+   grid written must be zero, and the source must be left alone.  The
+   stream and the grid are each allocated at their exact size, so a
+   write one byte past either is caught.  Then a geometry, mode, flags
+   or pitch it refuses must leave both buffers untouched. */
+static void check_layout(void)
+{
+    for (int mode = 0; mode < 4; mode++)
+    for (int64_t c = 1; c <= 3; c += 2)
+    for (int64_t w = 1; w <= 9; w++)
+    for (int64_t h = 1; h <= 4; h++)
+    for (int64_t flags = 0; flags < 8; flags++)
+    for (int padded = 0; padded < 2; padded++) {
+        int bgr = flags & LAYOUT_BGR, to_grid = flags & LAYOUT_TO_GRID;
+        int64_t px = bgr ? 3 : c;
+        int64_t pitch = padded ? (w * px + 3) & ~3 : w * px;
+        int64_t n = w * h * c, size = pitch * h;
+        uint8_t *stream = must_alloc((size_t)n);
+        uint8_t *grid = must_alloc((size_t)size);
+        uint8_t *source = must_alloc((size_t)(to_grid ? n : size));
+        for (int64_t j = 0; j < n; j++)
+            stream[j] = (uint8_t)below(256);
+        for (int64_t j = 0; j < size; j++)
+            grid[j] = (uint8_t)below(256);
+        memcpy(source, to_grid ? stream : grid, (size_t)(to_grid ? n : size));
+        if (rpim_layout(stream, w, h, c, mode, grid, pitch, flags) != RPIM_OK)
+            fail("layout", n, "a valid layout was refused");
+        if (memcmp(source, to_grid ? stream : grid,
+                   (size_t)(to_grid ? n : size)))
+            fail("layout", n, "the source changed");
+        for (int64_t y = 0; y < h; y++) {
+            const uint8_t *row =
+                grid + (flags & LAYOUT_BOTTOM_UP ? h - 1 - y : y) * pitch;
+            for (int64_t x = 0; x < w; x++)
+                for (int64_t b = 0; b < px; b++) {
+                    int64_t k = !bgr ? b : c == 3 ? 2 - b : 0;
+                    uint8_t sample = stream[stream_index(mode, w, h, c, y,
+                                                         x, k)];
+                    /* read back, a single channel comes from the last */
+                    if ((to_grid || !bgr || c == 3 || b == 2)
+                        && row[x * px + b] != sample)
+                        fail("layout", n, "a sample was misplaced");
+                }
+            for (int64_t j = w * px; to_grid && j < pitch; j++)
+                if (row[j] != 0)
+                    fail("layout", n, "row padding was not zeroed");
+        }
+        free(source);
+        free(grid);
+        free(stream);
+    }
+
+    /* {width, height, channels, mode, pitch, flags} */
+    static const int64_t refused[][6] = {
+        {0, 1, 3, 0, 3, 0}, {1, 0, 3, 0, 3, 0}, {1, 1, 2, 0, 2, 0},
+        {1, 1, 3, -1, 3, 0}, {1, 1, 3, 4, 3, 0}, {1, 1, 1, 0, 1, -1},
+        {1, 1, 1, 0, 1, 8}, {2, 1, 3, 0, 5, 0}, {2, 1, 1, 0, 5, 4},
+        {1, 2, 1, 0, INT64_MAX / 2 + 1, 1},
+        {INT64_MAX / 3 + 1, 1, 1, 0, INT64_MAX, 1}};
+    for (size_t k = 0; k < sizeof refused / sizeof refused[0]; k++) {
+        const int64_t *r = refused[k];
+        uint8_t stream = 7, grid = 9;
+        if (rpim_layout(&stream, r[0], r[1], r[2], r[3], &grid, r[4], r[5])
+                != RPIM_EBOUND || stream != 7 || grid != 9)
+            fail("layout", (int64_t)k, "a bad layout was not refused");
+    }
+}
+
 /* Fill buf with runs of length 1..longest over alphabet symbols. */
 static void runs(uint8_t *buf, int64_t n, int alphabet, int longest)
 {
@@ -779,6 +862,7 @@ int main(void)
     check_forged_grammars();
     check_copy_edges();
     check_forged_bodies();
+    check_layout();
 
     free(buf);
     if (failures) {

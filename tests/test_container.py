@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpim import _kernel
+from rpim.cli import main
 from rpim.container import (
     CompressedArtifact,
     ImagePayload,
@@ -32,7 +35,13 @@ from rpim.errors import (
     RpimError,
     UnrecognizedContainerError,
 )
-from rpim.image import LinearizationMode, linearize, PixelBuffer
+from rpim.image import (
+    LinearizationMode,
+    PixelBuffer,
+    delinearize,
+    encode_bmp,
+    linearize,
+)
 from rpim.repair import Grammar, Rule, compress, expand
 
 from conftest import BOMB
@@ -577,3 +586,42 @@ def test_serialize_deserialize_identity(data, as_image):
     values = [len(grammar), *itertools.chain(*grammar.rules), len(final),
               *final.tolist()]
     assert blob == header + b"".join(map(varint, values))
+
+
+# v1 containers written before the image layer held its bytes in their
+# own order, and the sha256 of what `rpim decompress` wrote for each:
+# a 13x7 RGB image, odd-width, with one padding byte per BMP row, by
+# `rpim compress --mode` in each order; an 11x5 one-channel image
+# payload in zigzag order, which comes out as grey BMP pixels; and 343
+# bytes by `rpim compress --raw`
+PINNED = {
+    "rgb-13x7-row.rpim":
+        "339bc570148024250787d5315fb7b8209fe39926d04fa1ef6aac5eadf819d8d2",
+    "rgb-13x7-zigzag.rpim":
+        "339bc570148024250787d5315fb7b8209fe39926d04fa1ef6aac5eadf819d8d2",
+    "rgb-13x7-split-row.rpim":
+        "339bc570148024250787d5315fb7b8209fe39926d04fa1ef6aac5eadf819d8d2",
+    "rgb-13x7-split-zigzag.rpim":
+        "339bc570148024250787d5315fb7b8209fe39926d04fa1ef6aac5eadf819d8d2",
+    "gray-11x5-zigzag.rpim":
+        "ef68a5b5c30371c8f67d804d511b7144ae54f7751e1d7fc19e290cc1e6e6e106",
+    "raw-343.rpim":
+        "587b42ca5a9ccecb3204623d43e466c75876a5e0e4ddbe5fa4c86ed7cd2c3fed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_v1_containers_decompress_unchanged(name, tmp_path):
+    """Each pinned container decompresses, through the CLI and through
+    the API, to the very bytes it did when it was written."""
+    path = Path(__file__).parent / "data" / "v1" / name
+    out = tmp_path / "out"
+    assert main(["decompress", str(path), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[name]
+    artifact = deserialize(path.read_bytes())
+    data = expand(artifact.grammar, artifact.sequence)
+    payload = artifact.payload
+    if not isinstance(payload, RawPayload):
+        data = encode_bmp(delinearize(data, payload.mode, payload.width,
+                                      payload.height, payload.channels))
+    assert hashlib.sha256(data).hexdigest() == PINNED[name]

@@ -98,14 +98,15 @@ class TestBmpCodec:
         assert decode_bmp(blob) == buf
 
 
-def reference_bmp(buf):
-    """The BMP file for buf, written pixel by pixel with struct alone."""
+def reference_bmp(buf, top_down=False):
+    """The BMP file for buf, written pixel by pixel with struct alone;
+    its rows run bottom-up, or top-down with a negative height."""
     w, h, c = buf.width, buf.height, buf.channels
     row = (3 * w + 3) // 4 * 4
     out = bytearray(struct.pack("<2sIHHI", b"BM", 54 + row * h, 0, 0, 54))
-    out += struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0, row * h,
-                       2835, 2835, 0, 0)
-    for y in reversed(range(h)):
+    out += struct.pack("<IiiHHIIiiII", 40, w, -h if top_down else h, 1, 24,
+                       0, row * h, 2835, 2835, 0, 0)
+    for y in range(h) if top_down else reversed(range(h)):
         for x in range(w):
             pixel = buf.samples[(y * w + x) * c:(y * w + x + 1) * c]
             r, g, b = pixel if c == 3 else pixel * 3
@@ -127,6 +128,92 @@ def test_encode_bmp_matches_struct_writer_with_zero_padding():
                     start = 54 + y * row
                     assert blob[start + 3 * w:start + row] == \
                         bytes(row - 3 * w), (w, h, c, y)
+
+
+
+def test_composed_paths_match_struct_writer():
+    """The decompress path, delinearize then encode_bmp, writes the
+    struct writer's file from a stream in every order, and the compress
+    path, decode_bmp then linearize, gives back the stream from a
+    bottom-up or a top-down file."""
+    rng = random.Random(12)
+    for mode in LinearizationMode:
+        for w in range(1, 9):
+            for h in range(1, 4):
+                for c in (1, 3):
+                    buf = PixelBuffer(w, h, c, rng.randbytes(w * h * c))
+                    stream = linearize(buf, mode)
+                    blob = reference_bmp(buf)
+                    assert encode_bmp(delinearize(stream, mode, w, h, c)) \
+                        == blob, (mode, w, h, c)
+                    if c == 3:
+                        for top_down in (False, True):
+                            decoded = decode_bmp(reference_bmp(buf, top_down))
+                            assert linearize(decoded, mode) == stream, \
+                                (mode, w, h, top_down)
+                            assert encode_bmp(decoded) == blob
+
+
+@pytest.mark.parametrize("w,h,c", [(1, 1, 1), (5, 3, 3), (4, 2, 1),
+                                   (7, 4, 3)])
+def test_buffers_of_every_origin_agree(w, h, c):
+    """A buffer built from its samples, one from delinearize in each
+    mode and, for 3 channels, one from decode_bmp, all of the same
+    pixels, agree in every way a caller can see."""
+    samples = random.Random(w * h + c).randbytes(w * h * c)
+    direct = PixelBuffer(w, h, c, samples)
+    others = [delinearize(linearize(direct, mode), mode, w, h, c)
+              for mode in LinearizationMode]
+    if c == 3:
+        others.append(decode_bmp(reference_bmp(direct)))
+    for buf in others:
+        assert buf == direct and direct == buf
+        assert hash(buf) == hash(direct)
+        assert buf.samples == direct.samples
+        assert (buf.as_array() == direct.as_array()).all()
+        assert buf.as_array().shape == (h, w, c)
+    assert len({direct, *others}) == 1
+    changed = PixelBuffer(w, h, c, bytes(b ^ 1 for b in direct.samples))
+    assert all(buf != changed for buf in others)
+
+
+def test_buffers_keep_no_view_of_mutable_input():
+    direct = PixelBuffer(3, 2, 3, bytes(range(18)))
+    samples = bytearray(range(18))
+    built = PixelBuffer(3, 2, 3, samples)
+    samples[:] = bytes(18)
+    assert built == direct and hash(built) == hash(direct)
+    blob = bytearray(reference_bmp(direct))
+    from_file = decode_bmp(blob)
+    blob[54:] = bytes(len(blob) - 54)
+    assert from_file == direct
+    for mode in LinearizationMode:
+        stream = bytearray(linearize(direct, mode))
+        for seq in (stream, memoryview(stream)):
+            buf = delinearize(seq, mode, 3, 2, 3)
+            stream[:] = bytes(18)
+            assert buf == direct, mode
+            stream[:] = linearize(direct, mode)
+
+
+def test_image_paths_never_build_row_major_samples():
+    """encode_bmp writes a delinearized buffer's raster straight from its
+    stream, and linearize a decoded buffer's stream straight from its
+    raster: neither builds the buffer's row-major samples.  delinearize
+    wraps a bytes stream without copying it."""
+    rng = random.Random(13)
+    for c in (1, 3):
+        buf = PixelBuffer(5, 3, c, rng.randbytes(15 * c))
+        for mode in LinearizationMode:
+            stream = linearize(buf, mode)
+            wrapped = delinearize(stream, mode, 5, 3, c)
+            assert wrapped._held is stream
+            assert encode_bmp(wrapped) == reference_bmp(buf)
+            assert wrapped._samples is None, (mode, c)
+    decoded = decode_bmp(reference_bmp(buf))
+    for mode in LinearizationMode:
+        assert linearize(decoded, mode) == linearize(buf, mode)
+        assert decoded._samples is None, mode
 
 
 class TestLinearize:
