@@ -125,12 +125,12 @@ class CorpusRun:
     stream: bytes
     grammar: object
     final: list
-    blob_size: int
+    blob: bytes
     wall_time: float
 
     @property
     def ratio(self) -> float:
-        return self.blob_size / self.file_size
+        return len(self.blob) / self.file_size
 
 
 @pytest.fixture(scope="session")
@@ -170,5 +170,5 @@ def corpus_runs(corpus_dir, warm_engine):
             blob = serialize(CompressedArtifact(payload, grammar, final))
             wall = time.perf_counter() - start
             runs.append(CorpusRun(path.stem, mode, len(data), stream,
-                                  grammar, final, len(blob), wall))
+                                  grammar, final, blob, wall))
     return runs

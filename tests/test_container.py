@@ -625,3 +625,18 @@ def test_pinned_v1_containers_decompress_unchanged(name, tmp_path):
         data = encode_bmp(delinearize(data, payload.mode, payload.width,
                                       payload.height, payload.channels))
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
+
+
+# sha256 over the containers of the corpus runs, every bench-corpus image
+# in every mode, in the corpus_runs fixture's order.  A grammar, a final
+# sequence or a container layout that moves changes it, so it is re-pinned
+# only with a deliberate change to one of them
+CORPUS_CONTAINERS_SHA256 = \
+    "8c87c77aa78cd47079f164ecc5166b9ddfe0f9290ea93241f449eb3b74159d09"
+
+
+def test_corpus_containers_unchanged(corpus_runs):
+    """The 20 corpus containers are byte for byte those pinned."""
+    assert len(corpus_runs) == 20
+    digest = hashlib.sha256(b"".join(run.blob for run in corpus_runs))
+    assert digest.hexdigest() == CORPUS_CONTAINERS_SHA256

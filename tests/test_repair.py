@@ -81,9 +81,12 @@ class TestReplaceStep:
         assert final.tolist() == [256, 256]
 
     def test_nothing_repeats(self):
-        grammar, final = compress(bytes([1, 2, 3, 4]))
-        assert grammar.rules == []
-        assert final.tolist() == [1, 2, 3, 4]
+        # the walk holds each of the 65,536 byte pairs once, so every
+        # record the initial count makes is filed at count 1 and released
+        for seq in ([1, 2, 3, 4], _de_bruijn_walk()):
+            grammar, final = compress(bytes(seq))
+            assert grammar.rules == []
+            assert final.tolist() == seq
 
     def test_tie_broken_lexicographically(self):
         # (1,1) and (1,2) both count 2; (1,1) is smaller
