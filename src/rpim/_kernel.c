@@ -124,9 +124,10 @@
  * measures the expanded length against a caller's limit, in a table of
  * one length per symbol (a symbol longer than the limit is marked as
  * such, so doubling chains cannot overflow); the body decoder and
- * rpim_expand both call it.  rpim_expand only then allocates the
- * output, at its exact length, which the caller releases with
- * rpim_free.  Two tables indexed by symbol, terminals and rules alike,
+ * rpim_expand both call it, each in a table it allocates for the rules
+ * it holds, and frees, so no caller sizes one.  rpim_expand only then
+ * allocates the output, at its exact length, which the caller releases
+ * with rpim_free.  Two tables indexed by symbol, terminals and rules alike,
  * hold each symbol's expanded length and where its expansion can be
  * copied from: a terminal's is its byte in a static table of the 256
  * byte values, and a rule's is unset until its first expansion starts,
@@ -152,9 +153,10 @@
  * sides then symbols, so no declared count sizes anything: the value
  * at index j is written only after more than j varints have been read,
  * each at least a byte, so every write index stays below the body's
- * size.  Once the whole body is read it measures it as rpim_expand
- * does.  rpim_encode_body writes the minimal unsigned LEB128 varints of
- * the same fields.
+ * size.  Once the whole body is read without a fault it measures it as
+ * rpim_expand does, in a length table it allocates itself, sized by the
+ * rule count it read, and frees.  rpim_encode_body writes the minimal
+ * unsigned LEB128 varints of the same fields.
  *
  * The pixel layout is one routine, rpim_layout, that moves an image's
  * samples between a stream in any of the four linearization orders and
@@ -1106,10 +1108,10 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  * rule sides, the sequence length and the symbols, in one sequential
  * pass.  out holds cap elements, cap at least size, and receives rule
  * k at out[2k] and out[2k + 1] and symbol i at out[2 * nrules + i].
- * len holds 256 + cap / 2 elements; once the body is read without a
- * fault, measure fills it as in rpim_expand, one length per symbol.
- * info[0] gets the rule count and info[1] the
- * sequence length, as a uint64 bit pattern, as soon as each is read.
+ * info[0] gets the rule count and info[1] the sequence length, as a
+ * uint64 bit pattern, as soon as each is read.  Once the body is read
+ * without a fault, a table of one length per symbol, 256 + nrules of
+ * them, is allocated for measure, as in rpim_expand, and freed.
  * Returns RPIM_OK with the expanded length of the sequence in info[4],
  * as a uint64 bit pattern; or the first fault a varint-by-varint reader
  * meets:
@@ -1122,14 +1124,14 @@ static inline int read_varint(const uint8_t *body, int64_t size,
  *   RPIM_ETRAILING when info[3] bytes follow the sequence from offset
  *     info[2];
  * or, for a body without faults, RPIM_ELIMIT when its expanded length
- * exceeds limit.  A cap below size returns RPIM_EBOUND before anything
+ * exceeds limit, or RPIM_ENOMEM when the length table cannot be
+ * allocated.  A cap below size returns RPIM_EBOUND before anything
  * is read.  Each value goes to out[j] only once more than j varints
  * have been read, and every varint takes a byte, so no write reaches
  * size, and none passes cap.
  */
 int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
-                     int64_t cap, uint64_t limit, uint64_t *len,
-                     int64_t *info)
+                     int64_t cap, uint64_t limit, int64_t *info)
 {
     int64_t pos = 0;
     uint64_t count, a, b, s;
@@ -1168,10 +1170,16 @@ int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
         info[3] = size - pos;
         return RPIM_ETRAILING;
     }
+    uint64_t *len = malloc((size_t)(NONTERMINAL_BASE + nrules)
+                           * sizeof *len);
+    if (len == NULL)
+        return RPIM_ENOMEM;
     /* the reader has checked every reference, so measure finds no fault
        but the limit */
-    return measure(out, nrules, seq, (int64_t)count, limit, len, info + 2,
-                   (uint64_t *)&info[4]);
+    int err = measure(out, nrules, seq, (int64_t)count, limit, len,
+                      info + 2, (uint64_t *)&info[4]);
+    free(len);
+    return err;
 }
 
 #undef READ

@@ -43,10 +43,10 @@ COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC", "-falign-functions=64")
 SOURCE = Path(__file__).with_name("_kernel.c")
 
-# rpim_compress's and rpim_expand's status for a failed allocation; any
-# other nonzero rpim_compress status is a capacity bound the kernel
-# refused to exceed or a broken invariant (a pair count above its queue
-# entry's, or born above the count being taken)
+# the engine's statuses for a failed allocation and for a length past the
+# caller's limit; its other status, RPIM_EBOUND, is a capacity bound the
+# kernel refused to exceed or a broken invariant (a pair count above its
+# queue entry's, or born above the count being taken)
 _ENOMEM = 1
 _ELIMIT = 3
 # rpim_decode_body's faults, each the first a sequential reader meets;
@@ -70,7 +70,6 @@ _rules_input = ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
 _uint8_array = ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int32_array = ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _int64_array = ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-_uint64_array = ndpointer(np.uint64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 
 # per-process load outcome: the library, or the reason it is unavailable
 _lib: ctypes.CDLL | None = None
@@ -126,7 +125,7 @@ def load() -> ctypes.CDLL | None:
             lib.rpim_release.restype = None
             lib.rpim_decode_body.argtypes = [
                 _uint8_input, ctypes.c_int64, _int64_array, ctypes.c_int64,
-                ctypes.c_uint64, _uint64_array, _int64_array]
+                ctypes.c_uint64, _int64_array]
             lib.rpim_decode_body.restype = ctypes.c_int
             lib.rpim_encode_body.argtypes = [
                 _rules_input, ctypes.c_int64, _int64_input, ctypes.c_int64,
@@ -156,9 +155,11 @@ def fault(status: int, where: int = 0, value: int = 0) -> Exception:
     where and value as it reports them: CorruptContainerError for a
     varint fault at byte offset where or value bytes trailing the
     sequence, MalformedGrammarError for rule where referencing a symbol
-    outside its prefix or a symbol of value value undefined, and
-    RuntimeError for any other status, a bound the engine refused to
-    pass."""
+    outside its prefix or a symbol of value value undefined, MemoryError
+    for a failed allocation, and RuntimeError for any other status, a
+    bound the engine refused to pass or an invariant it found broken."""
+    if status == _ENOMEM:
+        return MemoryError("C engine could not allocate memory")
     if status in _VARINT_FAULTS:
         return CorruptContainerError(
             f"{_VARINT_FAULTS[status]} at offset {where}")
@@ -185,10 +186,10 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
     front and the rule sides right after it, so rules and final are views
     of that array.  Raises ValueError for more than MAX_SYMBOLS symbols,
     before anything is allocated, EngineUnavailableError when the library
-    cannot be built, MemoryError when the kernel's allocations fail, and
-    RuntimeError when it refuses a capacity bound or finds one of its
-    invariants broken: a pair count above its queue entry's, or a pair
-    born above the count being taken.
+    cannot be built, and, through fault, MemoryError when the kernel's
+    allocations fail and RuntimeError when it refuses a capacity bound or
+    finds one of its invariants broken: a pair count above its queue
+    entry's, or a pair born above the count being taken.
     """
     n = symbols.size
     if n > MAX_SYMBOLS:
@@ -200,12 +201,8 @@ def compress_array(symbols: np.ndarray, min_frequency: int):
     sym = np.empty(n, np.int32)
     sizes = np.zeros(2, np.int64)
     status = lib.rpim_compress(data, n, threshold, sym, sizes)
-    if status == _ENOMEM:
-        raise MemoryError(f"C engine could not allocate for {n} symbols")
     if status != 0:
-        raise RuntimeError(f"C engine exceeded a capacity bound or found a "
-                           f"pair count above its queue entry's (status "
-                           f"{status}) on {n} symbols")
+        raise fault(status)
     nrules, length = sizes.tolist()
     return (sym[length:length + 2 * nrules].reshape(nrules, 2),
             sym[:length])
@@ -224,11 +221,11 @@ def expand(rules: np.ndarray, symbols: np.ndarray) -> bytes:
     """The expansion, as bytes, of int64 symbols under the grammar of
     int64 (n, 2) rules.
 
-    Raises MalformedGrammarError, through fault, naming the first rule
-    that references a symbol outside its prefix or the first undefined
-    symbol; MemoryError when the expansion exceeds sys.maxsize bytes,
-    the most a bytes object holds, or the engine cannot allocate it;
-    EngineUnavailableError when the library cannot be built.
+    Raises MemoryError when the expansion exceeds sys.maxsize bytes, the
+    most a bytes object holds; through fault, MalformedGrammarError
+    naming the first rule that references a symbol outside its prefix or
+    the first undefined symbol, and MemoryError when the engine cannot
+    allocate; EngineUnavailableError when the library cannot be built.
     """
     lib = _loaded()
     out = ctypes.c_void_p()
@@ -242,8 +239,6 @@ def expand(rules: np.ndarray, symbols: np.ndarray) -> bytes:
         lib.rpim_free(out)
     if status == _ELIMIT:
         raise MemoryError(f"expansion exceeds {sys.maxsize} bytes")
-    if status == _ENOMEM:
-        raise MemoryError("C engine could not allocate the expansion")
     raise fault(status, info[0], info[1])
 
 
@@ -255,19 +250,16 @@ def decode_body(data: bytes, pos: int, limit: int):
     int64 read-only views of one buffer of one value per body byte, and
     the expanded length, or None when it exceeds limit.  Raises, through
     fault, the first fault a varint-by-varint reader meets, a varint
-    fault at its offset in data; EngineUnavailableError when the library
-    cannot be built.
+    fault at its offset in data, and MemoryError when the engine cannot
+    allocate the length table it measures in; EngineUnavailableError
+    when the library cannot be built.
     """
     lib = _loaded()
     body = np.frombuffer(data, np.uint8, offset=pos)
     # every varint takes a byte, so a valid body fits in body.size values
-    # and holds at most body.size // 2 rules; lengths has one entry per
-    # symbol, the 256 terminals and those rules
     out = np.empty(body.size, np.int64)
-    lengths = np.empty(NONTERMINAL_BASE + body.size // 2, np.uint64)
     info = np.zeros(5, np.int64)
-    status = lib.rpim_decode_body(body, body.size, out, out.size, limit,
-                                  lengths, info)
+    status = lib.rpim_decode_body(body, body.size, out, out.size, limit, info)
     nrules, nseq, where, value, _ = info.tolist()
     if status in _VARINT_FAULTS:
         where += pos

@@ -2,8 +2,8 @@
 
 Four subcommands: compress, decompress, inspect, bench.  Exit codes are
 stable so scripts can branch on them: 0 success, 1 usage error, 2 bad or
-unsupported input data, 3 filesystem error, 4 the C engine could not be
-built or loaded.
+unsupported input data, or input too large to allocate for (MemoryError),
+3 filesystem error, 4 the C engine could not be built or loaded.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     except ValueError:
         return _report(EXIT_USAGE)
-    except RpimError:
+    except (RpimError, MemoryError):
         return _report(EXIT_DATA)
     except OSError:
         return _report(EXIT_IO)
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
 
 def _report(code: int) -> int:
     exc = sys.exc_info()[1]
-    print(f"rpim: {exc}", file=sys.stderr)
+    print(f"rpim: {str(exc) or type(exc).__name__}", file=sys.stderr)
     return code
 
 

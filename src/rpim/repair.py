@@ -263,22 +263,6 @@ def _sequence(seq) -> np.ndarray:
     return _int64(values, "sequence symbol")
 
 
-def _checked_symbols(grammar: Grammar, symbols: np.ndarray) -> np.ndarray:
-    """symbols, an int64 array, once the grammar and it are known to
-    reference only defined symbols; raises MalformedGrammarError."""
-    bounds = NONTERMINAL_BASE + np.arange(len(grammar))
-    bad = np.flatnonzero((grammar.left < 0) | (grammar.left >= bounds)
-                         | (grammar.right < 0) | (grammar.right >= bounds))
-    if bad.size:
-        raise _kernel.fault(_kernel.BAD_RULE, int(bad[0]))
-    undefined = np.flatnonzero((symbols < 0)
-                               | (symbols >= NONTERMINAL_BASE + len(grammar)))
-    if undefined.size:
-        index = int(undefined[0])
-        raise _kernel.fault(_kernel.UNDEFINED, index, int(symbols[index]))
-    return symbols
-
-
 def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     """Substitute every nonterminal down to terminals; returns the bytes.
 
@@ -293,27 +277,33 @@ def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
 
 
 def reference_expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
-    """Expansion in Python, the oracle expand is tested against.
+    """Expansion from the definition, the oracle expand is tested against.
 
-    Only rules reachable from seq are materialized, so memory stays
-    proportional to the output even when the grammar carries unused rules.
+    The rules are checked in order, then the symbols, raising expand's
+    errors.  Each rule seq reaches is then spelled once, its sides first,
+    and never one it does not reach, so memory stays proportional to the
+    output even when the grammar carries unused rules.
     """
-    symbols = _checked_symbols(grammar, _sequence(seq))
-    # a rule references only earlier rules, so one backward pass marks
-    # everything reachable from seq; live and table are indexed by symbol
+    symbols = _sequence(seq).tolist()
     rules = grammar.rules
-    live = np.zeros(NONTERMINAL_BASE + len(rules), dtype=bool)
-    live[symbols] = True
-    live = live.tolist()
-    for symbol in range(len(live) - 1, NONTERMINAL_BASE - 1, -1):
-        if live[symbol]:
-            left, right = rules[symbol - NONTERMINAL_BASE]
-            live[left] = live[right] = True
-    table: list[bytes | None] = [bytes((t,)) for t in range(NONTERMINAL_BASE)]
-    table += [None] * len(rules)
-    for symbol, (left, right) in enumerate(rules, NONTERMINAL_BASE):
-        if live[symbol]:
-            table[symbol] = table[left] + table[right]
-    gather = np.empty(len(table), dtype=object)
-    gather[:] = table
-    return b"".join(gather[symbols].tolist())
+    for k, (left, right) in enumerate(rules):
+        if min(left, right) < 0 or max(left, right) >= NONTERMINAL_BASE + k:
+            raise _kernel.fault(_kernel.BAD_RULE, k)
+    for i, symbol in enumerate(symbols):
+        if not 0 <= symbol < NONTERMINAL_BASE + len(rules):
+            raise _kernel.fault(_kernel.UNDEFINED, i, symbol)
+    spelled: list[bytes | None] = [bytes((t,))
+                                   for t in range(NONTERMINAL_BASE)]
+    spelled += [None] * len(rules)
+    for symbol in symbols:
+        # an explicit stack: a chain of rules nests deeper than recursion
+        stack = [symbol]
+        while stack:
+            top = stack.pop()
+            if spelled[top] is None:
+                left, right = rules[top - NONTERMINAL_BASE]
+                if spelled[left] is None or spelled[right] is None:
+                    stack += (top, right, left)
+                else:
+                    spelled[top] = spelled[left] + spelled[right]
+    return b"".join(spelled[s] for s in symbols)

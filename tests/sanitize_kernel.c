@@ -163,19 +163,15 @@ static void check_expand(const char *label, const int64_t *rules,
     }
 }
 
-/* rpim_decode_body on body[0:size] into an array of exactly cap values
-   and a length array of exactly 256 + cap / 2, one length per symbol,
-   so that any write past either is a sanitizer report; returns the
-   status, with the array in *out (the caller frees it). */
+/* rpim_decode_body on body[0:size] into an array of exactly cap values,
+   so that any write past it is a sanitizer report, as is one past the
+   length table the decoder allocates for itself; returns the status,
+   with the array in *out (the caller frees it). */
 static int decode(const uint8_t *body, int64_t size, int64_t cap,
                   uint64_t limit, int64_t *info, int64_t **out)
 {
     *out = must_alloc((size_t)cap * sizeof **out);
-    uint64_t *len = must_alloc((size_t)(NONTERMINAL_BASE + cap / 2)
-                               * sizeof *len);
-    int status = rpim_decode_body(body, size, *out, cap, limit, len, info);
-    free(len);
-    return status;
+    return rpim_decode_body(body, size, *out, cap, limit, info);
 }
 
 /* rpim_encode_body into a fresh buffer of the bound it documents;

@@ -214,6 +214,33 @@ class TestDecompress:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["cache", "data.bin", "data.rpim"]
 
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_failed_allocation_exits_2(self, tmp_path, monkeypatch, capsys,
+                                       command):
+        # such as rpim_expand's malloc for BOMB under --max-output 2**41;
+        # the failure is stood in for, since where memory is overcommitted
+        # a real 1 TiB allocation would succeed and fill it
+        blob = tmp_path / "data.bin"
+        blob.write_bytes(b"abcabcabc" * 9)
+        packed = tmp_path / "data.rpim"
+        assert main(["compress", str(blob), str(packed), "--raw"]) == 0
+        source = blob if command == "compress" else packed
+        out = tmp_path / "out"
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise MemoryError("C engine could not allocate memory")
+
+        monkeypatch.setattr(cli, "compress" if command == "compress"
+                            else "expand", refuse)
+        args = [command, str(source), str(out)] + \
+            (["--raw"] if command == "compress" else [])
+        assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["rpim: C engine could not allocate memory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["data.bin", "data.rpim"]
+
 
 class TestInspect:
     def test_empty_raw_exact_line(self, tmp_path, capsys):

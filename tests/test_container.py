@@ -127,10 +127,9 @@ def c_read_varint(blob: bytes, start: int):
     stands for."""
     body = np.frombuffer(b"\x00" + blob[start:], dtype=np.uint8)
     out = np.empty(body.size, np.int64)
-    lengths = np.empty(256 + body.size // 2, np.uint64)
     info = np.zeros(5, np.int64)
     status = _kernel.load().rpim_decode_body(body, body.size, out, out.size,
-                                             2**64 - 1, lengths, info)
+                                             2**64 - 1, info)
     if status == 0 or status == _kernel.TRUNCATED and info[2] > 1:
         # read; it is the whole body, or its count of symbols is missing
         return int(info.view(np.uint64)[1]), start + int(info[2]) - 1
