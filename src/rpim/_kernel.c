@@ -120,43 +120,48 @@
  * int64 everywhere else.
  *
  * Decompression is one entry point over an int64 grammar and final
- * sequence.  One routine, measure, checks every rule and symbol and
- * measures the expanded length against a caller's limit, in a table of
- * one length per symbol (a symbol longer than the limit is marked as
- * such, so doubling chains cannot overflow); the body decoder and
- * rpim_expand both call it, each in a table it allocates for the rules
- * it holds, and frees, so no caller sizes one.  rpim_expand only then
- * allocates the output, at its exact length, which the caller releases
- * with rpim_free.  Two tables indexed by symbol, terminals and rules alike,
- * hold each symbol's expanded length and where its expansion can be
- * copied from: a terminal's is its byte in a static table of the 256
- * byte values, and a rule's is unset until its first expansion starts,
- * by an explicit stack, and then its place in the output.  So every
- * later use of a symbol is one copy, whatever its kind, as Larsson &
- * Moffat write a rule's expansion once and copy it.
+ * sequence, called twice, and allocates nothing.  One routine, measure,
+ * checks every rule and symbol and measures the expanded length against
+ * a caller's limit, in a table of one length per symbol (a symbol longer
+ * than the limit is marked as such, so doubling chains cannot overflow).
+ * The body decoder calls it in a table it allocates for the rules it
+ * read, and frees; rpim_expand's first call calls it in a work table
+ * its caller allocates and returns the length.  The caller then
+ * allocates the output at that exact length, and rpim_expand's second
+ * call writes every byte of it, once, from the same table.  Two parts of
+ * that table, indexed by symbol, terminals and rules alike, hold each
+ * symbol's expanded length and where its expansion can be copied from:
+ * a terminal's is its byte in a static table of the 256 byte values,
+ * and a rule's is unset until its first expansion starts, by an
+ * explicit stack, and then its place in the output.  So every later use
+ * of a symbol is one copy, whatever its kind, as Larsson & Moffat write
+ * a rule's expansion once and copy it.
  * An expansion of COPY (16) bytes or less moves as one block of COPY
  * bytes through a temporary, so a block may overlap its source, and may
  * read and write up to COPY - 1 bytes past the expansion's end.  The
  * byte table carries that slack.  The output does not: a block that
  * would end past it is copied at its exact length instead, so that the
- * output's allocation stays the size of the bytes it returns.  Rules
- * the sequence does not reach are never expanded.  Every index it
- * writes is checked, and it returns RPIM_EBOUND rather than pass a
- * bound.
+ * output is exactly the bytes returned.  Rules the sequence does not
+ * reach are never expanded.  The second call trusts nothing the caller
+ * could have changed since the first: every symbol it reads is checked
+ * against the table and every write against the output, and it returns
+ * RPIM_EBOUND rather than pass a bound.
  *
  * The container body codec is one sequential pass each way.
  * rpim_decode_body reads the rule count, the rule sides, the sequence
  * length and the symbols varint by varint, with every check the
  * varint-by-varint reader makes, in its order, so it stops at the fault
  * that reader would meet first and reports it by status and offset.
- * It writes into one caller array of one value per body byte, rule
- * sides then symbols, so no declared count sizes anything: the value
- * at index j is written only after more than j varints have been read,
- * each at least a byte, so every write index stays below the body's
- * size.  Once the whole body is read without a fault it measures it as
- * rpim_expand does, in a length table it allocates itself, sized by the
- * rule count it read, and frees.  rpim_encode_body writes the minimal
- * unsigned LEB128 varints of the same fields.
+ * It reads the body where it lies in the container, so its offsets are
+ * the container's, and writes into one caller array of one value per
+ * body byte, rule sides then symbols, so no declared count sizes
+ * anything: the value at index j is written only after more than j
+ * varints have been read, each at least a byte, so every write index
+ * stays below the body's size.  Once the whole body is read without a
+ * fault it measures it as rpim_expand's first call does, in a length
+ * table it allocates itself, sized by the rule count it read, and
+ * frees.  rpim_encode_body writes the minimal unsigned LEB128 varints of
+ * the same fields.
  *
  * The pixel layout is one routine, rpim_layout, that moves an image's
  * samples between a stream in any of the four linearization orders and
@@ -970,96 +975,92 @@ static const uint8_t TERMINAL[NONTERMINAL_BASE + COPY - 1] = {
 
 /*
  * Expand seq[0:nseq] under the grammar whose rule k is (rules[2k],
- * rules[2k + 1]), when that takes at most limit bytes, limit below 2^63.
- * Returns RPIM_OK with the output in *out, to be released with
- * rpim_free, and its length in info[0].  Otherwise *out is NULL and the
- * status is the first fault measure finds, RPIM_ERULE, RPIM_ESYMBOL or
- * RPIM_ELIMIT, with its info[0] and info[1]; else RPIM_ENOMEM for a
- * failed allocation, and RPIM_EBOUND for a negative count, a limit of
- * 2^63 or more, or a write that would pass its buffer.
+ * rules[2k + 1]), in two calls over one work table of
+ * 2 * (256 + nrules) + nrules + 1 values that the caller allocates: a
+ * length and a source per symbol, and the stack.
+ * With out NULL, the first call checks the grammar and measures it
+ * against limit, below 2^63, into the table's lengths.  It returns
+ * RPIM_OK with the length in info[0], or the first fault measure finds,
+ * RPIM_ERULE, RPIM_ESYMBOL or RPIM_ELIMIT, with its info[0] and info[1].
+ * With out, the second call expands into out, which holds exactly limit
+ * bytes, and takes each symbol's length from the table the first call
+ * left.  The sequence and rules may have changed since, so it checks
+ * every symbol it reads against the table's extent, every rule side
+ * against its rule's prefix, as measure does, and every write against
+ * out; it returns RPIM_OK once it has written every byte of out, else
+ * RPIM_EBOUND, with nothing written outside out, and leaves info as it
+ * is.
+ * Either call returns RPIM_EBOUND for a negative count or a limit of
+ * 2^63 or more.
  */
 int rpim_expand(const int64_t *rules, int64_t nrules, const int64_t *seq,
-                int64_t nseq, uint64_t limit, uint8_t **out, int64_t *info)
+                int64_t nseq, uint64_t limit, uint64_t *table, uint8_t *out,
+                int64_t *info)
 {
-    *out = NULL;
-    info[0] = info[1] = 0;
+    if (out == NULL)
+        info[0] = info[1] = 0;
     if (nrules < 0 || nseq < 0 || limit > INT64_MAX)
         return RPIM_EBOUND;
     /* len and src hold one value per symbol.  A path from a sequence
        symbol down to a terminal passes each rule at most once, and each
        rule on it leaves one right side on the stack: nrules + 1 entries */
     int64_t nsym = NONTERMINAL_BASE + nrules;
-    uint64_t *len = malloc((size_t)(2 * nsym + nrules + 1) * sizeof *len);
-    if (len == NULL)
-        return RPIM_ENOMEM;
+    uint64_t *len = table;
     int64_t *stack = (int64_t *)len + nsym;
     const uint8_t **src = (const uint8_t **)(stack + nrules + 1);
-    int64_t out_len = 0, pos = 0;
-    uint64_t total = 0;
-    uint8_t *buf = NULL;
-    int err = measure(rules, nrules, seq, nseq, limit, len, info, &total);
-    if (err != RPIM_OK)
-        goto done;
+    if (out == NULL) {
+        uint64_t total = 0;
+        int err = measure(rules, nrules, seq, nseq, limit, len, info, &total);
+        if (err == RPIM_OK)
+            info[0] = (int64_t)total;
+        return err;
+    }
     for (int64_t t = 0; t < NONTERMINAL_BASE; t++)
         src[t] = TERMINAL + t;
     for (int64_t s = NONTERMINAL_BASE; s < nsym; s++)
         src[s] = NULL;
-    out_len = (int64_t)total;
-    buf = malloc(out_len ? (size_t)out_len : 1);
-    /* the last position where a block still ends within buf */
-    int64_t last_block = out_len - COPY;
-    /* until the expansion fills buf exactly, a fault is a passed bound */
-    err = buf == NULL ? RPIM_ENOMEM : RPIM_EBOUND;
-    for (int64_t i = 0; i < nseq && buf != NULL; i++) {
-        int64_t top = 0;
-        stack[top++] = seq[i];
+    int64_t size = (int64_t)limit, pos = 0;
+    /* the last position where a block still ends within out */
+    int64_t last_block = size - COPY;
+    for (int64_t i = 0; i < nseq; i++) {
+        int64_t first = seq[i], top = 1;
+        if (first < 0 || first >= nsym)
+            return RPIM_EBOUND;
+        stack[0] = first;
         while (top > 0) {
             int64_t s = stack[--top];
             const uint8_t *from = src[s];
             if (from != NULL) {
-                /* a rule never occurs inside its own expansion, so a
-                   source means a finished first expansion, ending at or
-                   before pos, and a reached symbol is exact, at most
-                   total bytes long.  A block read through a temporary
-                   may overlap the bytes it writes */
-                int64_t n = (int64_t)len[s];
-                if (n > out_len - pos)
-                    goto done;
+                /* a source lies in TERMINAL, whose slack takes a
+                   block, or in out at or before pos, so what is read
+                   ends within out, as what is written does.  A block
+                   may overlap the bytes it writes, so it goes through a
+                   temporary; an exact copy may too when the grammar
+                   changed after its first call measured it */
+                uint64_t n = len[s];
+                if (n > (uint64_t)(size - pos))
+                    return RPIM_EBOUND;
                 if (n <= COPY && pos <= last_block) {
                     uint8_t block[COPY];
                     memcpy(block, from, COPY);
-                    memcpy(buf + pos, block, COPY);
+                    memcpy(out + pos, block, COPY);
                 } else {
-                    memcpy(buf + pos, from, (size_t)n);
+                    memmove(out + pos, from, (size_t)n);
                 }
-                pos += n;
+                pos += (int64_t)n;
             } else {
-                if (top + 2 > nrules + 1)
-                    goto done;
                 const int64_t *rule = rules + 2 * (s - NONTERMINAL_BASE);
-                src[s] = buf + pos;
-                stack[top++] = rule[1];
-                stack[top++] = rule[0];
+                int64_t left = rule[0], right = rule[1];
+                if (left < 0 || right < 0 || left >= s || right >= s
+                    || top + 2 > nrules + 1)
+                    return RPIM_EBOUND;
+                src[s] = out + pos;
+                stack[top++] = right;
+                stack[top++] = left;
             }
         }
     }
-    if (buf != NULL && pos == out_len)
-        err = RPIM_OK;
-done:
-    free(len);
-    if (err != RPIM_OK) {
-        free(buf);
-        return err;
-    }
-    *out = buf;
-    info[0] = out_len;
-    return RPIM_OK;
-}
-
-/* Release a buffer rpim_expand returned; NULL is ignored. */
-void rpim_free(void *p)
-{
-    free(p);
+    return pos == size ? RPIM_OK : RPIM_EBOUND;
 }
 
 #define SYMBOL_MAX 0xFFFFFFFFull /* symbols and rule sides: below 2^32 */
@@ -1100,43 +1101,46 @@ static inline int read_varint(const uint8_t *body, int64_t size,
 #define READ(dst, max)                                          \
     do {                                                        \
         info[2] = pos;                                          \
-        CHECK(read_varint(body, size, &pos, (max), &(dst)));    \
+        CHECK(read_varint(data, size, &pos, (max), &(dst)));    \
     } while (0)
 
 /*
- * Decode and check a container body, body[0:size]: the rule count, the
- * rule sides, the sequence length and the symbols, in one sequential
- * pass.  out holds cap elements, cap at least size, and receives rule
- * k at out[2k] and out[2k + 1] and symbol i at out[2 * nrules + i].
+ * Decode and check a container body, data[start:size]: the rule count,
+ * the rule sides, the sequence length and the symbols, in one
+ * sequential pass.  out holds cap elements, cap at least the body's
+ * size - start bytes, and receives rule k at out[2k] and out[2k + 1]
+ * and symbol i at out[2 * nrules + i].
  * info[0] gets the rule count and info[1] the sequence length, as a
  * uint64 bit pattern, as soon as each is read.  Once the body is read
  * without a fault, a table of one length per symbol, 256 + nrules of
- * them, is allocated for measure, as in rpim_expand, and freed.
+ * them, is allocated for measure and freed.
  * Returns RPIM_OK with the expanded length of the sequence in info[4],
  * as a uint64 bit pattern; or the first fault a varint-by-varint reader
  * meets:
  *   RPIM_ETRUNCATED, RPIM_ENONMINIMAL, RPIM_EOVERFLOW, RPIM_ERANGE for
- *     a bad varint at byte offset info[2] (the rule count must be below
+ *     a bad varint at offset info[2] in data (the rule count must be below
  *     2^32 - 256, rule sides and symbols below 2^32);
  *   RPIM_ERULE when rule info[2] references a symbol outside its
  *     prefix, checked once its right side is read;
  *   RPIM_ESYMBOL when symbol info[2], of value info[3], is undefined;
  *   RPIM_ETRAILING when info[3] bytes follow the sequence from offset
- *     info[2];
+ *     info[2] in data;
  * or, for a body without faults, RPIM_ELIMIT when its expanded length
  * exceeds limit, or RPIM_ENOMEM when the length table cannot be
- * allocated.  A cap below size returns RPIM_EBOUND before anything
- * is read.  Each value goes to out[j] only once more than j varints
- * have been read, and every varint takes a byte, so no write reaches
- * size, and none passes cap.
+ * allocated.  A start outside [0, size], or a cap below the body's
+ * size, returns RPIM_EBOUND before anything is read.  Each value goes to
+ * out[j] only once more than j varints have been read, and every varint
+ * takes a byte, so no write reaches the body's size, and none passes
+ * cap.
  */
-int rpim_decode_body(const uint8_t *body, int64_t size, int64_t *out,
-                     int64_t cap, uint64_t limit, int64_t *info)
+int rpim_decode_body(const uint8_t *data, int64_t size, int64_t start,
+                     int64_t *out, int64_t cap, uint64_t limit,
+                     int64_t *info)
 {
-    int64_t pos = 0;
+    int64_t pos = start;
     uint64_t count, a, b, s;
     info[0] = info[1] = info[2] = info[3] = info[4] = 0;
-    if (size < 0 || cap < size)
+    if (start < 0 || start > size || cap < size - start)
         return RPIM_EBOUND;
     READ(count, SYMBOL_MAX - NONTERMINAL_BASE);
     int64_t nrules = (int64_t)count;

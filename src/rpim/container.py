@@ -20,8 +20,9 @@ one sequential pass, so the first fault met is the one reported.  Then
 the routine that measures expand's output gives the expanded length the
 header must match.  The body is written in one pass too.  Both passes
 run in the C engine; read_varint and write_varint handle the varint
-header field.  The decoder sizes nothing by a declared count: it stores
-at most one value per body byte.
+header field.  The decoder reads the body where it lies, so its fault
+offsets are the container's, and sizes nothing by a declared count: it
+stores at most one value per body byte.
 """
 
 from __future__ import annotations

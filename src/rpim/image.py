@@ -11,8 +11,10 @@ order and a pixel grid, such as a BMP raster or the row-major samples,
 in one pass.  A PixelBuffer holds its bytes in the order they came in,
 so delinearize only checks and wraps its stream, decode_bmp its file,
 and encode_bmp and linearize each make one pass from whichever order a
-buffer holds into one array whose single tobytes() is the result.  The
-row-major samples are built only when asked for.
+buffer holds into the bytes object they return, a fresh output
+(_kernel.output) that the pass fills in place: each output byte is
+written once and never copied.  The row-major samples are built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class PixelBuffer:
         if order == mode:
             return self._held
         w, h, c = self.width, self.height, self.channels
-        out = np.empty(w * h * c, np.uint8)
+        out = _kernel.output(w * h * c)
         if isinstance(order, _Raster):
             raster = np.frombuffer(self._held, np.uint8,
                                    count=order.pitch * h, offset=order.offset)
@@ -138,7 +140,7 @@ class PixelBuffer:
         else:
             _kernel.layout(out, mode, w, h, c,
                            np.frombuffer(self.samples, np.uint8), w * c, 0)
-        return out.tobytes()
+        return out.data
 
     def _any_stream(self) -> tuple[bytes, LinearizationMode]:
         """The held bytes as a stream in some order, and that order."""
@@ -227,8 +229,7 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
     buf.validate()
     row = _row_size(buf.width)
     image_size = row * buf.height
-    out = np.empty(_HEADER_SIZE + image_size, np.uint8)
-    out[:_HEADER_SIZE] = np.frombuffer(struct.pack(
+    out = _kernel.output(_HEADER_SIZE + image_size, struct.pack(
         "<2sIHHIIiiHHIIiiII",
         b"BM",
         _HEADER_SIZE + image_size,
@@ -246,12 +247,12 @@ def encode_bmp(buf: PixelBuffer) -> bytes:
         _PPM_72DPI,
         0,
         0,
-    ), np.uint8)
+    ))
     stream, mode = buf._any_stream()
     _kernel.layout(np.frombuffer(stream, np.uint8), mode, buf.width,
-                   buf.height, buf.channels, out[_HEADER_SIZE:], row,
+                   buf.height, buf.channels, out, row,
                    _kernel.TO_GRID | _kernel.BOTTOM_UP | _kernel.BGR)
-    return out.tobytes()
+    return out.data
 
 
 def linearize(buf: PixelBuffer, mode: LinearizationMode) -> bytes:

@@ -266,12 +266,13 @@ def _sequence(seq) -> np.ndarray:
 def expand(grammar: Grammar, seq: Sequence[int]) -> bytes:
     """Substitute every nonterminal down to terminals; returns the bytes.
 
-    One C engine call checks every rule side and symbol, measures the
-    output, and only then expands each rule seq reaches once, copying it
-    for every later use.  Raises ValueError unless seq is a
-    one-dimensional sequence of integers, MalformedGrammarError naming
-    the first undefined reference, and MemoryError, before allocating,
-    for an expansion past sys.maxsize bytes.
+    The C engine checks every rule side and symbol and measures the
+    output, and only then expands each rule seq reaches once, straight
+    into the bytes object returned, copying it for every later use.
+    Raises ValueError unless seq is a one-dimensional sequence of
+    integers, MalformedGrammarError naming the first undefined
+    reference, and MemoryError, before allocating, for an expansion too
+    large for a bytes object.
     """
     return _kernel.expand(grammar._rules, _sequence(seq))
 

@@ -25,15 +25,19 @@
  * last call's values, and rpim_release frees the block at the end.
  * Each grammar must reference only earlier symbols and expand back to
  * its input under this program's own stack expander.  The kernel's
- * expand must agree with it, on a comb as deep as it has rules too, and
- * must refuse a limit one short, before it allocates an output, and an
- * undefined symbol, naming the rule or symbol.  Symbols of 1 to 33
- * bytes, around expand's 16-byte block copy, each copied twice and
- * last, and terminal 255 last, take that copy to the end of its exact
- * output and of the slack after its byte table.  Every buffer expand
- * returns is released, so LeakSanitizer checks its error paths as well.
- * An n above the input cap must be refused before the one-byte input is
- * read.
+ * expand, a first call that measures into a work table of exactly the
+ * size it documents and a second that fills an output allocated to the
+ * byte, must agree with it, on a comb as deep as it has rules too; the
+ * first call must refuse a limit one short and an undefined symbol,
+ * naming the rule or symbol, and the second must refuse an output one
+ * byte short or one byte long without writing outside it, and a
+ * sequence symbol or rule side changed after the first call to one
+ * outside the table or the rule's prefix.  Symbols of 1 to 33 bytes,
+ * around expand's 16-byte block copy, each copied twice and last, and
+ * terminal 255 last, take that copy to the end of its exact output and
+ * of the slack after its byte table.  Every table and output is freed,
+ * so LeakSanitizer checks the error paths as well.  An n above the input
+ * cap must be refused before the one-byte input is read.
  *
  * Every grammar's container body is encoded and decoded back into
  * buffers of exactly the body's size; the decoder's expanded length must
@@ -129,21 +133,42 @@ static int64_t stack_expand(const int64_t *rules, int64_t nrules,
     return w;
 }
 
-/* rpim_expand up to limit: its status, with *out and info[0:2] as it
-   set them; *out must be NULL on a nonzero status.  The caller releases
-   *out with rpim_free. */
+/* A work table for rpim_expand over nrules rules, of exactly the
+   2 * (256 + nrules) + nrules + 1 values it documents. */
+static uint64_t *expand_table(int64_t nrules)
+{
+    return must_alloc((size_t)(2 * (NONTERMINAL_BASE + nrules) + nrules + 1)
+                      * sizeof(uint64_t));
+}
+
+/* rpim_expand up to limit, as the wrapper calls it: the first call, and
+   when it measures, the second into an output of exactly the measured
+   length.  Returns the first call's status, with info[0:2] as it set
+   them, and *out the filled output, or NULL after a fault; the caller
+   frees it. */
 static int kernel_expand(const char *label, const int64_t *rules,
                          int64_t nrules, const int64_t *seq, int64_t nseq,
                          uint64_t limit, uint8_t **out, int64_t *info)
 {
-    int status = rpim_expand(rules, nrules, seq, nseq, limit, out, info);
-    if (status != 0 && *out != NULL)
-        fail(label, nrules, "expand returned a buffer with a fault");
+    uint64_t *table = expand_table(nrules);
+    int status = rpim_expand(rules, nrules, seq, nseq, limit, table, NULL,
+                             info);
+    *out = NULL;
+    if (status == RPIM_OK) {
+        *out = must_alloc((size_t)info[0]);
+        if (rpim_expand(rules, nrules, seq, nseq, (uint64_t)info[0], table,
+                        *out, info) != RPIM_OK)
+            fail(label, info[0], "expand did not fill what it measured");
+    }
+    free(table);
     return status;
 }
 
 /* The kernel's expand on a grammar that expands to expected[0:n]: it
-   must agree, and refuse a limit one short. */
+   must agree, and refuse a limit one short.  After the first call
+   alone measures n, the second must refuse an output of n - 1 bytes and
+   one of n + 1, each allocated to the byte, so that a write past either
+   is a sanitizer report. */
 static void check_expand(const char *label, const int64_t *rules,
                          int64_t nrules, const int64_t *seq, int64_t nseq,
                          const uint8_t *expected, int64_t n)
@@ -154,13 +179,25 @@ static void check_expand(const char *label, const int64_t *rules,
                       info) != 0
         || info[0] != n || memcmp(out, expected, (size_t)n) != 0)
         fail(label, n, "expand disagrees with the stack expander");
-    rpim_free(out);
+    free(out);
     if (n > 0) {
         if (kernel_expand(label, rules, nrules, seq, nseq, (uint64_t)n - 1,
                           &out, info) != RPIM_ELIMIT)
             fail(label, n, "expand passed a limit one short");
-        rpim_free(out);
+        free(out);
     }
+    uint64_t *table = expand_table(nrules);
+    if (rpim_expand(rules, nrules, seq, nseq, (uint64_t)n, table, NULL,
+                    info) != RPIM_OK || info[0] != n)
+        fail(label, n, "expand did not measure its grammar");
+    for (int64_t size = n > 0 ? n - 1 : n + 1; size <= n + 1; size += 2) {
+        out = must_alloc((size_t)size);
+        if (rpim_expand(rules, nrules, seq, nseq, (uint64_t)size, table,
+                        out, info) != RPIM_EBOUND)
+            fail(label, size, "expand filled an output of the wrong size");
+        free(out);
+    }
+    free(table);
 }
 
 /* rpim_decode_body on body[0:size] into an array of exactly cap values,
@@ -171,7 +208,7 @@ static int decode(const uint8_t *body, int64_t size, int64_t cap,
                   uint64_t limit, int64_t *info, int64_t **out)
 {
     *out = must_alloc((size_t)cap * sizeof **out);
-    return rpim_decode_body(body, size, *out, cap, limit, info);
+    return rpim_decode_body(body, size, 0, *out, cap, limit, info);
 }
 
 /* rpim_encode_body into a fresh buffer of the bound it documents;
@@ -362,15 +399,15 @@ static void check_forged_grammars(void)
     if (kernel_expand("chain", chain, CHAIN, &last, 1, INT64_MAX, &out, info)
         != RPIM_ELIMIT)
         fail("chain", CHAIN, "2^63 bytes passed a limit one short");
-    rpim_free(out);
+    free(out);
     if (kernel_expand("chain", chain, CHAIN, all, CHAIN + 1, INT64_MAX, &out,
                       info) != RPIM_ELIMIT)
         fail("chain", CHAIN, "2^64 - 1 bytes passed the limit");
-    rpim_free(out);
+    free(out);
     if (kernel_expand("chain", chain, CHAIN, all, 1, (uint64_t)INT64_MAX + 1,
                       &out, info) != RPIM_EBOUND)
         fail("chain", CHAIN, "a limit of 2^63 was taken");
-    rpim_free(out);
+    free(out);
 
     /* undefined symbols: a rule referencing itself, a sequence symbol
        one past the rules, and a negative one after a defined one; each
@@ -396,7 +433,45 @@ static void check_forged_grammars(void)
             || info[0] != undefined[k].where
             || info[1] != undefined[k].value)
             fail("undefined", k, "expand misreported an undefined symbol");
-        rpim_free(out);
+        free(out);
+    }
+}
+
+/* A grammar that changes between rpim_expand's two calls: a sequence
+   symbol or a rule side the first call measured becomes one past the
+   table, a negative one, its own rule, or a defined symbol of another
+   length.  The second call must refuse each, with no read outside the
+   table and no write outside the output, both allocated to the byte. */
+static void check_changed_between_calls(void)
+{
+    /* rule 0 = ('a', 'b'), rule 1 = (rule 0, 'c'): "abc" "d" "ab" */
+    int64_t rules[4] = {'a', 'b', NONTERMINAL_BASE, 'c'};
+    int64_t seq[3] = {NONTERMINAL_BASE + 1, 'd', NONTERMINAL_BASE};
+    const struct {
+        int64_t *at;
+        int64_t value;
+    } cases[] = {
+        {&seq[0], NONTERMINAL_BASE + 2}, {&seq[2], -1},
+        {&seq[1], NONTERMINAL_BASE + 1}, /* 3 bytes where 'd' was 1 */
+        {&rules[0], NONTERMINAL_BASE + 2}, {&rules[3], -1},
+        {&rules[2], NONTERMINAL_BASE + 1}, /* rule 1 = (rule 1, 'c') */
+        {&rules[3], NONTERMINAL_BASE}, /* rule 1 = "abab", measured 3 */
+        {&rules[2], 'x'}, /* rule 1 = "xc", measured 3 */
+    };
+    for (size_t k = 0; k < sizeof cases / sizeof cases[0]; k++) {
+        uint64_t *table = expand_table(2);
+        uint8_t *out = must_alloc(6);
+        int64_t info[2], kept = *cases[k].at;
+        if (rpim_expand(rules, 2, seq, 3, 6, table, NULL, info) != RPIM_OK
+            || info[0] != 6)
+            fail("changed", (int64_t)k, "expand did not measure 6 bytes");
+        *cases[k].at = cases[k].value;
+        if (rpim_expand(rules, 2, seq, 3, 6, table, out, info) != RPIM_EBOUND)
+            fail("changed", (int64_t)k,
+                 "expand took a grammar changed after measuring");
+        *cases[k].at = kept;
+        free(out);
+        free(table);
     }
 }
 
@@ -856,6 +931,7 @@ int main(void)
             fail("forged", forged[k], "an n above the cap was not refused");
 
     check_forged_grammars();
+    check_changed_between_calls();
     check_copy_edges();
     check_forged_bodies();
     check_layout();

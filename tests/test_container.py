@@ -128,8 +128,9 @@ def c_read_varint(blob: bytes, start: int):
     body = np.frombuffer(b"\x00" + blob[start:], dtype=np.uint8)
     out = np.empty(body.size, np.int64)
     info = np.zeros(5, np.int64)
-    status = _kernel.load().rpim_decode_body(body, body.size, out, out.size,
-                                             2**64 - 1, info)
+    status = _kernel.load().rpim_decode_body(body, body.size, 0,
+                                             out.ctypes.data, out.size,
+                                             2**64 - 1, info.ctypes.data)
     if status == 0 or status == _kernel.TRUNCATED and info[2] > 1:
         # read; it is the whole body, or its count of symbols is missing
         return int(info.view(np.uint64)[1]), start + int(info[2]) - 1

@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpim import _kernel
 from rpim.errors import (
     CorruptBmpError,
     InvalidDimensionsError,
@@ -116,13 +118,25 @@ def reference_bmp(buf, top_down=False):
 
 
 def test_encode_bmp_matches_struct_writer_with_zero_padding():
+    # the output is a new bytes object the engine fills, whose memory
+    # starts with whatever was there: a freed object of the same size,
+    # filled with 0xA5, leaves its bytes for any the engine does not write
     rng = random.Random(11)
+    previous = None
     for w in range(1, 9):  # 3 * w covers all four padding residues
         for h in range(1, 4):
             for c in (1, 3):
                 buf = PixelBuffer(w, h, c, rng.randbytes(w * h * c))
+                expected = reference_bmp(buf)
+                dirty = b"\xa5" * len(expected)
+                del dirty
                 blob = encode_bmp(buf)
-                assert blob == reference_bmp(buf), (w, h, c)
+                assert type(blob) is bytes
+                assert blob == expected, (w, h, c)
+                # a later call never writes an earlier output
+                if previous is not None:
+                    assert previous[0] == previous[1]
+                previous = (blob, bytearray(blob))
                 row = (3 * w + 3) // 4 * 4
                 for y in range(h):
                     start = 54 + y * row
@@ -143,6 +157,7 @@ def test_composed_paths_match_struct_writer():
                 for c in (1, 3):
                     buf = PixelBuffer(w, h, c, rng.randbytes(w * h * c))
                     stream = linearize(buf, mode)
+                    assert type(stream) is bytes
                     blob = reference_bmp(buf)
                     assert encode_bmp(delinearize(stream, mode, w, h, c)) \
                         == blob, (mode, w, h, c)
@@ -220,6 +235,16 @@ class TestLinearize:
     def test_row_major_is_identity(self):
         buf = PixelBuffer(3, 2, 1, bytes([1, 2, 3, 4, 5, 6]))
         assert linearize(buf, LinearizationMode.ROW_MAJOR) == buf.samples
+
+    def test_one_pixel_streams_are_fresh(self):
+        # a 1x1 grey stream is one byte the engine writes into a new
+        # bytes object, never into CPython's shared one-character objects
+        buf = PixelBuffer(1, 1, 1, b"\x07")
+        streams = [linearize(buf, mode) for mode in LinearizationMode]
+        assert streams == [b"\x07"] * 4
+        assert all(type(stream) is bytes for stream in streams)
+        # bytes([v]) is the shared object of byte v
+        assert [bytes([v])[0] for v in range(256)] == list(range(256))
 
     def test_zigzag_reverses_odd_rows(self):
         buf = PixelBuffer(3, 2, 1, bytes([1, 2, 3, 4, 5, 6]))
@@ -330,3 +355,27 @@ def test_codec_identity_on_buffers(buf):
         assert out == buf
     else:
         assert out.samples[::3] == buf.samples
+
+
+def test_layout_writes_only_a_writeable_or_fresh_destination():
+    """layout's destination, the grid under TO_GRID and else the stream,
+    must be a writeable array or a fresh output of exactly its size; an
+    array over immutable bytes is refused before the engine runs, and
+    the bytes stay as they were."""
+    grid = np.arange(12, dtype=np.uint8)
+    frozen = bytes(12)
+    with pytest.raises(ValueError):
+        _kernel.layout(np.frombuffer(frozen, np.uint8), 0, 2, 2, 3, grid, 6, 0)
+    with pytest.raises(ValueError):
+        _kernel.layout(grid, 0, 2, 2, 3, np.frombuffer(frozen, np.uint8), 6,
+                       _kernel.TO_GRID)
+    assert frozen == bytes(12)
+    stream = np.zeros(12, np.uint8)
+    _kernel.layout(stream, 0, 2, 2, 3, grid, 6, 0)
+    assert stream.tolist() == list(range(12))
+    out = _kernel.output(12)
+    _kernel.layout(out, 0, 2, 2, 3, grid, 6, 0)
+    assert out.data == bytes(range(12))
+    for size in (11, 13):
+        with pytest.raises(ValueError):
+            _kernel.layout(_kernel.output(size), 0, 2, 2, 3, grid, 6, 0)

@@ -243,6 +243,16 @@ class TestExpand:
     def test_identity_on_terminals(self):
         assert expand(Grammar(), [4, 9]) == bytes([4, 9])
         assert expand(Grammar(), []) == reference_expand(Grammar(), []) == b""
+        # the engine fills a new bytes object in place: an empty or a
+        # one-byte output must never be one of CPython's shared objects,
+        # b"" or a one-character bytes, which a write would change for
+        # the whole process
+        outputs = [expand(Grammar(), []), expand(Grammar(), [98]),
+                   expand(Grammar(), [7])]
+        assert [type(out) for out in outputs] == [bytes] * 3
+        assert [list(out) for out in outputs] == [[], [98], [7]]
+        # bytes([v]) is the shared object of byte v
+        assert [bytes([v])[0] for v in range(256)] == list(range(256))
 
     def test_single_rule(self):
         assert expand(Grammar([Rule(97, 98)]), [256, 256]) == \
@@ -250,7 +260,12 @@ class TestExpand:
 
     def test_two_levels(self):
         grammar = Grammar([Rule(97, 98), Rule(256, 256)])
-        assert expand(grammar, [257]) == bytes([97, 98, 97, 98])
+        first = expand(grammar, [257])
+        assert first == bytes([97, 98, 97, 98])
+        # a later call writes its own output, never an earlier one
+        kept = bytearray(first)
+        assert expand(grammar, [256, 99, 257]) == b"abcabab"
+        assert first == kept and type(first) is bytes
 
     @pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 31, 32, 33])
     def test_block_copy_edges(self, length):
@@ -340,7 +355,11 @@ class TestExpand:
                         + [Rule(256 + k, 256 + k) for k in range(63)])
         tracemalloc.start()
         try:
-            for seq in ([256 + 62], [256 + 63], [256 + 61, 256 + 61]):
+            # rules 0-61, then a terminal: exactly sys.maxsize bytes, more
+            # than a bytes object holds, so the output is never allocated
+            # and the failure is a MemoryError, not an OverflowError
+            exact = [256 + k for k in range(62)] + [97]
+            for seq in ([256 + 62], [256 + 63], [256 + 61, 256 + 61], exact):
                 with pytest.raises(MemoryError):
                     expand(chain, seq)
             _, peak = tracemalloc.get_traced_memory()
@@ -693,7 +712,7 @@ def test_every_entry_point_has_a_ctypes_signature():
     # (return type, name, parameter list) of each definition
     entries = re.findall(r"^(int|void) (rpim_\w+)\(([^)]*)\)",
                          _kernel.SOURCE.read_text(), re.MULTILINE)
-    assert {"rpim_compress", "rpim_decode_body", "rpim_free",
+    assert {"rpim_compress", "rpim_decode_body",
             "rpim_release"} <= {name for _, name, _ in entries}
     lib = _kernel.load()
     for kind, name, params in entries:
@@ -740,7 +759,8 @@ def test_kernel_refuses_input_above_cap():
     sym = np.full(1, -7, np.int32)
     sizes = np.zeros(2, np.int64)
     for n in (_kernel.MAX_SYMBOLS + 1, 2**63 - 1):
-        status = lib.rpim_compress(one, n, 2, sym, sizes)
+        status = lib.rpim_compress(one, n, 2, sym.ctypes.data,
+                                   sizes.ctypes.data)
         assert status == 2  # RPIM_EBOUND
         assert sym.tolist() == [-7]
 
